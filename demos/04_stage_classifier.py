@@ -49,7 +49,7 @@ def main():
           f"macro AUROC {metrics.macro_auroc:.3f}")
 
     logit, _ = classify.logistic_train(X_tr, y_tr, lr=0.5)
-    base = classify.evaluate(y_te, classify.logistic_predict(logit, X_te))
+    base = classify.evaluate(y_te, classify.mlp_predict(logit, X_te))
     print(f"logistic baseline on the same split: {base.accuracy:.3f}")
 
     classify.save_model(params, OUT / "stage_model.json", cfg)

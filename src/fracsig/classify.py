@@ -10,7 +10,7 @@ institution hold-out harnesses, and a confusion-matrix metrics suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "mlp_gradients",
     "numerical_gradients",
     "logistic_train",
-    "logistic_predict",
     "kfold",
     "holdout",
     "evaluate",
@@ -75,6 +74,12 @@ def extract_features(
     if record.stage_label is None:
         raise ValueError("record is unlabeled")
     X = record.as_matrix()
+    constant = np.flatnonzero(np.ptp(X, axis=1) == 0)
+    if constant.size:
+        raise ValueError(
+            f"subject {record.subject_id!r}: channel "
+            f"{record.labels()[constant[0]]!r} is constant; cannot z-score it"
+        )
     X = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
     if alpha is None:
         alpha = np.array([fracdyn.estimate_alpha(row).alpha for row in X])
@@ -138,29 +143,56 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MLPParams:
-    """Weight matrices and bias vectors, one pair per layer transition."""
+    """All weights and biases of a network in one flat float64 buffer.
+
+    For each layer transition the buffer holds the row-major
+    (fan_in, fan_out) weight matrix followed by its bias vector;
+    ``weights`` and ``biases`` are views into it, so an in-place update
+    of ``flat`` updates every layer.  A float64 ``flat`` is used as
+    given, not copied; ``flat=None`` gives an all-zero network.
+    """
 
     sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    flat: np.ndarray | None = None
     seed: int = 0
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = tuple(int(s) for s in self.sizes)
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        count = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
+        flat = np.zeros(count) if self.flat is None else np.asarray(self.flat, dtype=float)
+        if flat.shape != (count,):
+            raise ValueError(
+                f"weight count {flat.size} does not match sizes {list(sizes)} "
+                f"({count} expected)"
+            )
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in layers:
+            weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(flat[pos : pos + fan_out])
+            pos += fan_out
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
 
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
 
 def init_mlp(
     d_in: int, hidden: tuple[int, ...] = (300, 100), n_classes: int = N_STAGES, seed: int = 0
 ) -> MLPParams:
-    """Fan-scaled uniform (Glorot) initialization, seeded."""
-    sizes = (d_in, *hidden, n_classes)
+    """Fan-scaled uniform (Glorot) weights and zero biases, seeded."""
+    params = MLPParams((d_in, *hidden, n_classes), seed=seed)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MLPParams(sizes, tuple(weights), tuple(biases), seed)
+    for w in params.weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -208,59 +240,48 @@ def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def _loss(probs: np.ndarray, onehot: np.ndarray) -> float:
+    """Mean cross-entropy of predicted probabilities against one-hot labels."""
+    return -np.mean(np.sum(onehot * np.log(probs + 1e-30), axis=1))
+
+
 def mlp_gradients(params, X, y, dropout_rate=0.0, rng=None):
-    """Mean cross-entropy loss and its gradients for one batch."""
+    """Mean cross-entropy loss and its gradient for one batch.
+
+    Returns ``(loss, grad)``; ``grad`` is an :class:`MLPParams` of the
+    same sizes holding d(loss)/d(parameter).
+    """
     n = X.shape[0]
     onehot = _one_hot(y, params.sizes[-1])
     acts, masks = _forward(params, X, dropout_rate, rng)
     probs = acts[-1]
-    loss = -np.mean(np.sum(onehot * np.log(probs + 1e-30), axis=1))
-    grads_w, grads_b = [], []
+    grad = MLPParams(params.sizes)
     delta = (probs - onehot) / n  # softmax + cross-entropy shortcut
     for i in reversed(range(len(params.weights))):
-        grads_w.append(acts[i].T @ delta)
-        grads_b.append(delta.sum(axis=0))
+        grad.weights[i][...] = acts[i].T @ delta
+        grad.biases[i][...] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ params.weights[i].T
             if masks[i - 1] is not None:
                 delta = delta * masks[i - 1]
             delta = delta * (acts[i] > 0)
-    return loss, grads_w[::-1], grads_b[::-1]
+    return _loss(probs, onehot), grad
 
 
 def numerical_gradients(params, X, y, eps=1e-5):
     """Central finite differences of the loss; gradient-check oracle."""
+    onehot = _one_hot(y, params.sizes[-1])
 
-    def loss_at(p):
-        onehot = _one_hot(y, p.sizes[-1])
-        probs = mlp_predict(p, X)
-        return -np.mean(np.sum(onehot * np.log(probs + 1e-30), axis=1))
+    def loss_at(flat):
+        return _loss(mlp_predict(MLPParams(params.sizes, flat), X), onehot)
 
-    grads_w, grads_b = [], []
-    for li in range(len(params.weights)):
-        gw = np.zeros_like(params.weights[li])
-        for idx in np.ndindex(*gw.shape):
-            wp = [w.copy() for w in params.weights]
-            wp[li][idx] += eps
-            wm = [w.copy() for w in params.weights]
-            wm[li][idx] -= eps
-            gw[idx] = (
-                loss_at(replace(params, weights=tuple(wp)))
-                - loss_at(replace(params, weights=tuple(wm)))
-            ) / (2 * eps)
-        grads_w.append(gw)
-        gb = np.zeros_like(params.biases[li])
-        for idx in np.ndindex(*gb.shape):
-            bp = [b.copy() for b in params.biases]
-            bp[li][idx] += eps
-            bm = [b.copy() for b in params.biases]
-            bm[li][idx] -= eps
-            gb[idx] = (
-                loss_at(replace(params, biases=tuple(bp)))
-                - loss_at(replace(params, biases=tuple(bm)))
-            ) / (2 * eps)
-        grads_b.append(gb)
-    return grads_w, grads_b
+    grad = MLPParams(params.sizes)
+    for i in range(params.flat.size):
+        plus, minus = params.flat.copy(), params.flat.copy()
+        plus[i] += eps
+        minus[i] -= eps
+        grad.flat[i] = (loss_at(plus) - loss_at(minus)) / (2 * eps)
+    return grad
 
 
 def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_classes=N_STAGES):
@@ -277,8 +298,8 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
         raise ValueError("training set must contain at least 2 classes")
     params = init_mlp(X.shape[1], hidden, n_classes, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    cache_w = [np.zeros_like(w) for w in params.weights]
-    cache_b = [np.zeros_like(b) for b in params.biases]
+    flat = params.flat
+    cache = np.zeros_like(flat)
     history = {"loss": [], "accuracy": []}
     n = X.shape[0]
     for epoch in range(cfg.epochs):
@@ -286,24 +307,14 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, gw, gb = mlp_gradients(
-                params, X[idx], y[idx], cfg.dropout_rate, rng
-            )
+            loss, grad = mlp_gradients(params, X[idx], y[idx], cfg.dropout_rate, rng)
             if not np.isfinite(loss):
                 raise fracdyn.NumericalError(f"NaN loss at epoch {epoch}")
             losses.append(loss)
-            new_w, new_b = [], []
-            for i, (w, g) in enumerate(zip(params.weights, gw)):
-                cache_w[i] = cfg.rmsprop_decay * cache_w[i] + (1 - cfg.rmsprop_decay) * g**2
-                new_w.append(
-                    w - cfg.learning_rate * g / (np.sqrt(cache_w[i]) + cfg.rmsprop_epsilon)
-                )
-            for i, (b, g) in enumerate(zip(params.biases, gb)):
-                cache_b[i] = cfg.rmsprop_decay * cache_b[i] + (1 - cfg.rmsprop_decay) * g**2
-                new_b.append(
-                    b - cfg.learning_rate * g / (np.sqrt(cache_b[i]) + cfg.rmsprop_epsilon)
-                )
-            params = replace(params, weights=tuple(new_w), biases=tuple(new_b))
+            g = grad.flat
+            cache *= cfg.rmsprop_decay
+            cache += (1 - cfg.rmsprop_decay) * g**2
+            flat -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.rmsprop_epsilon)
         preds = mlp_predict(params, X).argmax(axis=1)
         history["loss"].append(float(np.mean(losses)))
         history["accuracy"].append(float(np.mean(preds == y)))
@@ -313,34 +324,27 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
 def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
     """Multinomial softmax regression by full-batch gradient descent.
 
-    Returns ((W, b), loss_history).  The loss is convex; a diverging
-    sequence raises with advice to lower the learning rate.
+    The model is a network with no hidden layer, started at zero, so
+    :func:`mlp_predict` applies it.  ``l2`` penalises the weights, not
+    the biases.  Returns (params, loss_history).  The loss is convex; a
+    diverging sequence raises with advice to lower the learning rate.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    n, d = X.shape
-    W = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    onehot = _one_hot(y, n_classes)
+    params = MLPParams((X.shape[1], n_classes))
+    flat, (W,) = params.flat, params.weights
     history = []
     for epoch in range(epochs):
-        probs = _softmax(X @ W + b)
-        loss = -np.mean(np.sum(onehot * np.log(probs + 1e-30), axis=1))
+        loss, grad = mlp_gradients(params, X, y)
         loss += 0.5 * l2 * np.sum(W**2)
         if not np.isfinite(loss) or (history and loss > history[0] * 10):
             raise fracdyn.NumericalError(
                 f"logistic training diverged at epoch {epoch}; lower lr"
             )
         history.append(float(loss))
-        delta = (probs - onehot) / n
-        W -= lr * (X.T @ delta + l2 * W)
-        b -= lr * delta.sum(axis=0)
-    return (W, b), history
-
-
-def logistic_predict(model, X) -> np.ndarray:
-    W, b = model
-    return _softmax(np.asarray(X, dtype=float) @ W + b)
+        grad.weights[0][...] += l2 * W
+        flat -= lr * grad.flat
+    return params, history
 
 
 def kfold(cases, k: int = 5, seed: int = 0, *, by_subject: bool = False):
@@ -355,6 +359,11 @@ def kfold(cases, k: int = 5, seed: int = 0, *, by_subject: bool = False):
     rng = np.random.default_rng(seed)
     if by_subject:
         subjects = sorted({c.subject_id for c in cases})
+        if len(subjects) < k:
+            raise ValueError(
+                f"{len(subjects)} subjects cannot fill {k} folds; "
+                f"need at least {k}"
+            )
         order = rng.permutation(len(subjects))
         fold_of_subject = {
             subjects[si]: fi % k for fi, si in enumerate(order)
@@ -496,30 +505,15 @@ def save_model(params: MLPParams, path, config: TrainConfig | None = None) -> No
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for w, b in zip(params.weights, params.biases):
-            for v in w.ravel():
-                fh.write(repr(float(v)) + "\n")
-            for v in b.ravel():
-                fh.write(repr(float(v)) + "\n")
+        for v in params.flat:
+            fh.write(repr(float(v)) + "\n")
 
 
 def load_model(path) -> tuple[MLPParams, TrainConfig | None]:
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         values = [float(line) for line in fh if line.strip()]
-    sizes = tuple(header["sizes"])
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.array(values[pos : pos + fan_in * fan_out]).reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        b = np.array(values[pos : pos + fan_out])
-        pos += fan_out
-        weights.append(w)
-        biases.append(b)
-    if pos != len(values):
-        raise ValueError("weight count does not match header sizes")
-    params = MLPParams(sizes, tuple(weights), tuple(biases), header.get("seed", 0))
+    params = MLPParams(header["sizes"], np.array(values), header.get("seed", 0))
     cfg = None
     if header.get("config"):
         cfg = TrainConfig(**header["config"])

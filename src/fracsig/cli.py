@@ -272,14 +272,6 @@ def _load_features(path) -> list[classify.LabeledCase]:
 # ---------------------------------------------------------------- train
 
 
-def _fit_predict(model_kind, cfg, Xtr, ytr, Xte):
-    if model_kind == "mlp":
-        params, history = classify.mlp_train(Xtr, ytr, cfg)
-        return classify.mlp_predict(params, Xte), history
-    model, losses = classify.logistic_train(Xtr, ytr, epochs=cfg.epochs)
-    return classify.logistic_predict(model, Xte), {"loss": losses}
-
-
 def _history_rows(history):
     loss = history["loss"]
     acc = history.get("accuracy", [float("nan")] * len(loss))
@@ -289,12 +281,23 @@ def _history_rows(history):
     ]
 
 
+def _train_splits(args, cases):
+    """Yield (metrics file, curve file, label, train cases, test cases)
+    for each k-fold split or held-out institution."""
+    if args.mode == "kfold":
+        for fi, (train, test) in enumerate(classify.kfold(cases, args.folds, args.seed)):
+            train, test = [cases[i] for i in train], [cases[i] for i in test]
+            yield f"fold{fi}.json", f"curve_fold{fi}.csv", f"fold {fi}", train, test
+    else:
+        for name in sorted({c.institution for c in cases}):
+            train, test = classify.holdout(cases, name, args.seed)
+            yield f"holdout_{name}.json", f"curve_{name}.csv", f"holdout {name}", train, test
+
+
 def _cmd_train(args) -> int:
     cases = _load_features(args.features)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    X = np.stack([c.features for c in cases])
-    y = np.array([c.stage for c in cases])
     cfg = classify.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -303,43 +306,24 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     accuracies = []
-    if args.mode == "kfold":
-        splits = classify.kfold(cases, args.folds, args.seed)
-        for fi, (train, test) in enumerate(splits):
-            scaler = classify.MinMaxScaler()
-            Xtr = scaler.fit_transform(X[train])
-            Xte = scaler.transform(X[test])
-            probs, history = _fit_predict(args.model, cfg, Xtr, y[train], Xte)
-            metrics = classify.evaluate(y[test], probs)
-            accuracies.append(metrics.accuracy)
-            _write_json(out_dir / f"fold{fi}.json", metrics.to_dict())
-            _write_csv(
-                out_dir / f"curve_fold{fi}.csv",
-                ("epoch", "loss", "accuracy"),
-                _history_rows(history),
-            )
-            print(f"fold {fi}: accuracy {metrics.accuracy:.4f}")
-    else:
-        institutions = sorted({c.institution for c in cases})
-        for institution in institutions:
-            train, test = classify.holdout(cases, institution, args.seed)
-            Xtr = np.stack([c.features for c in train])
-            ytr = np.array([c.stage for c in train])
-            Xte = np.stack([c.features for c in test])
-            yte = np.array([c.stage for c in test])
-            scaler = classify.MinMaxScaler()
-            probs, history = _fit_predict(
-                args.model, cfg, scaler.fit_transform(Xtr), ytr, scaler.transform(Xte)
-            )
-            metrics = classify.evaluate(yte, probs)
-            accuracies.append(metrics.accuracy)
-            _write_json(out_dir / f"holdout_{institution}.json", metrics.to_dict())
-            _write_csv(
-                out_dir / f"curve_{institution}.csv",
-                ("epoch", "loss", "accuracy"),
-                _history_rows(history),
-            )
-            print(f"holdout {institution}: accuracy {metrics.accuracy:.4f}")
+    for metrics_name, curve_name, label, train, test in _train_splits(args, cases):
+        scaler = classify.MinMaxScaler()
+        Xtr = scaler.fit_transform(np.stack([c.features for c in train]))
+        Xte = scaler.transform(np.stack([c.features for c in test]))
+        ytr = np.array([c.stage for c in train])
+        if args.model == "mlp":
+            params, history = classify.mlp_train(Xtr, ytr, cfg)
+        else:
+            params, losses = classify.logistic_train(Xtr, ytr, epochs=cfg.epochs)
+            history = {"loss": losses}
+        probs = classify.mlp_predict(params, Xte)
+        metrics = classify.evaluate([c.stage for c in test], probs)
+        accuracies.append(metrics.accuracy)
+        _write_json(out_dir / metrics_name, metrics.to_dict())
+        _write_csv(
+            out_dir / curve_name, ("epoch", "loss", "accuracy"), _history_rows(history)
+        )
+        print(f"{label}: accuracy {metrics.accuracy:.4f}")
     summary = {
         "mode": args.mode,
         "model": args.model,

@@ -114,9 +114,9 @@ def load_record(
     """Read a record from CSV.
 
     Header row gives channel labels; every following row holds one sample
-    per channel.  Ragged rows and non-numeric cells raise
-    :class:`RecordFormatError` naming the offending row/column (1-based,
-    header is row 1).
+    per channel.  Ragged rows, non-numeric cells and non-finite values
+    (``nan``, ``inf``) raise :class:`RecordFormatError` naming the first
+    offending row/column (1-based, header is row 1).
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -145,9 +145,18 @@ def load_record(
                 columns[colnum - 1].append(value)
         if not columns[0]:
             raise RecordFormatError(f"{path}: no data rows after header")
+    matrix = np.array(columns)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        col = int(np.argmax(bad[:, row]))
+        raise RecordFormatError(
+            f"{path}: row {row + 2}, column {col + 1}: "
+            f"non-finite value {float(matrix[col, row])!r}"
+        )
     channels = tuple(
-        TimeSeries(np.array(col), rate_hz, label=label.strip())
-        for label, col in zip(header, columns)
+        TimeSeries(samples, rate_hz, label=label.strip())
+        for label, samples in zip(header, matrix)
     )
     return MultichannelRecord(channels, subject_id, institution, stage_label)
 

@@ -226,14 +226,10 @@ def synth_fractional_system(
                 if k in params
             },
         )
-    record = simulate_with_model(
+    record = fracdyn.simulate(
         model, spec.length, u=u, x0=x0, seed=spec.seed, horizon=horizon, rate_hz=rate_hz
     )
     return record, model
-
-
-def simulate_with_model(model, T, **kwargs) -> MultichannelRecord:
-    return fracdyn.simulate(model, T, **kwargs)
 
 
 def synth_stage_cohort(

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracsig import classify, fracdyn, synth
+from fracsig import classify, fracdyn, records, synth
 
 
 def _toy_cases(n=40, d=6, seed=0, n_institutions=4):
@@ -49,6 +51,20 @@ class TestExtractFeatures:
         record = fracdyn.simulate(model, 1500, seed=0)
         with pytest.raises(ValueError, match="unlabeled"):
             classify.extract_features(record)
+
+
+    def test_constant_channel_named_before_dividing(self):
+        model = synth.random_stable_model(3, 0, noise_scale=1.0)
+        record = fracdyn.simulate(model, 1500, seed=0, stage_label=2, subject_id="s7")
+        flat = records.TimeSeries(np.full(1500, 3.0), 1.0, label=record.labels()[1])
+        channels = (record.channels[0], flat, record.channels[2])
+        record = records.MultichannelRecord(channels, "s7", stage_label=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=rf"subject 's7': channel '{flat.label}' is constant"
+            ):
+                classify.extract_features(record)
 
 
 class TestMinMaxScaler:
@@ -110,11 +126,11 @@ class TestGradients:
         params = classify.init_mlp(4, hidden=(5,), n_classes=3, seed=0)
         X = rng.standard_normal((6, 4))
         y = rng.integers(0, 3, size=6)
-        _, gw, gb = classify.mlp_gradients(params, X, y)
-        nw, nb = classify.numerical_gradients(params, X, y)
-        for a, b in zip(gw + gb, nw + nb):
-            denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
-            assert np.max(np.abs(a - b) / denom) < 1e-4
+        _, grad = classify.mlp_gradients(params, X, y)
+        numerical = classify.numerical_gradients(params, X, y)
+        a, b = grad.flat, numerical.flat
+        denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
+        assert np.max(np.abs(a - b) / denom) < 1e-4
 
 
 class TestTraining:
@@ -147,9 +163,31 @@ class TestTraining:
     def test_logistic_learns_separable_blobs(self):
         X, y = self._blobs()
         model, losses = classify.logistic_train(X, y, epochs=500, lr=0.5, n_classes=3)
-        preds = classify.logistic_predict(model, X).argmax(axis=1)
+        preds = classify.mlp_predict(model, X).argmax(axis=1)
         assert np.mean(preds == y) > 0.95
         assert losses[-1] < losses[0]
+
+    def test_logistic_l2_matches_full_batch_reference(self):
+        X, y = self._blobs()
+        l2, lr, epochs = 0.1, 0.5, 50
+        params, losses = classify.logistic_train(
+            X, y, l2=l2, epochs=epochs, lr=lr, n_classes=3
+        )
+        # plain full-batch softmax gradient descent, L2 on the weights only
+        onehot = np.eye(3)[y]
+        W, b, ref = np.zeros((4, 3)), np.zeros(3), []
+        for _ in range(epochs):
+            z = X @ W + b
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+            loss = -np.mean(np.sum(onehot * np.log(probs + 1e-30), axis=1))
+            ref.append(float(loss + 0.5 * l2 * np.sum(W**2)))
+            delta = (probs - onehot) / len(y)
+            W -= lr * (X.T @ delta + l2 * W)
+            b -= lr * delta.sum(axis=0)
+        np.testing.assert_array_equal(losses, ref)
+        np.testing.assert_array_equal(params.weights[0], W)
+        np.testing.assert_array_equal(params.biases[0], b)
 
     def test_logistic_divergence_advice(self):
         X, y = self._blobs()
@@ -195,6 +233,14 @@ class TestKfold:
                 if i not in set(test)
             }
             assert not (test_subjects & outside)
+
+    def test_by_subject_needs_a_subject_per_fold(self):
+        cases = [
+            classify.LabeledCase([float(i)], i % 5, subject_id=f"s{i % 3}")
+            for i in range(12)
+        ]
+        with pytest.raises(ValueError, match="3 subjects cannot fill 5 folds"):
+            classify.kfold(cases, 5, by_subject=True)
 
     def test_too_few_cases(self):
         with pytest.raises(ValueError, match="at least"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fracsig import cli
+from fracsig import cli, records
 
 
 def run(*argv):
@@ -109,6 +109,22 @@ class TestPipelineCommands:
         assert (out / "fold0.json").exists()
         assert (out / "curve_fold0.csv").exists()
 
+    def test_extract_constant_channel_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        channels = (
+            records.TimeSeries(rng.standard_normal(1200), 1.0, label="c0"),
+            records.TimeSeries(np.zeros(1200), 1.0, label="c1"),
+        )
+        records.write_record(records.MultichannelRecord(channels), tmp_path / "r.csv")
+        entry = records.ManifestEntry("r.csv", "subj-9", "site-a", stage=1)
+        records.write_manifest([entry], tmp_path / "manifest.json")
+        code = run(
+            "extract", str(tmp_path / "manifest.json"),
+            "--out", str(tmp_path / "features.jsonl"),
+        )
+        assert code == cli.EXIT_DATA
+        assert "subject 'subj-9': channel 'c1' is constant" in capsys.readouterr().err
+
     def test_convergence(self, tmp_path, capsys):
         rec = tmp_path / "sys.csv"
         run("synth", "system", "--channels", "3", "--n", "2500", "--seed", "1",
@@ -120,6 +136,54 @@ class TestPipelineCommands:
         rows = curve.read_text().splitlines()
         assert rows[0] == "time_s,wasserstein"
         assert len(rows) > 2
+
+
+@pytest.fixture(scope="module")
+def cohort_features(cohort_dir, tmp_path_factory):
+    feats = tmp_path_factory.mktemp("features") / "features.jsonl"
+    assert cli.main(
+        ["extract", str(cohort_dir / "manifest.json"), "--out", str(feats)]
+    ) == 0
+    return feats
+
+
+class TestTrainVariants:
+    @pytest.mark.parametrize(
+        "mode, model",
+        [("holdout", "mlp"), ("kfold", "logistic"), ("holdout", "logistic")],
+    )
+    def test_outputs_and_byte_identical_rerun(
+        self, cohort_features, tmp_path, capsys, mode, model
+    ):
+        if mode == "kfold":
+            names = [f"fold{i}" for i in range(3)]
+            expected = {f"fold{i}.json" for i in range(3)}
+            expected |= {f"curve_fold{i}.csv" for i in range(3)}
+        else:
+            names = ["site-a", "site-b", "site-c", "site-d"]
+            expected = {f"holdout_{n}.json" for n in names}
+            expected |= {f"curve_{n}.csv" for n in names}
+        expected.add("summary.json")
+
+        outs, stdouts = [], []
+        for run_name in ("a", "b"):
+            out = tmp_path / run_name
+            assert run(
+                "train", str(cohort_features), "--mode", mode, "--model", model,
+                "--folds", "3", "--epochs", "5", "--out-dir", str(out),
+            ) == 0
+            outs.append(out)
+            stdouts.append(capsys.readouterr().out)
+
+        a, b = outs
+        assert {p.name for p in a.iterdir()} == expected
+        summary = json.loads((a / "summary.json").read_text())
+        assert summary["mode"] == mode and summary["model"] == model
+        assert summary["n_evaluations"] == len(names)
+        for name in sorted(expected):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert stdouts[0] == stdouts[1]
+        assert len(stdouts[0].splitlines()) == len(names) + 1
 
 
 class TestViralCommand:

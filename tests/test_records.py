@@ -118,6 +118,16 @@ class TestCsvRoundTrip:
         with pytest.raises(RecordFormatError, match=r"row 3, column 2"):
             load_record(path, 1.0)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        # row 4, column 1 is bad too: the first cell in reading order is named
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n{cell},4.0\n")
+        with pytest.raises(
+            RecordFormatError, match=r"bad\.csv: row 3, column 2: non-finite"
+        ):
+            load_record(path, 1.0)
+
     def test_error_on_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0\n")
