@@ -329,6 +329,8 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
     the biases.  Returns (params, loss_history).  The loss is convex; a
     diverging sequence raises with advice to lower the learning rate.
     """
+    if lr <= 0:
+        raise ValueError("lr must be positive")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     params = MLPParams((X.shape[1], n_classes))

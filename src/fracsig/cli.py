@@ -298,12 +298,13 @@ def _cmd_train(args) -> int:
     cases = _load_features(args.features)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    lr = args.learning_rate  # None keeps each model's own default step size
     cfg = classify.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
         dropout_rate=args.dropout,
         seed=args.seed,
+        **({} if lr is None else {"learning_rate": lr}),
     )
     accuracies = []
     for metrics_name, curve_name, label, train, test in _train_splits(args, cases):
@@ -314,7 +315,9 @@ def _cmd_train(args) -> int:
         if args.model == "mlp":
             params, history = classify.mlp_train(Xtr, ytr, cfg)
         else:
-            params, losses = classify.logistic_train(Xtr, ytr, epochs=cfg.epochs)
+            params, losses = classify.logistic_train(
+                Xtr, ytr, epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
+            )
             history = {"loss": losses}
         probs = classify.mlp_predict(params, Xte)
         metrics = classify.evaluate([c.stage for c in test], probs)
@@ -487,9 +490,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", choices=("mlp", "logistic"), default="mlp")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--dropout", type=float, default=0.2)
+    p.add_argument("--batch-size", type=int, default=64, help="mlp only")
+    p.add_argument(
+        "--learning-rate", type=float,
+        help="step size (default: 0.001 for mlp, 0.01 for logistic)",
+    )
+    p.add_argument("--dropout", type=float, default=0.2, help="mlp only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)

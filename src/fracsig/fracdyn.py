@@ -201,28 +201,34 @@ class AlphaEstimate:
 _ALPHA_MSE_THRESHOLD = 0.05
 
 
+def _dfa_alphas(X, detrend_order: int):
+    """Orders and log-log fit MSEs of the rows of ``X``: one DFA call."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] < 1 << 10:
+        raise ValueError(f"need at least {1 << 10} samples, got {X.shape[1]}")
+    h, mse = dfa_exponents(X, order=detrend_order)
+    return h - 0.5, mse
+
+
 def estimate_alpha(x, *, detrend_order: int = 1) -> AlphaEstimate:
     """Per-channel order via the DFA route: alpha = H_DFA - 0.5.
 
     Valid for alpha in (-0.5, 1.5) by construction of the DFA exponent.
-    A poor log-log fit sets ``low_confidence`` instead of raising.
+    A poor log-log fit sets ``low_confidence`` instead of raising.  The
+    one-row case of :func:`estimate_alphas`.
     """
     x = np.asarray(getattr(x, "samples", x), dtype=float)
-    if x.size < 1 << 10:
-        raise ValueError(f"need at least {1 << 10} samples, got {x.size}")
-    h, mse = dfa_exponents(x[None, :], order=detrend_order)
+    if x.ndim != 1:
+        raise ValueError(f"expected one series, got an array of shape {x.shape}")
+    alpha, mse = _dfa_alphas(x[None, :], detrend_order)
     return AlphaEstimate(
-        float(h[0]) - 0.5, float(mse[0]), float(mse[0]) > _ALPHA_MSE_THRESHOLD
+        float(alpha[0]), float(mse[0]), float(mse[0]) > _ALPHA_MSE_THRESHOLD
     )
 
 
 def estimate_alphas(X, *, detrend_order: int = 1) -> np.ndarray:
     """Vectorized :func:`estimate_alpha` over the rows of a matrix."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] < 1 << 10:
-        raise ValueError(f"need at least {1 << 10} samples, got {X.shape[1]}")
-    h, _ = dfa_exponents(X, order=detrend_order)
-    return h - 0.5
+    return _dfa_alphas(X, detrend_order)[0]
 
 
 def _regression_blocks(

@@ -4,11 +4,17 @@ Pipeline: cumulative profile -> per-window detrended RMS fluctuations ->
 moment-order scaling function S_F(q, s) -> log-log slopes H(q), focus
 extrapolation at the full signal length, cohort statistics, and the
 one-dimensional Wasserstein distance used to compare spectra.
+
+All detrending is one kernel, ``_window_f2``: windows are centred and
+projected onto a cached orthonormal polynomial basis Q, and the residual
+is formed as y - (yQ)Q^T, not as |y|^2 - |Q^T y|^2, which cancels.
+Every log-log slope is one OLS helper, ``_loglog_fit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -36,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_Q_GRID = (-5.0, -3.0, -1.0, 1.0, 3.0, 5.0)
+_EPS = np.finfo(float).eps
 
 
 def default_scale_grid(n: int, num: int = 20, s_min: int = 16) -> np.ndarray:
@@ -157,23 +164,54 @@ class ScalingDiagnostics:
 
 
 def profile(x) -> np.ndarray:
-    """Cumulative sum of the mean-centered series."""
+    """Cumulative sum of the mean-centered series; row by row for a matrix."""
     x = np.asarray(getattr(x, "samples", x), dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
-    return np.cumsum(x - x.mean())
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        where = "series" if x.ndim == 1 else f"row {np.argmin(finite)}"
+        raise ValueError(f"{where} contains non-finite values")
+    return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
 
 
-def _window_matrix(y: np.ndarray, s: int, both_ends: bool) -> np.ndarray:
-    n = y.size
+@functools.lru_cache(maxsize=256)
+def _detrend_basis(s: int, order: int) -> np.ndarray:
+    """Read-only orthonormal basis of the degree-``order`` polynomials on s points."""
+    # t in [-1, 1] keeps the Vandermonde well conditioned; the span is the same
+    q, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, s), order + 1))
+    q.flags.writeable = False
+    return q
+
+
+def _window_f2(profiles: np.ndarray, s: int, order: int, both_ends: bool) -> np.ndarray:
+    """Per-window mean squared residual F^2 after polynomial detrending.
+
+    ``profiles`` is (rows, n) and the result (rows, windows), over the
+    windows of :func:`fluctuation`.  Windows are centred first, so the
+    rounding error scales with their spread, not their offset.  A
+    residual at the rounding level of its window (a polynomial) is zero.
+    """
+    rows, n = profiles.shape
+    if s < order + 2:
+        raise ValueError(f"scale {s} too small for detrend order {order}")
+    if s > n:
+        raise ValueError(f"scale {s} exceeds series length {n}")
     nw = n // s
-    segs = y[: nw * s].reshape(nw, s)
+    segs = profiles[:, : nw * s].reshape(rows, nw, s)
     if both_ends:
-        tail = y[n - nw * s :].reshape(nw, s)
-        segs = np.concatenate([segs, tail], axis=0)
-    return segs
+        tail = profiles[:, n - nw * s :].reshape(rows, nw, s)
+        segs = np.concatenate([segs, tail], axis=1)
+    segs = segs.reshape(-1, s)
+    mean = segs.sum(axis=1) / s
+    segs = segs - mean[:, None]
+    q = _detrend_basis(s, order)
+    resid = segs - (segs @ q) @ q.T
+    f2 = np.einsum("ij,ij->i", resid, resid) / s
+    # rounding bounds the computed residual by ~(order + 1) s eps times the window's rms
+    level = np.einsum("ij,ij->i", segs, segs) / s + mean**2
+    f2[f2 <= ((order + 1) * s * _EPS) ** 2 * level] = 0.0
+    return f2.reshape(rows, -1)
 
 
 def fluctuation(y: np.ndarray, s: int, order: int = 1, *, both_ends: bool = False) -> np.ndarray:
@@ -183,17 +221,7 @@ def fluctuation(y: np.ndarray, s: int, order: int = 1, *, both_ends: bool = Fals
     ``both_ends`` the mirrored blocks from the end are appended.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    if s < order + 2:
-        raise ValueError(f"scale {s} too small for detrend order {order}")
-    if s > n:
-        raise ValueError(f"scale {s} exceeds series length {n}")
-    segs = _window_matrix(y, s, both_ends)  # (nw, s)
-    t = np.arange(1.0, s + 1.0)
-    design = np.vander(t, order + 1)  # (s, order+1)
-    coeffs, *_ = np.linalg.lstsq(design, segs.T, rcond=None)
-    resid = segs.T - design @ coeffs
-    return np.sqrt(np.mean(resid**2, axis=0))
+    return np.sqrt(_window_f2(y[None, :], int(s), order, both_ends)[0])
 
 
 def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFunction:
@@ -201,7 +229,8 @@ def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFu
 
     For q != 0: S_F(q, s) = { mean_v F(v, s)^q }^{1/q}; q = 0 uses the
     geometric mean when ``q_zero_mode`` is "log-average".  A zero
-    fluctuation in any window makes negative moments diverge and raises.
+    fluctuation in any window makes the moments of order q <= 0 diverge
+    and raises, as does a scale at which every window is zero.
     """
     cfg = cfg or MfdfaConfig()
     y = np.asarray(y, dtype=float)
@@ -212,22 +241,38 @@ def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFu
     for si, s in enumerate(scales):
         f = fluctuation(y, int(s), cfg.detrend_order, both_ends=cfg.both_ends)
         n_windows[si] = f.size
-        zero = np.flatnonzero(f == 0.0)
-        if zero.size and np.any(q_grid < 0):
+        live = f > 0
+        if not live.all() and np.any(q_grid <= 0):
             raise ValueError(
-                f"zero fluctuation in window {zero[0]} at scale {s}: "
-                "negative moments diverge"
+                f"zero fluctuation in window {np.argmin(live)} at scale {s}: "
+                "moments of order q <= 0 diverge"
             )
-        logf = np.log(np.where(f > 0, f, 1.0))
+        if not live.any():
+            raise ValueError(f"zero fluctuation in every window at scale {s}")
+        # zero windows add nothing to a positive moment but still count in the mean
+        logf = np.log(f[live])
         for qi, q in enumerate(q_grid):
             if q == 0.0:
-                values[qi, si] = np.exp(np.mean(np.log(f)))
+                values[qi, si] = np.exp(np.mean(logf))
             else:
                 # log-domain moment mean avoids overflow at large |q|
                 values[qi, si] = np.exp(
                     (logsumexp(q * logf) - np.log(f.size)) / q
                 )
     return ScalingFunction(q_grid, scales, values, n_windows, y.size)
+
+
+def _loglog_fit(scales, logv: np.ndarray):
+    """OLS line of each row of ``logv`` on log2 ``scales``: (slopes, intercepts, mse)."""
+    logs = np.log2(np.asarray(scales, dtype=float))
+    if logs.size < 3:
+        raise ValueError("need at least 3 scales for a slope fit")
+    if np.ptp(logs) == 0:
+        raise ValueError("degenerate scale grid")
+    design = np.stack([logs, np.ones_like(logs)], axis=1)
+    coeffs, *_ = np.linalg.lstsq(design, logv.T, rcond=None)
+    mse = np.mean((logv.T - design @ coeffs) ** 2, axis=0)
+    return coeffs[0], coeffs[1], mse
 
 
 def dfa_exponents(X, scales=None, order: int = 1):
@@ -237,43 +282,28 @@ def dfa_exponents(X, scales=None, order: int = 1):
     window at each scale, and the log2 RMS fluctuation is fitted against
     log2 scale.  Returns (slopes, fit_mse) arrays of length n_series.
     Matches the q=2 column of :func:`scaling_function` on the same grid.
+    A row with zero fluctuation in every window at some scale raises.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n_series, n = X.shape
-    profiles = np.cumsum(X - X.mean(axis=1, keepdims=True), axis=1)
+    profiles = profile(np.atleast_2d(X))
     if scales is None:
-        scales = default_scale_grid(n)
+        scales = default_scale_grid(profiles.shape[1])
     scales = np.asarray(scales, dtype=int)
-    logf = np.empty((n_series, scales.size))
+    logf = np.empty((profiles.shape[0], scales.size))
     for si, s in enumerate(scales):
-        nw = n // s
-        segs = profiles[:, : nw * s].reshape(n_series * nw, s)
-        t = np.arange(1.0, s + 1.0)
-        design = np.vander(t, order + 1)
-        coeffs, *_ = np.linalg.lstsq(design, segs.T, rcond=None)
-        resid = segs.T - design @ coeffs
-        f2 = np.mean(resid**2, axis=0).reshape(n_series, nw)
-        logf[:, si] = 0.5 * np.log2(np.mean(f2, axis=1))
-    logs = np.log2(scales.astype(float))
-    fit = np.stack([logs, np.ones_like(logs)], axis=1)
-    coeffs, *_ = np.linalg.lstsq(fit, logf.T, rcond=None)
-    mse = np.mean((logf.T - fit @ coeffs) ** 2, axis=0)
-    return coeffs[0], mse
+        f2 = _window_f2(profiles, int(s), order, False).mean(axis=1)
+        if not f2.all():
+            raise ValueError(
+                f"row {np.argmin(f2)}: zero fluctuation in every window at scale {s}"
+            )
+        logf[:, si] = 0.5 * np.log2(f2)
+    h, _, mse = _loglog_fit(scales, logf)
+    return h, mse
 
 
 def hurst_spectrum(sf: ScalingFunction) -> HurstSpectrum:
     """Per-q OLS fit of log2 S_F against log2 s; the slope is H(q)."""
-    if sf.scale_grid.size < 3:
-        raise ValueError("need at least 3 scales for a slope fit")
-    logs = np.log2(sf.scale_grid.astype(float))
-    if np.ptp(logs) == 0:
-        raise ValueError("degenerate scale grid")
-    logv = np.log2(sf.values)
-    design = np.stack([logs, np.ones_like(logs)], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, logv.T, rcond=None)
-    fitted = design @ coeffs
-    mse = np.mean((logv.T - fitted) ** 2, axis=0)
-    return HurstSpectrum(sf.q_grid, coeffs[0], coeffs[1], mse)
+    h, intercepts, mse = _loglog_fit(sf.scale_grid, np.log2(sf.values))
+    return HurstSpectrum(sf.q_grid, h, intercepts, mse)
 
 
 def focus_point(sf: ScalingFunction, spectrum: HurstSpectrum | None = None) -> FocusEstimate:

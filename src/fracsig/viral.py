@@ -64,8 +64,7 @@ MIN_WINDOWS_PER_SIDE = 5
 
 
 def _side_alphas(X: np.ndarray, spec: WindowSpec) -> np.ndarray:
-    """Per-window, per-channel orders; channels jointly mean-centered."""
-    X = X - X.mean(axis=1, keepdims=True)
+    """Per-window, per-channel orders (DFA re-centres every window)."""
     starts = np.arange(spec.count(X.shape[1])) * spec.stride
     # one (n_windows * n_channels, window_len) batch keeps the DFA fits vectorized
     windows = np.concatenate(

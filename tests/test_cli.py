@@ -185,6 +185,24 @@ class TestTrainVariants:
         assert stdouts[0] == stdouts[1]
         assert len(stdouts[0].splitlines()) == len(names) + 1
 
+    def test_logistic_learning_rate_reaches_the_trainer(self, cohort_features, tmp_path, capsys):
+        outs = []
+        for rate in ("0.001", "0.5"):
+            out = tmp_path / rate
+            assert run(
+                "train", str(cohort_features), "--model", "logistic", "--folds", "3",
+                "--epochs", "20", "--learning-rate", rate, "--out-dir", str(out),
+            ) == 0
+            outs.append((out / "curve_fold0.csv").read_bytes())
+        assert outs[0] != outs[1]
+
+    def test_non_positive_learning_rate_is_data_error(self, cohort_features, tmp_path, capsys):
+        for model in ("mlp", "logistic"):
+            assert run(
+                "train", str(cohort_features), "--model", model, "--epochs", "2",
+                "--learning-rate", "0", "--out-dir", str(tmp_path / model),
+            ) == cli.EXIT_DATA
+
 
 class TestViralCommand:
     def test_sweep_and_missing_field(self, tmp_path, capsys):

@@ -144,12 +144,32 @@ class TestAlphaEstimate:
         with pytest.raises(ValueError, match="samples"):
             fracdyn.estimate_alpha(np.zeros(100))
 
+    def test_matrix_input_rejected(self):
+        with pytest.raises(ValueError, match=r"one series, got an array of shape \(2, 2048\)"):
+            fracdyn.estimate_alpha(np.ones((2, 2048)))
+
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((3, 2048))
         batch = fracdyn.estimate_alphas(X)
         for i, row in enumerate(X):
             assert np.isclose(batch[i], fracdyn.estimate_alpha(row).alpha)
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_channel_raises(self):
+        X = np.random.default_rng(5).standard_normal((3, 2048))
+        X[0] = 2.5
+        with pytest.raises(ValueError, match="row 0: zero fluctuation"):
+            fracdyn.estimate_alphas(X)
+        with pytest.raises(ValueError, match="row 0: zero fluctuation"):
+            fracdyn.estimate_alpha(X[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_sample_raises(self):
+        x = np.random.default_rng(6).standard_normal(2048)
+        x[7] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            fracdyn.estimate_alpha(x)
 
 
 class TestEstimateCoupling:

@@ -102,6 +102,93 @@ class TestScalingFunction:
         sf2 = mfdfa.scaling_function(mfdfa.profile(-x), cfg)
         np.testing.assert_allclose(sf1.values, sf2.values, rtol=1e-12)
 
+    def test_zero_windows_count_as_zero_in_positive_moments(self):
+        # every window after the first is a straight ramp, so F = 0 there
+        x = np.zeros(512)
+        x[:8] = [3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0]
+        cfg = mfdfa.MfdfaConfig(q_grid=(1.0, 2.0), scale_grid=(16, 32, 64))
+        y = mfdfa.profile(x)
+        sf = mfdfa.scaling_function(y, cfg)
+        for si, s in enumerate(cfg.scale_grid):
+            f = mfdfa.fluctuation(y, s)
+            assert f[0] > 0 and np.all(f[1:] == 0.0)
+            expected = [f[0] / f.size, f[0] / np.sqrt(f.size)]  # q = 1, 2
+            np.testing.assert_allclose(sf.values[:, si], expected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_window_zero_raises(self):
+        cfg = mfdfa.MfdfaConfig(q_grid=(2.0,), scale_grid=(16, 32, 64))
+        with pytest.raises(ValueError, match="every window at scale 16"):
+            mfdfa.scaling_function(mfdfa.profile(np.full(512, 0.1)), cfg)
+
+
+class TestDetrendOrders:
+    """Orders other than 1 against the loop oracle."""
+
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    def test_fluctuation_matches_plain_dfa(self, order):
+        rng = np.random.default_rng(10 + order)
+        scales = (16, 32, 64, 128)
+        for _ in range(3):
+            x = rng.standard_normal(1024)
+            y = mfdfa.profile(x)
+            rms = [np.sqrt(np.mean(mfdfa.fluctuation(y, s, order) ** 2)) for s in scales]
+            np.testing.assert_allclose(rms, plain_dfa(x, scales, order), rtol=1e-10)
+
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    def test_dfa_exponents_match_plain_dfa(self, order):
+        X = np.random.default_rng(20 + order).standard_normal((3, 2048))
+        scales = mfdfa.default_scale_grid(2048)
+        h, _ = mfdfa.dfa_exponents(X, scales, order)
+        for i, row in enumerate(X):
+            logf = np.log2(plain_dfa(row, scales, order))
+            slope = np.polyfit(np.log2(scales), logf, 1)[0]
+            np.testing.assert_allclose(h[i], slope, rtol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a=st.floats(min_value=1e-3, max_value=1e3) | st.floats(min_value=-1e3, max_value=-1e-3),
+        b=st.floats(min_value=-1e3, max_value=1e3),
+        order=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_dfa_exponents_affine_invariant(self, a, b, order, seed):
+        X = np.random.default_rng(seed).standard_normal((2, 1024))
+        h1, mse1 = mfdfa.dfa_exponents(X, order=order)
+        h2, mse2 = mfdfa.dfa_exponents(a * X + b, order=order)
+        np.testing.assert_allclose(h2, h1, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(mse2, mse1, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDfaFailFast:
+    """Bad rows raise a ValueError that names them, never a numpy warning."""
+
+    @pytest.mark.parametrize("value", [0.0, 3.0, 0.1])
+    def test_constant_row_named(self, value):
+        X = np.random.default_rng(0).standard_normal((3, 1024))
+        X[1] = value
+        message = "row 1: zero fluctuation in every window at scale 16"
+        with pytest.raises(ValueError, match=message):
+            mfdfa.dfa_exponents(X)
+
+    def test_nan_cell_names_row(self):
+        X = np.random.default_rng(0).standard_normal((3, 1024))
+        X[2, 500] = np.nan
+        with pytest.raises(ValueError, match="row 2 contains non-finite"):
+            mfdfa.dfa_exponents(X)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 1024)])
+    def test_empty_input(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            mfdfa.dfa_exponents(np.empty(shape))
+
+    def test_profile_is_row_wise(self):
+        X = np.random.default_rng(1).standard_normal((3, 256))
+        np.testing.assert_array_equal(
+            mfdfa.profile(X), np.stack([mfdfa.profile(row) for row in X])
+        )
+
 
 class TestScaleGrids:
     def test_default_bounds(self):
