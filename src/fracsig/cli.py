@@ -86,13 +86,8 @@ def _cmd_synth_cascade(args) -> int:
 
 
 def _cmd_synth_system(args) -> int:
-    spec = synth.SyntheticSpec(
-        "fractional-system",
-        args.n,
-        args.seed,
-        {"n_channels": args.channels, "noise_scale": args.noise_scale},
-    )
-    record, model = synth.synth_fractional_system(spec, rate_hz=args.rate)
+    model = synth.random_stable_model(args.channels, args.seed, noise_scale=args.noise_scale)
+    record = fracdyn.simulate(model, args.n, seed=args.seed, rate_hz=args.rate)
     records.write_record(record, args.out)
     if args.model_out:
         Path(args.model_out).write_text(
@@ -103,12 +98,10 @@ def _cmd_synth_system(args) -> int:
 
 
 def _cmd_synth_cohort(args) -> int:
-    if args.classes != classify.N_STAGES:
-        raise ValueError(f"cohort generator supports exactly {classify.N_STAGES} classes")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = synth.synth_stage_cohort(
-        n_records=args.classes * args.per_class,
+        n_records=classify.N_STAGES * args.per_class,
         n_channels=args.channels,
         seed=args.seed,
         n_samples=args.samples,
@@ -446,7 +439,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth_system)
 
     p = kinds.add_parser("cohort", help="labeled 5-class cohort + manifest")
-    p.add_argument("--classes", type=int, default=classify.N_STAGES)
     p.add_argument("--per-class", type=int, default=40)
     p.add_argument("--channels", type=int, default=12)
     p.add_argument("--samples", type=int, default=2000)

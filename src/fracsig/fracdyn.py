@@ -156,6 +156,8 @@ def simulate(
 
     with w ~ N(0, noise_scale^2), drawn from a seeded generator.
     """
+    if T < 1:
+        raise ValueError(f"need at least one step, got T={T}")
     n = model.n
     rng = np.random.default_rng(seed)
     psi = np.stack([gl_coefficients(a, horizon).coeffs for a in model.alpha])  # (n, J+1)
@@ -231,9 +233,23 @@ def estimate_alphas(X, *, detrend_order: int = 1) -> np.ndarray:
     return _dfa_alphas(X, detrend_order)[0]
 
 
-def _regression_blocks(
-    X: np.ndarray, alpha, horizon: int, center: bool, scale: bool
-):
+def _min_fit_length(n: int, horizon: int) -> int:
+    """Fewest samples a coupling fit of ``n`` channels accepts."""
+    return horizon + 10 * n + 1
+
+
+def _fit_matrix(record, horizon: int) -> np.ndarray:
+    """Channel matrix of a coupling fit, rejected below the minimum length."""
+    X = record.as_matrix() if hasattr(record, "as_matrix") else np.asarray(record, float)
+    n, T = X.shape
+    if T < _min_fit_length(n, horizon):
+        raise ValueError(
+            f"record length {T} too short for horizon {horizon} and {n} channels"
+        )
+    return X
+
+
+def _regression_blocks(X: np.ndarray, alpha, horizon: int):
     """Normalized design/target matrices for the coupling fit.
 
     Returns (design, targets, col_scale) where design rows are x[k] for
@@ -245,14 +261,10 @@ def _regression_blocks(
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != n:
         raise ValueError("alpha length must match channel count")
-    Xw = X.astype(float)
-    sigma = np.ones(n)
-    if center:
-        Xw = Xw - Xw.mean(axis=1, keepdims=True)
-    if scale:
-        sigma = Xw.std(axis=1)
-        sigma[sigma == 0] = 1.0
-        Xw = Xw / sigma[:, None]
+    Xw = X - X.mean(axis=1, keepdims=True)
+    sigma = Xw.std(axis=1)
+    sigma[sigma == 0] = 1.0
+    Xw = Xw / sigma[:, None]
     Z = np.stack([frac_difference(Xw[i], alpha[i], horizon) for i in range(n)])
     k0 = min(horizon, (T - 2) // 2)  # burn-in past the truncation boundary
     design = np.concatenate(
@@ -287,8 +299,6 @@ def estimate_coupling(
     *,
     horizon: int = DEFAULT_HORIZON,
     ridge: float = 1e-6,
-    center: bool = True,
-    scale: bool = True,
 ) -> np.ndarray:
     """Least-squares fit of the coupling matrix A with known orders.
 
@@ -297,16 +307,18 @@ def estimate_coupling(
     the result estimates A of the generating model directly.  An
     intercept column absorbs the centering offset exactly.
     """
-    X = record.as_matrix() if hasattr(record, "as_matrix") else np.asarray(record, float)
-    n, T = X.shape
-    if T <= horizon + 10 * n:
-        raise ValueError(
-            f"record length {T} too short for horizon {horizon} and {n} channels"
-        )
-    design, targets, sigma = _regression_blocks(X, alpha, horizon, center, scale)
+    X = _fit_matrix(record, horizon)
+    design, targets, sigma = _regression_blocks(X, alpha, horizon)
     coeffs = _solve_ridge(design, targets, ridge)
     A = coeffs[:-1].T  # drop intercept row; rows are channels
     return A * sigma[:, None] / sigma[None, :]
+
+
+# unknown-input loop: rounds, relative tolerance on A, MAD gate, smoothing steps
+_UI_MAX_ITER = 15
+_UI_TOL = 1e-6
+_UI_GATE = 1.5
+_UI_SMOOTH = 15
 
 
 @dataclass(frozen=True)
@@ -322,47 +334,39 @@ def estimate_with_unknown_input(
     alpha,
     p: int,
     *,
-    max_iter: int = 15,
-    tol: float = 1e-6,
     horizon: int = DEFAULT_HORIZON,
     ridge: float = 1e-6,
-    gate: float = 1.5,
-    smooth: int = 15,
-    center: bool = True,
-    scale: bool = True,
 ) -> EstimationReport:
     """Alternating estimation of A under a rank-p unknown input.
 
     Each round alternates an input step with a refit step.  Input step:
     project the current residuals onto their top p singular directions
     (the input enters through a fixed n-by-p matrix, so its footprint
-    across channels has rank p), smooth the projections over ``smooth``
-    steps to exploit input persistence, and flag rows whose smoothed
-    score exceeds a robust MAD gate; the rank-p approximation of the
-    flagged residual rows is taken as the driven component.  Refit step:
-    re-estimate A on the input-free rows.  Flags accumulate across
-    rounds.  The recorded residual norm excludes the captured drive; an
-    increase aborts the loop with ``converged=False``.
+    across channels has rank p), smooth the projections with a 15-step
+    moving average to exploit input persistence, and flag rows whose
+    smoothed score exceeds the median by 1.5 scaled MADs; the rank-p
+    approximation of the flagged residual rows is taken as the driven
+    component.  Refit step: re-estimate A on the input-free rows.  Flags
+    accumulate across rounds.  The loop runs at most 15 rounds and
+    converges when A moves by less than 1e-6 relative.  The recorded
+    residual norm excludes the captured drive; an increase aborts the
+    loop with ``converged=False``.
     """
-    X = record.as_matrix() if hasattr(record, "as_matrix") else np.asarray(record, float)
-    n = X.shape[0]
-    if p >= n:
+    X = _fit_matrix(record, horizon)
+    if p >= X.shape[0]:
         raise ValueError("input count p must be strictly smaller than n")
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    design, targets, sigma = _regression_blocks(X, alpha, horizon, center, scale)
+    design, targets, sigma = _regression_blocks(X, alpha, horizon)
     keep = np.ones(targets.shape[0], dtype=bool)
     prev_a = None
     history: list[float] = []
-    converged = False
-    iterations = 0
-    aborted = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _UI_MAX_ITER + 1):
         coeffs = _solve_ridge(design[keep], targets[keep], ridge)
         resid = targets - design @ coeffs
         if p > 0:
             _, _, vt = np.linalg.svd(resid[keep], full_matrices=False)
             proj = resid @ vt[:p].T
-            kern = np.ones(smooth) / smooth
+            kern = np.ones(_UI_SMOOTH) / _UI_SMOOTH
             sm = np.stack(
                 [np.convolve(proj[:, i], kern, mode="same") for i in range(p)],
                 axis=1,
@@ -370,9 +374,9 @@ def estimate_with_unknown_input(
             score = np.sqrt((sm**2).sum(axis=1))
             med = np.median(score)
             mad = np.median(np.abs(score - med)) + 1e-30
-            mask = score > med + gate * 1.4826 * mad
+            mask = score > med + _UI_GATE * 1.4826 * mad
             # bursts are contiguous; widen hits to the smoothing width
-            mask = np.convolve(mask.astype(float), np.ones(smooth), mode="same") > 0
+            mask = np.convolve(mask.astype(float), np.ones(_UI_SMOOTH), mode="same") > 0
             keep = keep & ~mask
         # the drive covers every row excluded so far, not just new flags
         drive = np.zeros_like(targets)
@@ -382,19 +386,15 @@ def estimate_with_unknown_input(
             drive[excluded] = (u_mat[:, :p] * s_vals[:p]) @ v_rows[:p]
         norm = float(np.linalg.norm(resid - drive))
         if history and norm > history[-1] + 1e-9 * max(1.0, history[-1]):
-            aborted = True
-            break
+            break  # converged is still False from the previous round
         history.append(norm)
         A = coeffs[:-1].T * sigma[:, None] / sigma[None, :]
-        if prev_a is not None:
-            denom = max(np.linalg.norm(prev_a), 1e-30)
-            if np.linalg.norm(A - prev_a) / denom < tol:
-                converged = True
-                prev_a = A
-                break
+        converged = prev_a is not None and bool(
+            np.linalg.norm(A - prev_a) / max(np.linalg.norm(prev_a), 1e-30) < _UI_TOL
+        )
         prev_a = A
-    if aborted:
-        converged = False
+        if converged:
+            break
     model = FractionalModel(alpha, prev_a, None, 0.0)
     return EstimationReport(model, np.asarray(history), iterations, converged)
 
@@ -419,7 +419,7 @@ def coupling_convergence(
     step = int(round(step_seconds * rate))
     if step < 1 or T <= 2 * step:
         raise ValueError("record shorter than two steps")
-    min_len = horizon + 10 * n + 1
+    min_len = _min_fit_length(n, horizon)
     times, dists = [], []
     prev = None
     prev_t = None

@@ -39,6 +39,7 @@ __all__ = [
     "wasserstein_1d",
     "spectrum_distance",
     "scaling_diagnostics",
+    "spectrum_to_dict",
 ]
 
 DEFAULT_Q_GRID = (-5.0, -3.0, -1.0, 1.0, 3.0, 5.0)
@@ -221,6 +222,8 @@ def fluctuation(y: np.ndarray, s: int, order: int = 1, *, both_ends: bool = Fals
     ``both_ends`` the mirrored blocks from the end are appended.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"expected one profile, got an array of shape {y.shape}")
     return np.sqrt(_window_f2(y[None, :], int(s), order, both_ends)[0])
 
 

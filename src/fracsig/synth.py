@@ -2,13 +2,17 @@
 
 These are the oracles of the package: signals with analytically known
 scaling properties (fractional Gaussian noise, binomial cascades,
-fractionally integrated noise) and multichannel fractional systems that
-carry their generating model for round-trip estimator tests.
+fractionally integrated noise) and stable multichannel fractional
+systems for round-trip estimator tests.
+
+Every stable system comes from one draw: a random R rescaled to a target
+spectral radius, per-channel orders, then R shrunk by 0.8 until each
+signed coupling s * R - diag_shift * I has companion spectral radius
+below a limit.  :func:`random_stable_model` returns one such model;
+:func:`synth_stage_cohort` simulates jittered records of one per stage.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,44 +20,21 @@ from . import fracdyn
 from .records import MultichannelRecord, TimeSeries
 
 __all__ = [
-    "SyntheticSpec",
-    "synth_white_noise",
     "synth_fgn",
     "synth_cascade",
     "cascade_hurst_exponent",
     "synth_frac_noise",
+    "companion_spectral_radius",
     "random_stable_model",
-    "synth_fractional_system",
     "synth_stage_cohort",
     "synth_viral_cohort",
-    "synthesize",
 ]
 
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Declarative description of a synthetic record.
-
-    ``kind`` is one of "white-noise", "fgn", "binomial-cascade",
-    "fractional-system"; ``params`` holds the kind-specific settings.
-    """
-
-    kind: str
-    length: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        kinds = {"white-noise", "fgn", "binomial-cascade", "fractional-system"}
-        if self.kind not in kinds:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.length < 1:
-            raise ValueError("length must be positive")
-
-
-def synth_white_noise(n: int, seed: int, *, rate_hz: float = 1.0) -> TimeSeries:
-    rng = np.random.default_rng(seed)
-    return TimeSeries(rng.standard_normal(n), rate_hz, label="white-noise")
+# stage cohort: sites assigned round robin, base draw, per-record jitter
+_COHORT_INSTITUTIONS = ("site-a", "site-b", "site-c", "site-d")
+_COHORT_SPECTRAL_RADIUS = 0.5
+_COHORT_DIAG_SHIFT = 0.8
+_COHORT_JITTER = 0.05
 
 
 def _fgn_autocovariance(h: float, k: np.ndarray) -> np.ndarray:
@@ -162,6 +143,24 @@ def companion_spectral_radius(alpha, A, horizon: int = fracdyn.DEFAULT_HORIZON) 
     return float(np.max(np.abs(np.linalg.eigvals(C))))
 
 
+def _draw_stable(rng, n, spectral_radius, diag_shift, alpha_range, limit, signs,
+                 horizon=fracdyn.DEFAULT_HORIZON):
+    """Draw (R, alpha) with every s * R - diag_shift * I stable, s in ``signs``.
+
+    R is rescaled to ``spectral_radius``, then shrunk by 0.8 until each
+    signed coupling has companion spectral radius below ``limit``.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one channel, got n={n}")
+    R = rng.standard_normal((n, n)) / np.sqrt(n)
+    R *= spectral_radius / np.max(np.abs(np.linalg.eigvals(R)))
+    alpha = rng.uniform(*alpha_range, size=n)
+    shift = diag_shift * np.eye(n)
+    while max(companion_spectral_radius(alpha, s * R - shift, horizon) for s in signs) >= limit:
+        R *= 0.8
+    return R, alpha
+
+
 def random_stable_model(
     n: int,
     seed: int,
@@ -178,58 +177,14 @@ def random_stable_model(
     A = R - diag_shift * I where R is rescaled to ``spectral_radius``; the
     negative diagonal shift counteracts the positive one-step feedback of
     the fractional memory.  The off-diagonal part is shrunk until the
-    companion spectral radius drops below 1.
+    companion spectral radius drops below 0.999.
     """
     rng = np.random.default_rng(seed)
-    R = rng.standard_normal((n, n)) / np.sqrt(n)
-    R *= spectral_radius / np.max(np.abs(np.linalg.eigvals(R)))
-    alpha = rng.uniform(*alpha_range, size=n)
-    A = R - diag_shift * np.eye(n)
-    while companion_spectral_radius(alpha, A, horizon) >= 0.999:
-        R *= 0.8
-        A = R - diag_shift * np.eye(n)
-    B = None
-    if n_inputs > 0:
-        B = rng.standard_normal((n, n_inputs)) / np.sqrt(n)
-    return fracdyn.FractionalModel(alpha, A, B, noise_scale)
-
-
-def synth_fractional_system(
-    spec: SyntheticSpec,
-    *,
-    rate_hz: float = 1.0,
-) -> tuple[MultichannelRecord, fracdyn.FractionalModel]:
-    """Simulate a fractional system record, returning it with its model.
-
-    ``spec.params`` may give explicit ``alpha``, ``A``, ``B``, ``u``,
-    ``x0``, ``noise_scale`` and ``horizon``, or ``n_channels`` (plus the
-    knobs of :func:`random_stable_model`) for a random stable system.
-    """
-    params = dict(spec.params)
-    horizon = params.pop("horizon", fracdyn.DEFAULT_HORIZON)
-    u = params.pop("u", None)
-    x0 = params.pop("x0", None)
-    if "A" in params:
-        model = fracdyn.FractionalModel(
-            params["alpha"],
-            params["A"],
-            params.get("B"),
-            params.get("noise_scale", 1.0),
-        )
-    else:
-        model = random_stable_model(
-            params.pop("n_channels"),
-            spec.seed,
-            **{
-                k: params[k]
-                for k in ("spectral_radius", "alpha_range", "noise_scale", "n_inputs")
-                if k in params
-            },
-        )
-    record = fracdyn.simulate(
-        model, spec.length, u=u, x0=x0, seed=spec.seed, horizon=horizon, rate_hz=rate_hz
+    R, alpha = _draw_stable(
+        rng, n, spectral_radius, diag_shift, alpha_range, 0.999, (1,), horizon
     )
-    return record, model
+    B = rng.standard_normal((n, n_inputs)) / np.sqrt(n) if n_inputs > 0 else None
+    return fracdyn.FractionalModel(alpha, R - diag_shift * np.eye(n), B, noise_scale)
 
 
 def synth_stage_cohort(
@@ -238,60 +193,44 @@ def synth_stage_cohort(
     seed: int = 0,
     *,
     n_samples: int = 2000,
-    institutions: tuple[str, ...] = ("site-a", "site-b", "site-c", "site-d"),
-    spectral_radius: float = 0.5,
-    diag_shift: float = 0.8,
-    jitter: float = 0.05,
 ) -> list[MultichannelRecord]:
     """Labeled 5-stage cohort with class-dependent coupling structure.
 
-    Each stage owns a base off-diagonal pattern R_c; a record of that
-    stage uses A = s * R_c - diag_shift * I + jitter noise, with the
-    sign s drawn per record.  The sign flip keeps the class means of
-    the coupling features near zero, so the classes are not linearly
-    separable even though each is a tight pair of clusters.  Stages and
-    institutions are assigned round robin.
+    Each stage owns a base off-diagonal pattern R_c, drawn stable for
+    both signs with margin to spare (companion radius below 0.98); a
+    record of that stage uses A = s * R_c - 0.8 * I + 0.05 jitter noise,
+    with the sign s drawn per record.  The sign flip keeps the class
+    means of the coupling features near zero, so the classes are not
+    linearly separable even though each is a tight pair of clusters.
+    Stages and the four institutions are assigned round robin.
     """
     rng = np.random.default_rng(seed)
     n = n_channels
-    bases, alphas = [], []
-    for _ in range(5):
-        R = rng.standard_normal((n, n)) / np.sqrt(n)
-        R *= spectral_radius / np.max(np.abs(np.linalg.eigvals(R)))
-        a = rng.uniform(0.2, 0.6, size=n)
-        # verify both signed variants with margin to spare for the jitter
-        while max(
-            companion_spectral_radius(a, s * R - diag_shift * np.eye(n))
-            for s in (1.0, -1.0)
-        ) >= 0.98:
-            R *= 0.8
-        bases.append(R)
-        alphas.append(a)
+    draws = [
+        _draw_stable(
+            rng, n, _COHORT_SPECTRAL_RADIUS, _COHORT_DIAG_SHIFT, (0.2, 0.6), 0.98, (1, -1)
+        )
+        for _ in range(5)
+    ]
+    shift = _COHORT_DIAG_SHIFT * np.eye(n)
     records = []
     for r in range(n_records):
         stage = r % 5
+        base, alpha = draws[stage]
+        site = _COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)]
+        labels = dict(subject_id=f"rec{r:03d}", institution=site, stage_label=stage)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         for _ in range(20):
-            R = sign * bases[stage] + jitter * rng.standard_normal((n, n)) / np.sqrt(n)
-            A = R - diag_shift * np.eye(n)
-            model = fracdyn.FractionalModel(alphas[stage], A, noise_scale=1.0)
+            R = sign * base + _COHORT_JITTER * rng.standard_normal((n, n)) / np.sqrt(n)
+            model = fracdyn.FractionalModel(alpha, R - shift, noise_scale=1.0)
             try:
-                record = fracdyn.simulate(
-                    model, n_samples, seed=int(rng.integers(1 << 31))
-                )
+                sim_seed = int(rng.integers(1 << 31))
+                records.append(fracdyn.simulate(model, n_samples, seed=sim_seed, **labels))
                 break
             except fracdyn.NumericalError:
                 continue  # rare: jitter pushed the recursion unstable, redraw
         else:
             raise fracdyn.NumericalError("could not draw a stable jittered model")
-        records.append(
-            MultichannelRecord(
-                record.channels,
-                subject_id=f"rec{r:03d}",
-                institution=institutions[r % len(institutions)],
-                stage_label=stage,
-            )
-        )
     return records
 
 
@@ -333,20 +272,3 @@ def synth_viral_cohort(
         )
     return cases
 
-
-def synthesize(spec: SyntheticSpec, *, rate_hz: float = 1.0):
-    """Dispatch a :class:`SyntheticSpec` to its generator.
-
-    Returns a :class:`TimeSeries` for the scalar kinds and a
-    (record, model) pair for "fractional-system".
-    """
-    if spec.kind == "white-noise":
-        return synth_white_noise(spec.length, spec.seed, rate_hz=rate_hz)
-    if spec.kind == "fgn":
-        return synth_fgn(spec.params["H"], spec.length, spec.seed, rate_hz=rate_hz)
-    if spec.kind == "binomial-cascade":
-        depth = spec.params["depth"]
-        if spec.length != 1 << depth:
-            raise ValueError("cascade length must equal 2**depth")
-        return synth_cascade(spec.params["p"], depth, spec.seed, rate_hz=rate_hz)
-    return synth_fractional_system(spec, rate_hz=rate_hz)

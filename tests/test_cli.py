@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fracsig import cli, records
+from fracsig import cli, fracdyn, records, synth
 
 
 def run(*argv):
@@ -36,6 +36,40 @@ class TestExitCodes:
             )
             == cli.EXIT_OK
         )
+
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["cohort", "--per-class", "1", "--channels", "2", "--samples", "0",
+              "--out-dir", "c"], "T=0"),
+            (["system", "--channels", "2", "--n", "0", "--out", "x.csv"], "T=0"),
+            (["system", "--channels", "0", "--n", "100", "--out", "x.csv"], "n=0"),
+        ],
+        ids=["samples", "n", "channels"],
+    )
+    def test_zero_size_is_data_error(self, tmp_path, capsys, argv, named):
+        argv = [str(tmp_path / a) if a in ("c", "x.csv") else a for a in argv]
+        assert run("synth", *argv) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+
+
+class TestSynthSystem:
+    def test_files_match_the_library(self, tmp_path, capsys):
+        rec, model_out = tmp_path / "sys.csv", tmp_path / "model.json"
+        assert run(
+            "synth", "system", "--channels", "4", "--n", "600", "--seed", "2",
+            "--rate", "2.0", "--noise-scale", "0.7",
+            "--out", str(rec), "--model-out", str(model_out),
+        ) == 0
+        model = synth.random_stable_model(4, 2, noise_scale=0.7)
+        alpha, A = fracdyn.model_from_json(model_out.read_text())
+        np.testing.assert_array_equal(alpha, model.alpha)
+        np.testing.assert_array_equal(A, model.A)
+        expected = fracdyn.simulate(model, 600, seed=2, rate_hz=2.0)
+        loaded = records.load_record(rec, 2.0)
+        np.testing.assert_array_equal(loaded.as_matrix(), expected.as_matrix())
+        assert loaded.labels() == expected.labels()
 
 
 class TestDeterminism:

@@ -120,6 +120,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="B"):
             fracdyn.simulate(model, 100, u=np.ones((100, 1)), seed=0)
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="T=0"):
+            fracdyn.simulate(self._model(), 0, seed=0)
+
     def test_divergence_raises(self):
         model = fracdyn.FractionalModel([0.5, 0.5], 3.0 * np.eye(2), noise_scale=0.0)
         with pytest.raises(fracdyn.NumericalError, match="step"):
@@ -213,6 +217,22 @@ class TestUnknownInput:
         assert report.iterations >= 1
         assert len(report.residual_norm) >= 1
         assert err(report.model.A) < err(blind)
+
+
+class TestMinimumFitLength:
+    """Both coupling fits reject a record too short for the horizon."""
+
+    MESSAGE = "record length 60 too short for horizon 50 and 4 channels"
+
+    def test_known_input(self):
+        X = np.random.default_rng(0).standard_normal((4, 60))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            fracdyn.estimate_coupling(X, np.full(4, 0.3))
+
+    def test_unknown_input(self):
+        X = np.random.default_rng(0).standard_normal((4, 60))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            fracdyn.estimate_with_unknown_input(X, np.full(4, 0.3), 1)
 
 
 class TestCouplingConvergence:

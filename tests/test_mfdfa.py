@@ -183,6 +183,10 @@ class TestDfaFailFast:
         with pytest.raises(ValueError, match="empty"):
             mfdfa.dfa_exponents(np.empty(shape))
 
+    def test_fluctuation_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 256\)"):
+            mfdfa.fluctuation(np.ones((2, 256)), 16)
+
     def test_profile_is_row_wise(self):
         X = np.random.default_rng(1).standard_normal((3, 256))
         np.testing.assert_array_equal(

@@ -6,16 +6,6 @@ from hypothesis import strategies as st
 from fracsig import fracdyn, synth
 
 
-class TestSyntheticSpec:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            synth.SyntheticSpec("nope", 100, 0)
-
-    def test_nonpositive_length(self):
-        with pytest.raises(ValueError, match="length"):
-            synth.SyntheticSpec("fgn", 0, 0)
-
-
 class TestFgn:
     def test_deterministic(self):
         a = synth.synth_fgn(0.7, 1024, 3).samples
@@ -100,6 +90,10 @@ class TestStableModels:
         model = synth.random_stable_model(10, 0, alpha_range=(0.2, 0.6))
         assert np.all((model.alpha > 0.2) & (model.alpha < 0.6))
 
+    def test_zero_channels_rejected(self):
+        with pytest.raises(ValueError, match="n=0"):
+            synth.random_stable_model(0, 0)
+
     def test_companion_radius_flags_unstable(self):
         rho = synth.companion_spectral_radius([0.5], np.array([[1.5]]))
         assert rho > 1.0
@@ -110,29 +104,6 @@ class TestStableModels:
         model = synth.random_stable_model(4, seed, noise_scale=1.0)
         X = fracdyn.simulate(model, 1500, seed=seed).as_matrix()
         assert np.all(np.isfinite(X))
-
-
-class TestFractionalSystem:
-    def test_returns_record_and_model(self):
-        spec = synth.SyntheticSpec(
-            "fractional-system", 800, 0, {"n_channels": 3, "noise_scale": 1.0}
-        )
-        record, model = synth.synth_fractional_system(spec)
-        assert record.n_channels == 3
-        assert record.n_samples == 800
-        assert model.A.shape == (3, 3)
-
-    def test_explicit_model_passthrough(self):
-        A = np.array([[-0.5]])
-        spec = synth.SyntheticSpec(
-            "fractional-system", 400, 0, {"alpha": [0.3], "A": A, "noise_scale": 1.0}
-        )
-        record, model = synth.synth_fractional_system(spec)
-        np.testing.assert_array_equal(model.A, A)
-
-    def test_dispatcher(self):
-        out = synth.synthesize(synth.SyntheticSpec("white-noise", 100, 0))
-        assert len(out) == 100
 
 
 class TestStageCohort:
