@@ -115,7 +115,8 @@ class MinMaxScaler:
         flat = span == 0
         out[:, flat] = 0.5
         good = ~flat
-        out[:, good] = (X[:, good] - self.lo[good]) / span[good]
+        with np.errstate(over="ignore"):  # far outside a tiny span: +-inf, clamped below
+            out[:, good] = (X[:, good] - self.lo[good]) / span[good]
         return np.clip(out, 0.0, 1.0)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:

@@ -98,6 +98,8 @@ def _cmd_synth_system(args) -> int:
 
 
 def _cmd_synth_cohort(args) -> int:
+    if args.per_class < 1:
+        raise ValueError(f"--per-class must be at least 1, got {args.per_class}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = synth.synth_stage_cohort(

@@ -10,6 +10,18 @@ spectral radius, per-channel orders, then R shrunk by 0.8 until each
 signed coupling s * R - diag_shift * I has companion spectral radius
 below a limit.  :func:`random_stable_model` returns one such model;
 :func:`synth_stage_cohort` simulates jittered records of one per stage.
+
+The shrink loop decides stability without forming the n*J companion
+matrix.  :func:`companion_radius_at_least` counts, by the argument
+principle, the zeros of g(z) = det(diag_i(sum_j psi_ij z^j) - z A) inside
+|z| <= 1/limit, which are the reciprocals of the companion eigenvalues
+of modulus at least ``limit``: one FFT and batched n x n determinants on
+a contour grid, then a sum of phase steps.  A count that changes when
+every other grid point is dropped, or a phase step above pi/4 (a zero
+near the contour), is not trusted, and the dense
+:func:`companion_spectral_radius`, kept as the oracle, decides instead.
+The loop also stops with a ``ValueError`` when -diag_shift * I alone is
+unstable at the limit, since no shrink could then end it.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ __all__ = [
     "cascade_hurst_exponent",
     "synth_frac_noise",
     "companion_spectral_radius",
+    "companion_radius_at_least",
     "random_stable_model",
     "synth_stage_cohort",
     "synth_viral_cohort",
@@ -35,6 +48,12 @@ _COHORT_INSTITUTIONS = ("site-a", "site-b", "site-c", "site-d")
 _COHORT_SPECTRAL_RADIUS = 0.5
 _COHORT_DIAG_SHIFT = 0.8
 _COHORT_JITTER = 0.05
+
+# winding-count stability check: contour points per batched determinant,
+# largest trusted phase step, shrinks before the loop tests -diag_shift * I
+_WINDING_CHUNK = 512
+_WINDING_MAX_STEP = np.pi / 4
+_SHRINKS_BEFORE_GUARD = 10
 
 
 def _fgn_autocovariance(h: float, k: np.ndarray) -> np.ndarray:
@@ -143,12 +162,60 @@ def companion_spectral_radius(alpha, A, horizon: int = fracdyn.DEFAULT_HORIZON) 
     return float(np.max(np.abs(np.linalg.eigvals(C))))
 
 
+def companion_radius_at_least(
+    alpha, A, limit: float, horizon: int = fracdyn.DEFAULT_HORIZON
+) -> bool:
+    """Whether ``companion_spectral_radius(alpha, A, horizon) >= limit``.
+
+    The companion eigenvalues are lambda = 1/z over the zeros z of
+    g(z) = det(diag_i(sum_{j<=J} psi_ij z^j) - z A), with g(0) = 1, so the
+    radius reaches ``limit`` iff g has a zero in |z| <= r = 1/limit.  That
+    count is the winding number of g around the circle |z| = r.  The
+    diagonal polynomials are evaluated at 2M points of the circle, with M
+    the power of two at or above 4 n J, by one FFT of the coefficients
+    scaled by r^j; g comes from batched n x n determinants in chunks of
+    512 points.  g has real coefficients, so the upper half circle carries
+    half the winding.  The count is trusted when every other point (M)
+    gives the same count and no phase step on the 2M grid exceeds pi/4;
+    otherwise the dense radius decides.
+    """
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    A = np.asarray(A, dtype=float)
+    n, J = alpha.size, horizon
+    r = 1.0 / limit
+    m = 1 << int(np.ceil(np.log2(4 * n * J)))
+    psi = np.stack([fracdyn.gl_coefficients(a, J).coeffs for a in alpha])
+    # conj(rfft) of real coefficients: p_i(r e^{i pi k / m}) for k = 0..m
+    diag = np.conj(np.fft.rfft(psi * r ** np.arange(J + 1), 2 * m, axis=1)).T
+    z = r * np.exp(1j * np.pi * np.arange(m + 1) / m)
+    g = np.empty(m + 1, dtype=complex)
+    idx = np.arange(n)
+    for lo in range(0, m + 1, _WINDING_CHUNK):
+        hi = min(lo + _WINDING_CHUNK, m + 1)
+        mats = -z[lo:hi, None, None] * A
+        mats[:, idx, idx] += diag[lo:hi]
+        g[lo:hi] = np.linalg.det(mats)
+    if np.all(np.isfinite(g)) and np.all(g != 0):
+        fine = np.angle(g[1:] * np.conj(g[:-1]))
+        coarse = np.angle(g[2::2] * np.conj(g[:-2:2]))
+        count = round(fine.sum() / np.pi)
+        if count == round(coarse.sum() / np.pi) and np.max(np.abs(fine)) <= _WINDING_MAX_STEP:
+            return count > 0
+    return companion_spectral_radius(alpha, A, horizon) >= limit
+
+
 def _draw_stable(rng, n, spectral_radius, diag_shift, alpha_range, limit, signs,
                  horizon=fracdyn.DEFAULT_HORIZON):
     """Draw (R, alpha) with every s * R - diag_shift * I stable, s in ``signs``.
 
-    R is rescaled to ``spectral_radius``, then shrunk by 0.8 until each
-    signed coupling has companion spectral radius below ``limit``.
+    R is rescaled to ``spectral_radius``, then shrunk by 0.8 until
+    :func:`companion_radius_at_least` says each signed coupling has
+    companion spectral radius below ``limit``; the signs are checked in
+    order and a failing sign skips the rest.  The winding count decides
+    almost every check; a zero of g near the contour sends it to the
+    dense eigenvalues.  Shrinking cannot end when -diag_shift * I alone
+    reaches ``limit``: after 10 shrinks that coupling is checked once, and
+    if it fails a ``ValueError`` names ``diag_shift`` and ``limit``.
     """
     if n < 1:
         raise ValueError(f"need at least one channel, got n={n}")
@@ -156,8 +223,17 @@ def _draw_stable(rng, n, spectral_radius, diag_shift, alpha_range, limit, signs,
     R *= spectral_radius / np.max(np.abs(np.linalg.eigvals(R)))
     alpha = rng.uniform(*alpha_range, size=n)
     shift = diag_shift * np.eye(n)
-    while max(companion_spectral_radius(alpha, s * R - shift, horizon) for s in signs) >= limit:
+    shrinks = 0
+    while any(companion_radius_at_least(alpha, s * R - shift, limit, horizon) for s in signs):
         R *= 0.8
+        shrinks += 1
+        if shrinks == _SHRINKS_BEFORE_GUARD and companion_radius_at_least(
+            alpha, -shift, limit, horizon
+        ):
+            raise ValueError(
+                f"diag_shift={diag_shift:g} alone leaves the companion radius at or "
+                f"above limit={limit:g}; no shrink of the coupling can reach it"
+            )
     return R, alpha
 
 
@@ -204,6 +280,8 @@ def synth_stage_cohort(
     linearly separable even though each is a tight pair of clusters.
     Stages and the four institutions are assigned round robin.
     """
+    if n_records < 1:
+        raise ValueError(f"need at least one record, got n_records={n_records}")
     rng = np.random.default_rng(seed)
     n = n_channels
     draws = [

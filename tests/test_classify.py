@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -82,6 +82,22 @@ class TestMinMaxScaler:
         scaler = classify.MinMaxScaler().fit(np.array([[0.0], [1.0]]))
         out = scaler.transform(np.array([[-3.0], [5.0]]))
         np.testing.assert_array_equal(out.ravel(), [0.0, 1.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fit=hnp.arrays(np.float64, (6, 3), elements=st.floats(-1e6, 1e6)),
+        test=hnp.arrays(np.float64, (5, 3), elements=st.floats(-1e12, 1e12)),
+    )
+    @example(  # a subnormal span overflows the affine map
+        fit=np.vstack([np.full((1, 3), 5e-324), np.zeros((5, 3))]),
+        test=np.full((5, 3), 1e12),
+    )
+    def test_output_in_unit_interval_outside_fit_range(self, fit, test):
+        scaler = classify.MinMaxScaler().fit(fit)
+        for X in (fit, test):
+            out = scaler.transform(X)
+            assert out.shape == X.shape
+            assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_unfitted_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):

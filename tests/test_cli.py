@@ -45,8 +45,12 @@ class TestExitCodes:
               "--out-dir", "c"], "T=0"),
             (["system", "--channels", "2", "--n", "0", "--out", "x.csv"], "T=0"),
             (["system", "--channels", "0", "--n", "100", "--out", "x.csv"], "n=0"),
+            (["cohort", "--per-class", "0", "--channels", "2", "--samples", "100",
+              "--out-dir", "c"], "--per-class"),
+            (["cohort", "--per-class", "-1", "--channels", "2", "--samples", "100",
+              "--out-dir", "c"], "--per-class"),
         ],
-        ids=["samples", "n", "channels"],
+        ids=["samples", "n", "channels", "per-class-zero", "per-class-negative"],
     )
     def test_zero_size_is_data_error(self, tmp_path, capsys, argv, named):
         argv = [str(tmp_path / a) if a in ("c", "x.csv") else a for a in argv]

@@ -77,6 +77,19 @@ class TestFracDifference:
         rhs = fracdyn.frac_difference(x, a, 32) + c * fracdyn.frac_difference(y, a, 32)
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**31),
+    )
+    def test_full_horizon_inverse_property(self, a, n, seed):
+        # (1 - z)^a (1 - z)^-a = 1 term by term, so the full-horizon pair
+        # inverts exactly up to rounding, on the convolution and FFT paths
+        x = np.random.default_rng(seed).standard_normal(n)
+        back = fracdyn.frac_difference(fracdyn.frac_difference(x, a, None), -a, None)
+        np.testing.assert_allclose(back, x, atol=1e-9)
+
     def test_truncated_matches_convolution(self):
         x = np.random.default_rng(3).standard_normal(200)
         psi = fracdyn.gl_coefficients(0.6, 50).coeffs

@@ -106,6 +106,87 @@ class TestStableModels:
         assert np.all(np.isfinite(X))
 
 
+def _counting(monkeypatch, name):
+    """Replace ``synth.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(synth, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(synth, name, counted)
+    return calls
+
+
+def _coupling(seed, n, spectral_radius, diag_shift):
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n)) / np.sqrt(n)
+    R *= spectral_radius / np.max(np.abs(np.linalg.eigvals(R)))
+    return rng.uniform(0.2, 0.6, size=n), R, diag_shift * np.eye(n)
+
+
+class TestWindingCheck:
+    """companion_radius_at_least against the dense companion eigenvalues."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        limit=st.sampled_from([0.98, 0.999]),
+        sign=st.sampled_from([1.0, -1.0]),
+        spectral_radius=st.floats(0.05, 1.2),
+        diag_shift=st.floats(0.3, 1.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_agrees_with_dense_radius(self, n, limit, sign, spectral_radius, diag_shift, seed):
+        alpha, R, shift = _coupling(seed, n, spectral_radius, diag_shift)
+        A = sign * R - shift
+        expected = synth.companion_spectral_radius(alpha, A) >= limit
+        assert synth.companion_radius_at_least(alpha, A, limit) == expected
+
+    @pytest.mark.parametrize("limit", [0.98, 0.999])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_radius_at_the_limit_falls_back(self, monkeypatch, n, limit):
+        alpha, R, shift = _coupling(n, n, 0.5, 0.8)
+
+        def radius(t):
+            return synth.companion_spectral_radius(alpha, t * R - shift)
+
+        (lo, r_lo), (hi, r_hi) = (0.0, radius(0.0)), (1.0, radius(1.0))
+        while r_hi < limit:
+            hi *= 2.0
+            r_hi = radius(hi)
+        # bisect until the radii on both sides sit within 1e-6 of the limit
+        for _ in range(60):
+            if r_hi - limit <= 1e-6 and limit - r_lo <= 1e-6:
+                break
+            mid = 0.5 * (lo + hi)
+            r_mid = radius(mid)
+            if r_mid < limit:
+                lo, r_lo = mid, r_mid
+            else:
+                hi, r_hi = mid, r_mid
+        assert limit - 1e-6 <= r_lo < limit <= r_hi <= limit + 1e-6
+        dense = _counting(monkeypatch, "companion_spectral_radius")
+        for t, expected in ((lo, False), (hi, True)):
+            before = len(dense)
+            assert synth.companion_radius_at_least(alpha, t * R - shift, limit) is expected
+            assert len(dense) == before + 1, "a zero near the contour must take the fallback"
+
+    def test_cohort_draw_rarely_falls_back(self, monkeypatch):
+        dense = _counting(monkeypatch, "companion_spectral_radius")
+        checks = _counting(monkeypatch, "companion_radius_at_least")
+        synth.synth_stage_cohort(5, 12, seed=1, n_samples=200)
+        assert len(checks) >= 10  # two signs for each of the five stages
+        assert len(dense) <= 1
+
+    def test_unreachable_limit_fails_fast(self, monkeypatch):
+        checks = _counting(monkeypatch, "companion_radius_at_least")
+        with pytest.raises(ValueError, match=r"diag_shift=3 .*limit=0\.999"):
+            synth.random_stable_model(2, 0, diag_shift=3.0)
+        assert len(checks) <= 20
+
+
 class TestStageCohort:
     def test_layout(self):
         cohort = synth.synth_stage_cohort(n_records=20, n_channels=4, seed=0, n_samples=1200)
@@ -117,6 +198,13 @@ class TestStageCohort:
         assert len(institutions) == 4
         assert all(r.n_channels == 4 for r in cohort)
         assert all(r.n_samples == 1200 for r in cohort)
+
+    @pytest.mark.parametrize("n_records", [0, -5])
+    def test_no_records_rejected_before_any_draw(self, monkeypatch, n_records):
+        checks = _counting(monkeypatch, "companion_radius_at_least")
+        with pytest.raises(ValueError, match=f"n_records={n_records}"):
+            synth.synth_stage_cohort(n_records, 4, seed=0)
+        assert checks == []
 
     def test_deterministic(self):
         a = synth.synth_stage_cohort(n_records=5, n_channels=3, seed=1, n_samples=1200)
