@@ -32,7 +32,7 @@ def main():
         noise_scale=1.0,
     )
     record = fracdyn.simulate(model, T=2000, seed=1)
-    stds = [ch.samples.std() for ch in record.channels]
+    stds = record.channels.std(axis=1)
     print(f"simulated 2-channel fractional system, channel stds: "
           f"{stds[0]:.3f}, {stds[1]:.3f}")
 

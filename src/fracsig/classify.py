@@ -73,12 +73,12 @@ def extract_features(
     """
     if record.stage_label is None:
         raise ValueError("record is unlabeled")
-    X = record.as_matrix()
+    X = record.channels
     constant = np.flatnonzero(np.ptp(X, axis=1) == 0)
     if constant.size:
         raise ValueError(
             f"subject {record.subject_id!r}: channel "
-            f"{record.labels()[constant[0]]!r} is constant; cannot z-score it"
+            f"{record.labels[constant[0]]!r} is constant; cannot z-score it"
         )
     X = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
     if alpha is None:
@@ -102,8 +102,12 @@ class MinMaxScaler:
 
     def fit(self, X: np.ndarray) -> "MinMaxScaler":
         X = np.asarray(X, dtype=float)
-        self.lo = X.min(axis=0)
-        self.hi = X.max(axis=0)
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(~np.isfinite(hi - lo))
+        if wide.size:
+            raise ValueError(f"feature column {wide[0]}: range is wider than float64 holds")
+        self.lo, self.hi = lo, hi
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:

@@ -69,25 +69,26 @@ def _parse_list(text, cast):
 # ---------------------------------------------------------------- synth
 
 
-def _cmd_synth_fgn(args) -> int:
-    series = synth.synth_fgn(args.hurst, args.n, args.seed, rate_hz=args.rate)
-    records.write_record(records.MultichannelRecord((series,)), args.out)
-    print(f"wrote {args.out}")
+def _write_series(series, out) -> int:
+    """Write one generated series as a one-channel record."""
+    record = records.MultichannelRecord(series.samples[None, :], (series.label,))
+    records.write_record(record, out)
+    print(f"wrote {out}")
     return EXIT_OK
+
+
+def _cmd_synth_fgn(args) -> int:
+    return _write_series(synth.synth_fgn(args.hurst, args.n, args.seed), args.out)
 
 
 def _cmd_synth_cascade(args) -> int:
-    series = synth.synth_cascade(
-        args.p, args.depth, args.seed, shuffle=args.shuffle, rate_hz=args.rate
-    )
-    records.write_record(records.MultichannelRecord((series,)), args.out)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    series = synth.synth_cascade(args.p, args.depth, args.seed, shuffle=args.shuffle)
+    return _write_series(series, args.out)
 
 
 def _cmd_synth_system(args) -> int:
     model = synth.random_stable_model(args.channels, args.seed, noise_scale=args.noise_scale)
-    record = fracdyn.simulate(model, args.n, seed=args.seed, rate_hz=args.rate)
+    record = fracdyn.simulate(model, args.n, seed=args.seed)
     records.write_record(record, args.out)
     if args.model_out:
         Path(args.model_out).write_text(
@@ -138,11 +139,7 @@ def _cmd_synth_viral(args) -> int:
     entries = []
     for case in cases:
         name = f"{case.subject_id}.csv"
-        channels = tuple(
-            records.TimeSeries(row, args.rate, label=f"ch{c:02d}")
-            for c, row in enumerate(case.channels)
-        )
-        records.write_record(records.MultichannelRecord(channels), out_dir / name)
+        records.write_record(case, out_dir / name)
         entries.append(
             records.ManifestEntry(
                 path=name,
@@ -177,14 +174,14 @@ def _cmd_mfdfa(args) -> int:
         q_zero_mode=args.q_zero_mode,
         both_ends=args.both_ends,
     )
-    for channel in record.channels:
-        sf = mfdfa.scaling_function(mfdfa.profile(channel.samples), cfg)
+    for label, samples in zip(record.labels, record.channels):
+        sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
         spectrum = mfdfa.hurst_spectrum(sf)
         diag = mfdfa.scaling_diagnostics(sf)
         payload = mfdfa.spectrum_to_dict(sf, spectrum)
         payload["std_across_q"] = [float(v) for v in diag.std_across_q]
         payload["std_across_s"] = [float(v) for v in diag.std_across_s]
-        _write_json(out_dir / f"spectrum_{channel.label}.json", payload)
+        _write_json(out_dir / f"spectrum_{label}.json", payload)
         logs = np.log2(sf.scale_grid.astype(float))
         for qi, q in enumerate(sf.q_grid):
             rows = [
@@ -192,12 +189,12 @@ def _cmd_mfdfa(args) -> int:
                 for ls, lv in zip(logs, np.log2(sf.values[qi]))
             ]
             _write_csv(
-                out_dir / f"sf_{channel.label}_q{q:g}.csv",
+                out_dir / f"sf_{label}_q{q:g}.csv",
                 ("log2_s", "log2_sf"),
                 rows,
             )
         focus = mfdfa.focus_point(sf, spectrum)
-        print(f"{channel.label}: focus spread {focus.spread:.4f}")
+        print(f"{label}: focus spread {focus.spread:.4f}")
     return EXIT_OK
 
 
@@ -342,7 +339,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_convergence(args) -> int:
     record = records.load_record(args.record, args.rate)
-    X = record.as_matrix()
     if args.alpha:
         alpha = np.asarray(_parse_list(args.alpha, float))
         if alpha.size != record.n_channels:
@@ -350,7 +346,7 @@ def _cmd_convergence(args) -> int:
                 f"got {alpha.size} alpha values for {record.n_channels} channels"
             )
     else:
-        alpha = fracdyn.estimate_alphas(X)
+        alpha = fracdyn.estimate_alphas(record.channels)
     times, dists = fracdyn.coupling_convergence(
         record, alpha, args.step_seconds, horizon=args.horizon, ridge=args.ridge
     )
@@ -380,13 +376,12 @@ def _cmd_viral(args) -> int:
                     f"{args.manifest}: subject {entry.subject_id!r} "
                     f"missing field {key!r}"
                 )
-        record = records.load_record(entry.path, args.rate, subject_id=entry.subject_id)
+        record = records.load_record(entry.path, args.rate)
         cases.append(
             viral.SubjectCase(
-                record.as_matrix(),
+                record.channels, record.labels, record.rate_hz, entry.subject_id,
                 inoculation_index=int(entry.extra["inoculation_index"]),
                 infected=bool(entry.extra["infected"]),
-                subject_id=entry.subject_id,
             )
         )
     spec = viral.WindowSpec(args.window, args.stride)
@@ -417,7 +412,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--hurst", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth_fgn)
 
@@ -426,7 +420,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shuffle", action="store_true")
-    p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth_cascade)
 
@@ -435,7 +428,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.add_argument("--model-out", help="also write the ground-truth model JSON")
     p.set_defaults(func=_cmd_synth_system)
@@ -454,7 +446,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--side-samples", type=int, default=4200)
     p.add_argument("--alpha-shift", type=float, default=0.35)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth_viral)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mfdfa import dfa_exponents, wasserstein_1d
-from .records import MultichannelRecord, TimeSeries
+from .records import MultichannelRecord
 
 __all__ = [
     "GLKernel",
@@ -181,10 +181,9 @@ def simulate(
         if not np.all(np.abs(nxt) < _OVERFLOW_GUARD):
             raise NumericalError(f"trajectory diverged at step {k + 1}")
         x[k + 1] = nxt
-    channels = tuple(
-        TimeSeries(x[:, i], rate_hz, label=f"ch{i:02d}") for i in range(n)
+    return MultichannelRecord(
+        np.ascontiguousarray(x.T), None, rate_hz, subject_id, institution, stage_label
     )
-    return MultichannelRecord(channels, subject_id, institution, stage_label)
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ def _min_fit_length(n: int, horizon: int) -> int:
 
 def _fit_matrix(record, horizon: int) -> np.ndarray:
     """Channel matrix of a coupling fit, rejected below the minimum length."""
-    X = record.as_matrix() if hasattr(record, "as_matrix") else np.asarray(record, float)
+    X = np.asarray(getattr(record, "channels", record), dtype=float)
     n, T = X.shape
     if T < _min_fit_length(n, horizon):
         raise ValueError(
@@ -413,7 +412,7 @@ def coupling_convergence(
     from the first t+step seconds, and compare their n^2 entries as
     empirical distributions.  Returns (times_seconds, distances).
     """
-    X = record.as_matrix()
+    X = record.channels
     n, T = X.shape
     rate = record.rate_hz
     step = int(round(step_seconds * rate))

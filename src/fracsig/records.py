@@ -1,8 +1,9 @@
 """Time-series containers and CSV/manifest ingestion.
 
-A record is a stack of equally sampled channels.  CSV layout: one header
-row with channel labels, one column per channel, one row per sample.
-Sampling rate is supplied out of band (device exports do not carry it).
+A record is one read-only (n_channels, n_samples) float64 matrix with a
+label per row.  CSV layout: one header row with channel labels, one
+column per channel, one row per sample.  Sampling rate is supplied out
+of band (device exports do not carry it).
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ class RecordFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A single uniformly sampled channel."""
+    """One labelled 1-D series, as the single-channel generators return it."""
 
     samples: np.ndarray
-    rate_hz: float
     label: str = ""
 
     def __post_init__(self):
@@ -45,62 +45,60 @@ class TimeSeries:
             raise ValueError("samples must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if not (self.rate_hz > 0):
-            raise ValueError("rate_hz must be positive")
 
     def __len__(self) -> int:
         return self.samples.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultichannelRecord:
-    """Equal-length, equal-rate channels from one subject.
+    """One subject's channels as a read-only (n_channels, n_samples) matrix.
 
-    ``stage_label`` is the disease stage in 0..4, or None for unlabeled
-    records.
+    A C-contiguous float64 ``channels`` is viewed, not copied.  ``labels``
+    name the rows (default ``ch00, ch01, ...``); ``stage_label`` is the
+    disease stage in 0..4, or None for unlabeled records.
     """
 
-    channels: tuple[TimeSeries, ...]
+    channels: np.ndarray
+    labels: tuple[str, ...] | None = None
+    rate_hz: float = 1.0
     subject_id: str = ""
     institution: str = ""
     stage_label: int | None = None
 
     def __post_init__(self):
-        channels = tuple(self.channels)
-        object.__setattr__(self, "channels", channels)
-        if len(channels) < 1:
-            raise ValueError("record needs at least one channel")
-        n0 = len(channels[0])
-        rate = channels[0].rate_hz
-        for ch in channels[1:]:
-            if len(ch) != n0:
-                raise ValueError("all channels must have equal length")
-            if ch.rate_hz != rate:
-                raise ValueError("all channels must share one sampling rate")
-        labels = [ch.label for ch in channels]
-        if len(set(labels)) != len(labels):
-            raise ValueError("channel labels must be unique")
+        try:
+            matrix = np.ascontiguousarray(self.channels, dtype=float).view()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"channels must be equal length numeric rows: {exc}") from None
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ValueError(f"channels must be a nonempty 2-D matrix, got shape {matrix.shape}")
+        n = matrix.shape[0]
+        default = (f"ch{i:02d}" for i in range(n))
+        labels = tuple(default if self.labels is None else self.labels)
+        if len(labels) != n or len(set(labels)) != n:
+            raise ValueError(f"need {n} unique channel labels, got {labels}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("channel values must be finite")
+        if not (self.rate_hz > 0):
+            raise ValueError("rate_hz must be positive")
         if self.stage_label is not None and self.stage_label not in range(5):
             raise ValueError("stage_label must be in 0..4")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "channels", matrix)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_channels(self) -> int:
-        return len(self.channels)
+        return self.channels.shape[0]
 
     @property
     def n_samples(self) -> int:
-        return len(self.channels[0])
-
-    @property
-    def rate_hz(self) -> float:
-        return self.channels[0].rate_hz
+        return self.channels.shape[1]
 
     def as_matrix(self) -> np.ndarray:
-        """Channel-major (n_channels, n_samples) float matrix."""
-        return np.stack([ch.samples for ch in self.channels])
-
-    def labels(self) -> list[str]:
-        return [ch.label for ch in self.channels]
+        """The (n_channels, n_samples) matrix itself; read-only, no copy."""
+        return self.channels
 
 
 def load_record(
@@ -114,9 +112,10 @@ def load_record(
     """Read a record from CSV.
 
     Header row gives channel labels; every following row holds one sample
-    per channel.  Ragged rows, non-numeric cells and non-finite values
-    (``nan``, ``inf``) raise :class:`RecordFormatError` naming the first
-    offending row/column (1-based, header is row 1).
+    per channel.  Blank or repeated labels, ragged rows, non-numeric cells
+    and non-finite values (``nan``, ``inf``) raise
+    :class:`RecordFormatError` naming the first offending row/column
+    (1-based, header is row 1).
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -125,10 +124,18 @@ def load_record(
             header = next(reader)
         except StopIteration:
             raise RecordFormatError(f"{path}: empty file") from None
-        if not header or any(h.strip() == "" for h in header):
+        labels = tuple(h.strip() for h in header)
+        if not labels or "" in labels:
             raise RecordFormatError(f"{path}: row 1: blank channel label in header")
-        ncol = len(header)
-        columns: list[list[float]] = [[] for _ in header]
+        for col, label in enumerate(labels):
+            first = labels.index(label)
+            if first != col:
+                raise RecordFormatError(
+                    f"{path}: row 1: channel label {label!r} repeated in "
+                    f"columns {first + 1} and {col + 1}"
+                )
+        ncol = len(labels)
+        columns: list[list[float]] = [[] for _ in labels]
         for rownum, row in enumerate(reader, start=2):
             if len(row) != ncol:
                 raise RecordFormatError(
@@ -154,21 +161,18 @@ def load_record(
             f"{path}: row {row + 2}, column {col + 1}: "
             f"non-finite value {float(matrix[col, row])!r}"
         )
-    channels = tuple(
-        TimeSeries(samples, rate_hz, label=label.strip())
-        for label, samples in zip(header, matrix)
+    return MultichannelRecord(
+        matrix, labels, rate_hz, subject_id, institution, stage_label
     )
-    return MultichannelRecord(channels, subject_id, institution, stage_label)
 
 
 def write_record(record: MultichannelRecord, path) -> None:
     """Write a record as CSV (inverse of :func:`load_record`)."""
     path = Path(path)
-    matrix = record.as_matrix().T
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(record.labels())
-        for row in matrix:
+        writer.writerow(record.labels)
+        for row in record.channels.T:
             writer.writerow([repr(float(v)) for v in row])
 
 

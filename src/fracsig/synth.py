@@ -63,7 +63,7 @@ def _fgn_autocovariance(h: float, k: np.ndarray) -> np.ndarray:
     )
 
 
-def synth_fgn(h: float, n: int, seed: int, *, rate_hz: float = 1.0) -> TimeSeries:
+def synth_fgn(h: float, n: int, seed: int) -> TimeSeries:
     """Exact fractional Gaussian noise by circulant embedding.
 
     Unit variance, zero mean in expectation; the target Hurst exponent
@@ -89,12 +89,10 @@ def synth_fgn(h: float, n: int, seed: int, *, rate_hz: float = 1.0) -> TimeSerie
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     sample = np.fft.fft(np.sqrt(eig / m) * z)
-    return TimeSeries(sample.real[:n], rate_hz, label=f"fgn-H{h:g}")
+    return TimeSeries(sample.real[:n], label=f"fgn-H{h:g}")
 
 
-def synth_cascade(
-    p: float, depth: int, seed: int = 0, *, shuffle: bool = False, rate_hz: float = 1.0
-) -> TimeSeries:
+def synth_cascade(p: float, depth: int, seed: int = 0, *, shuffle: bool = False) -> TimeSeries:
     """Binomial multiplicative cascade of length 2**depth.
 
     Each refinement splits a cell's mass by the multiplier pair
@@ -117,7 +115,7 @@ def synth_cascade(
             left = p
         halves = np.stack([measure * left, measure * (1.0 - left)], axis=1)
         measure = halves.reshape(-1)
-    return TimeSeries(measure, rate_hz, label=f"cascade-p{p:g}")
+    return TimeSeries(measure, label=f"cascade-p{p:g}")
 
 
 def cascade_hurst_exponent(p: float, q) -> np.ndarray:
@@ -131,7 +129,7 @@ def cascade_hurst_exponent(p: float, q) -> np.ndarray:
     return 1.0 / q - np.log2(p**q + (1.0 - p) ** q) / q
 
 
-def synth_frac_noise(alpha: float, n: int, seed: int, *, rate_hz: float = 1.0) -> TimeSeries:
+def synth_frac_noise(alpha: float, n: int, seed: int) -> TimeSeries:
     """Series whose fractional difference of order ``alpha`` is white noise.
 
     Built by exact fractional integration (full-memory GL convolution of
@@ -141,7 +139,7 @@ def synth_frac_noise(alpha: float, n: int, seed: int, *, rate_hz: float = 1.0) -
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(n)
     x = fracdyn.frac_difference(w, -alpha, None)
-    return TimeSeries(x, rate_hz, label=f"frac-noise-a{alpha:g}")
+    return TimeSeries(x, label=f"frac-noise-a{alpha:g}")
 
 
 def companion_spectral_radius(alpha, A, horizon: int = fracdyn.DEFAULT_HORIZON) -> float:

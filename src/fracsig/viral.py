@@ -9,11 +9,12 @@ shift sweep probes sensitivity to a misplaced inoculation point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fracdyn, mfdfa
+from . import fracdyn
+from .records import MultichannelRecord
 
 __all__ = [
     "WindowSpec",
@@ -43,20 +44,16 @@ class WindowSpec:
         return (n - self.window_len) // self.stride + 1
 
 
-@dataclass(frozen=True)
-class SubjectCase:
-    """One subject: channel matrix, inoculation index, infection label."""
+@dataclass(frozen=True, eq=False)
+class SubjectCase(MultichannelRecord):
+    """One subject's record with its inoculation index and infection label."""
 
-    channels: np.ndarray  # (3, n_samples)
-    inoculation_index: int
-    infected: bool
-    subject_id: str = ""
+    inoculation_index: int = field(kw_only=True)
+    infected: bool = field(kw_only=True)
 
     def __post_init__(self):
-        channels = np.atleast_2d(np.asarray(self.channels, dtype=float))
-        object.__setattr__(self, "channels", channels)
-        n = channels.shape[1]
-        if not (0 < self.inoculation_index < n):
+        super().__post_init__()
+        if not (0 < self.inoculation_index < self.n_samples):
             raise ValueError("inoculation index must be strictly inside the record")
 
 

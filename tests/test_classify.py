@@ -56,13 +56,15 @@ class TestExtractFeatures:
     def test_constant_channel_named_before_dividing(self):
         model = synth.random_stable_model(3, 0, noise_scale=1.0)
         record = fracdyn.simulate(model, 1500, seed=0, stage_label=2, subject_id="s7")
-        flat = records.TimeSeries(np.full(1500, 3.0), 1.0, label=record.labels()[1])
-        channels = (record.channels[0], flat, record.channels[2])
-        record = records.MultichannelRecord(channels, "s7", stage_label=2)
+        channels = record.channels.copy()
+        channels[1] = 3.0
+        record = records.MultichannelRecord(
+            channels, record.labels, subject_id="s7", stage_label=2
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
-                ValueError, match=rf"subject 's7': channel '{flat.label}' is constant"
+                ValueError, match=rf"subject 's7': channel '{record.labels[1]}' is constant"
             ):
                 classify.extract_features(record)
 
@@ -98,6 +100,16 @@ class TestMinMaxScaler:
             out = scaler.transform(X)
             assert out.shape == X.shape
             assert np.all((out >= 0.0) & (out <= 1.0))
+
+    def test_range_wider_than_float64_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaler = classify.MinMaxScaler()
+            with pytest.raises(ValueError, match="feature column 1"):
+                scaler.fit([[0.0, -1e308], [1.0, 1e308]])
+            assert scaler.lo is None
+            out = scaler.fit([[-1e308], [0.0]]).transform([[0.0], [-1e308]])
+            np.testing.assert_array_equal(out, [[1.0], [0.0]])
 
     def test_unfitted_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):

@@ -21,6 +21,14 @@ class TestExitCodes:
         code = run("mfdfa", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path))
         assert code == cli.EXIT_DATA
 
+    def test_repeated_header_label_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "dup.csv"
+        bad.write_text("a,b,a\n1.0,2.0,3.0\n")
+        code = run("mfdfa", str(bad), "--out-dir", str(tmp_path))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "dup.csv: row 1: channel label 'a' repeated in columns 1 and 3" in err
+
     def test_malformed_record_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a\n1.0\nx\n")
@@ -63,7 +71,7 @@ class TestSynthSystem:
         rec, model_out = tmp_path / "sys.csv", tmp_path / "model.json"
         assert run(
             "synth", "system", "--channels", "4", "--n", "600", "--seed", "2",
-            "--rate", "2.0", "--noise-scale", "0.7",
+            "--noise-scale", "0.7",
             "--out", str(rec), "--model-out", str(model_out),
         ) == 0
         model = synth.random_stable_model(4, 2, noise_scale=0.7)
@@ -73,7 +81,7 @@ class TestSynthSystem:
         expected = fracdyn.simulate(model, 600, seed=2, rate_hz=2.0)
         loaded = records.load_record(rec, 2.0)
         np.testing.assert_array_equal(loaded.as_matrix(), expected.as_matrix())
-        assert loaded.labels() == expected.labels()
+        assert loaded.labels == expected.labels
 
 
 class TestDeterminism:
@@ -149,11 +157,10 @@ class TestPipelineCommands:
 
     def test_extract_constant_channel_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        channels = (
-            records.TimeSeries(rng.standard_normal(1200), 1.0, label="c0"),
-            records.TimeSeries(np.zeros(1200), 1.0, label="c1"),
+        channels = np.stack([rng.standard_normal(1200), np.zeros(1200)])
+        records.write_record(
+            records.MultichannelRecord(channels, ("c0", "c1")), tmp_path / "r.csv"
         )
-        records.write_record(records.MultichannelRecord(channels), tmp_path / "r.csv")
         entry = records.ManifestEntry("r.csv", "subj-9", "site-a", stage=1)
         records.write_manifest([entry], tmp_path / "manifest.json")
         code = run(
@@ -243,6 +250,22 @@ class TestTrainVariants:
 
 
 class TestViralCommand:
+    def test_files_match_the_library(self, tmp_path, capsys):
+        out = tmp_path / "vir"
+        assert run(
+            "synth", "viral", "--subjects", "4", "--infected", "2",
+            "--side-samples", "1200", "--seed", "6", "--out-dir", str(out),
+        ) == 0
+        cases = synth.synth_viral_cohort(4, 2, 6, side_samples=1200)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["subject_id"] for e in manifest] == [c.subject_id for c in cases]
+        for case, entry in zip(cases, manifest):
+            assert entry["inoculation_index"] == case.inoculation_index
+            assert entry["infected"] == case.infected
+            expected = tmp_path / "expected.csv"
+            records.write_record(case, expected)
+            assert (out / entry["path"]).read_bytes() == expected.read_bytes()
+
     def test_sweep_and_missing_field(self, tmp_path, capsys):
         out = tmp_path / "vir"
         assert run(
@@ -267,6 +290,23 @@ class TestViralCommand:
         code = run("viral", str(broken), "--out", str(sweep))
         assert code == cli.EXIT_DATA
         assert "infected" in capsys.readouterr().err
+
+
+class TestTrainCommand:
+    def test_feature_range_wider_than_float64_is_data_error(self, tmp_path, capsys):
+        feats = tmp_path / "features.jsonl"
+        # every 9-case training split holds both signs of column 0
+        lines = [
+            {"features": [sign * 1e308, 0.1 * i], "stage": i % 5, "subject_id": f"s{i}"}
+            for i, sign in enumerate([-1.0, 1.0] * 5)
+        ]
+        feats.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        code = run(
+            "train", str(feats), "--folds", "10", "--epochs", "2",
+            "--out-dir", str(tmp_path / "run"),
+        )
+        assert code == cli.EXIT_DATA
+        assert "feature column 0" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsig import synth
+
 from fracsig.records import (
     ManifestEntry,
     MultichannelRecord,
@@ -17,34 +19,26 @@ from fracsig.records import (
 
 class TestTimeSeries:
     def test_basic(self):
-        ts = TimeSeries([1.0, 2.0, 3.0], 4.0, label="eda")
+        ts = TimeSeries([1.0, 2.0, 3.0], label="eda")
         assert len(ts) == 3
-        assert ts.rate_hz == 4.0
+        assert ts.label == "eda"
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            TimeSeries([], 1.0)
+            TimeSeries([])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            TimeSeries([1.0, np.nan], 1.0)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            TimeSeries([1.0], 0.0)
+            TimeSeries([1.0, np.nan])
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            TimeSeries(np.zeros((2, 2)), 1.0)
+            TimeSeries(np.zeros((2, 2)))
 
 
 class TestMultichannelRecord:
     def _record(self, **kwargs):
-        chans = (
-            TimeSeries([1.0, 2.0], 1.0, label="a"),
-            TimeSeries([3.0, 4.0], 1.0, label="b"),
-        )
-        return MultichannelRecord(chans, **kwargs)
+        return MultichannelRecord([[1.0, 2.0], [3.0, 4.0]], ("a", "b"), **kwargs)
 
     def test_shape(self):
         rec = self._record()
@@ -52,29 +46,52 @@ class TestMultichannelRecord:
         assert rec.n_samples == 2
         assert rec.as_matrix().shape == (2, 2)
 
-    def test_rejects_ragged(self):
-        chans = (
-            TimeSeries([1.0, 2.0], 1.0, label="a"),
-            TimeSeries([3.0], 1.0, label="b"),
-        )
-        with pytest.raises(ValueError, match="equal length"):
-            MultichannelRecord(chans)
+    def test_matrix_is_the_read_only_channels(self):
+        rec = self._record()
+        assert rec.as_matrix() is rec.as_matrix() is rec.channels
+        assert rec.channels.dtype == np.float64 and rec.channels.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            rec.as_matrix()[0, 0] = 9.0
 
-    def test_rejects_mixed_rates(self):
-        chans = (
-            TimeSeries([1.0, 2.0], 1.0, label="a"),
-            TimeSeries([3.0, 4.0], 2.0, label="b"),
-        )
-        with pytest.raises(ValueError, match="rate"):
-            MultichannelRecord(chans)
+    def test_contiguous_input_is_viewed_not_copied(self):
+        X = np.arange(6.0).reshape(2, 3)
+        rec = MultichannelRecord(X)
+        assert np.shares_memory(rec.channels, X)
+        assert X.flags.writeable
+
+    def test_default_labels(self):
+        rec = MultichannelRecord(np.zeros((11, 4)))
+        assert rec.labels == tuple(f"ch{i:02d}" for i in range(11))
+        assert rec.labels[:2] == ("ch00", "ch01") and rec.labels[10] == "ch10"
+
+    def test_rejects_ragged(self):
+        with pytest.raises(ValueError, match="equal length"):
+            MultichannelRecord([[1.0, 2.0], [3.0]], ("a", "b"))
+
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="need 2 unique channel labels"):
+            MultichannelRecord(np.zeros((2, 4)), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cell(self, cell):
+        X = np.zeros((2, 4))
+        X[1, 2] = cell
+        with pytest.raises(ValueError, match="finite"):
+            MultichannelRecord(X)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0), (4,), (1, 2, 2)])
+    def test_rejects_empty_or_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="nonempty"):
+            MultichannelRecord(np.zeros(shape))
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_rejects_nonpositive_rate(self, rate):
+        with pytest.raises(ValueError, match="rate_hz"):
+            self._record(rate_hz=rate)
 
     def test_rejects_duplicate_labels(self):
-        chans = (
-            TimeSeries([1.0], 1.0, label="a"),
-            TimeSeries([2.0], 1.0, label="a"),
-        )
         with pytest.raises(ValueError, match="unique"):
-            MultichannelRecord(chans)
+            MultichannelRecord([[1.0], [2.0]], ("a", "a"))
 
     def test_rejects_bad_stage(self):
         with pytest.raises(ValueError, match="stage"):
@@ -87,15 +104,24 @@ class TestMultichannelRecord:
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        chans = tuple(
-            TimeSeries(rng.standard_normal(37), 8.0, label=f"ch{i}") for i in range(3)
+        labels = tuple(f"ch{i}" for i in range(3))
+        rec = MultichannelRecord(
+            rng.standard_normal((3, 37)), labels, 8.0, subject_id="s1", stage_label=2
         )
-        rec = MultichannelRecord(chans, subject_id="s1", stage_label=2)
         path = tmp_path / "rec.csv"
         write_record(rec, path)
         back = load_record(path, 8.0, subject_id="s1", stage_label=2)
-        assert back.labels() == rec.labels()
+        assert back.labels == rec.labels
         np.testing.assert_array_equal(back.as_matrix(), rec.as_matrix())
+        assert not back.channels.flags.writeable
+
+    def test_subject_case_round_trip(self, tmp_path):
+        case = synth.synth_viral_cohort(1, 1, seed=4, side_samples=300)[0]
+        path = tmp_path / "case.csv"
+        write_record(case, path)
+        back = load_record(path, 1.0)
+        assert back.labels == case.labels == ("ch00", "ch01", "ch02")
+        np.testing.assert_array_equal(back.channels, case.channels)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -107,7 +133,7 @@ class TestCsvRoundTrip:
     )
     def test_round_trip_any_floats(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("rt") / "rec.csv"
-        rec = MultichannelRecord((TimeSeries(values, 1.0, label="x"),))
+        rec = MultichannelRecord([values], ("x",))
         write_record(rec, path)
         back = load_record(path, 1.0)
         np.testing.assert_array_equal(back.as_matrix(), rec.as_matrix())
@@ -125,6 +151,15 @@ class TestCsvRoundTrip:
         path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n{cell},4.0\n")
         with pytest.raises(
             RecordFormatError, match=r"bad\.csv: row 3, column 2: non-finite"
+        ):
+            load_record(path, 1.0)
+
+    def test_repeated_header_label_names_both_columns(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b, a\n1.0,2.0,3.0\n")
+        with pytest.raises(
+            RecordFormatError,
+            match=r"dup\.csv: row 1: channel label 'a' repeated in columns 1 and 3",
         ):
             load_record(path, 1.0)
 

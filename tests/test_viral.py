@@ -26,7 +26,7 @@ class TestWindowSpec:
 class TestSubjectCase:
     def test_split_must_be_inside(self):
         with pytest.raises(ValueError, match="inside"):
-            viral.SubjectCase(np.zeros((3, 100)), 100, infected=True)
+            viral.SubjectCase(np.zeros((3, 100)), inoculation_index=100, infected=True)
 
 
 class TestWindowAlphas:
