@@ -59,11 +59,19 @@ def _write_json(path, payload) -> None:
     )
 
 
-def _parse_list(text, cast):
-    try:
-        return tuple(cast(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad list value: {text!r}") from None
+def _list_of(cast):
+    """argparse ``type`` for a nonempty comma-separated list of ``cast`` values."""
+
+    def parse(text):
+        try:
+            items = tuple(cast(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad list value: {text!r}") from None
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return items
+
+    return parse
 
 
 # ---------------------------------------------------------------- synth
@@ -159,16 +167,14 @@ def _cmd_synth_viral(args) -> int:
 
 
 def _cmd_mfdfa(args) -> int:
-    record = records.load_record(args.record, args.rate)
+    record = records.load_record(args.record)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scale_grid = None
-    if args.scales:
-        scale_grid = _parse_list(args.scales, int)
-    elif args.dyadic:
+    scale_grid = args.scales
+    if scale_grid is None and args.dyadic:
         scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
     cfg = mfdfa.MfdfaConfig(
-        q_grid=_parse_list(args.q, float),
+        q_grid=args.q,
         scale_grid=scale_grid,
         detrend_order=args.detrend_order,
         q_zero_mode=args.q_zero_mode,
@@ -207,7 +213,6 @@ def _cmd_extract(args) -> int:
         for entry in entries:
             record = records.load_record(
                 entry.path,
-                args.rate,
                 subject_id=entry.subject_id,
                 institution=entry.institution,
                 stage_label=entry.stage,
@@ -339,8 +344,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_convergence(args) -> int:
     record = records.load_record(args.record, args.rate)
-    if args.alpha:
-        alpha = np.asarray(_parse_list(args.alpha, float))
+    if args.alpha is not None:
+        alpha = np.asarray(args.alpha)
         if alpha.size != record.n_channels:
             raise ValueError(
                 f"got {alpha.size} alpha values for {record.n_channels} channels"
@@ -376,7 +381,7 @@ def _cmd_viral(args) -> int:
                     f"{args.manifest}: subject {entry.subject_id!r} "
                     f"missing field {key!r}"
                 )
-        record = records.load_record(entry.path, args.rate)
+        record = records.load_record(entry.path)
         cases.append(
             viral.SubjectCase(
                 record.channels, record.labels, record.rate_hz, entry.subject_id,
@@ -385,8 +390,7 @@ def _cmd_viral(args) -> int:
             )
         )
     spec = viral.WindowSpec(args.window, args.stride)
-    shifts = _parse_list(args.shifts, int)
-    rows = viral.shift_sweep(cases, shifts, spec)
+    rows = viral.shift_sweep(cases, args.shifts, spec)
     _write_csv(
         args.out,
         ("shift", "type_one", "type_two"),
@@ -451,9 +455,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mfdfa", help="scaling function and Hurst spectrum")
     p.add_argument("record")
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--q", default="-5,-3,-1,1,3,5")
-    p.add_argument("--scales", help="comma-separated window sizes")
+    p.add_argument("--q", type=_list_of(float), default="-5,-3,-1,1,3,5")
+    p.add_argument("--scales", type=_list_of(int), help="comma-separated window sizes")
     p.add_argument("--dyadic", action="store_true", help="power-of-two scales")
     p.add_argument("--detrend-order", type=int, default=1)
     p.add_argument("--q-zero-mode", choices=("exclude", "log-average"), default="exclude")
@@ -463,7 +466,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="coupling-matrix features from a manifest")
     p.add_argument("manifest")
-    p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--horizon", type=int, default=fracdyn.DEFAULT_HORIZON)
     p.add_argument("--ridge", type=float, default=1e-6)
     p.add_argument("--out", required=True)
@@ -488,7 +490,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("convergence", help="coupling-estimate convergence curve")
     p.add_argument("record")
     p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--alpha", help="comma-separated known orders; estimated if absent")
+    p.add_argument(
+        "--alpha", type=_list_of(float),
+        help="comma-separated known orders; estimated if absent",
+    )
     p.add_argument("--step-seconds", type=float, default=60.0)
     p.add_argument("--horizon", type=int, default=fracdyn.DEFAULT_HORIZON)
     p.add_argument("--ridge", type=float, default=1e-6)
@@ -498,10 +503,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("viral", help="inoculation-shift error sweep")
     p.add_argument("manifest")
-    p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--window", type=int, default=3000)
     p.add_argument("--stride", type=int, default=100)
-    p.add_argument("--shifts", default="-200,-100,0,100,200")
+    p.add_argument("--shifts", type=_list_of(int), default="-200,-100,0,100,200")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_viral)
 

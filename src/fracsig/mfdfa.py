@@ -5,9 +5,12 @@ moment-order scaling function S_F(q, s) -> log-log slopes H(q), focus
 extrapolation at the full signal length, cohort statistics, and the
 one-dimensional Wasserstein distance used to compare spectra.
 
-All detrending is one kernel, ``_window_f2``: windows are centred and
-projected onto a cached orthonormal polynomial basis Q, and the residual
-is formed as y - (yQ)Q^T, not as |y|^2 - |Q^T y|^2, which cancels.
+All detrending is one kernel, ``_window_f2``, which makes one pass over
+the scale grid of a batch of profiles in one reused workspace: windows
+are centred and projected onto a cached orthonormal polynomial basis Q,
+and the residual is formed as y - (yQ)Q^T, not as |y|^2 - |Q^T y|^2,
+which cancels.  :func:`fluctuation` is its one-scale case,
+:func:`scaling_function` and :func:`dfa_exponents` iterate it once.
 Every log-log slope is one OLS helper, ``_loglog_fit``.
 """
 
@@ -21,6 +24,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 __all__ = [
+    "ZeroFluctuationError",
     "MfdfaConfig",
     "ScalingFunction",
     "HurstSpectrum",
@@ -44,6 +48,15 @@ __all__ = [
 
 DEFAULT_Q_GRID = (-5.0, -3.0, -1.0, 1.0, 3.0, 5.0)
 _EPS = np.finfo(float).eps
+
+
+class ZeroFluctuationError(ValueError):
+    """A row of a DFA batch has zero fluctuation in every window at a scale."""
+
+    def __init__(self, row: int, scale: int):
+        super().__init__(f"row {row}: zero fluctuation in every window at scale {scale}")
+        self.row = row
+        self.scale = scale
 
 
 def default_scale_grid(n: int, num: int = 20, s_min: int = 16) -> np.ndarray:
@@ -185,34 +198,59 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
     return q
 
 
-def _window_f2(profiles: np.ndarray, s: int, order: int, both_ends: bool) -> np.ndarray:
+def _window_f2(profiles: np.ndarray, scales, order: int, both_ends: bool):
     """Per-window mean squared residual F^2 after polynomial detrending.
 
-    ``profiles`` is (rows, n) and the result (rows, windows), over the
-    windows of :func:`fluctuation`.  Windows are centred first, so the
-    rounding error scales with their spread, not their offset.  A
-    residual at the rounding level of its window (a polynomial) is zero.
+    ``profiles`` is (rows, n); one (rows, windows) array is yielded per
+    scale of ``scales``, over the windows of :func:`fluctuation`.  Two
+    workspaces of the batch's size (twice that with ``both_ends``) are
+    allocated once per call and reused at every scale: one holds the
+    centred windows, the other their projection and then the residual.
+    Windows are centred first, so the rounding error scales with their
+    spread, not their offset.  A residual at the rounding level of its
+    window (a polynomial) is zero.
     """
     rows, n = profiles.shape
-    if s < order + 2:
-        raise ValueError(f"scale {s} too small for detrend order {order}")
-    if s > n:
-        raise ValueError(f"scale {s} exceeds series length {n}")
-    nw = n // s
-    segs = profiles[:, : nw * s].reshape(rows, nw, s)
-    if both_ends:
-        tail = profiles[:, n - nw * s :].reshape(rows, nw, s)
-        segs = np.concatenate([segs, tail], axis=1)
-    segs = segs.reshape(-1, s)
-    mean = segs.sum(axis=1) / s
-    segs = segs - mean[:, None]
-    q = _detrend_basis(s, order)
-    resid = segs - (segs @ q) @ q.T
-    f2 = np.einsum("ij,ij->i", resid, resid) / s
-    # rounding bounds the computed residual by ~(order + 1) s eps times the window's rms
-    level = np.einsum("ij,ij->i", segs, segs) / s + mean**2
-    f2[f2 <= ((order + 1) * s * _EPS) ** 2 * level] = 0.0
-    return f2.reshape(rows, -1)
+    size = rows * n * (2 if both_ends else 1)
+    centred, resid = np.empty(size), np.empty(size)
+    for s in scales:
+        s = int(s)
+        if s < order + 2:
+            raise ValueError(f"scale {s} too small for detrend order {order}")
+        if s > n:
+            raise ValueError(f"scale {s} exceeds series length {n}")
+        nw = n // s
+        # (rows, nw, s) views of the profiles: no copy of the windows is made
+        head = profiles[:, : nw * s].reshape(rows, nw, s)
+        if both_ends:
+            tail = profiles[:, n - nw * s :].reshape(rows, nw, s)
+            mean = np.concatenate([head.sum(axis=2), tail.sum(axis=2)], axis=1) / s
+            segs = centred[: mean.size * s].reshape(rows, 2 * nw, s)
+            np.subtract(head, mean[:, :nw, None], out=segs[:, :nw])
+            np.subtract(tail, mean[:, nw:, None], out=segs[:, nw:])
+        else:
+            mean = head.sum(axis=2) / s
+            segs = centred[: mean.size * s].reshape(rows, nw, s)
+            np.subtract(head, mean[..., None], out=segs)
+        segs = segs.reshape(-1, s)
+        mean = mean.reshape(-1)
+        q = _detrend_basis(s, order)
+        r = resid[: segs.size].reshape(-1, s)
+        np.matmul(segs @ q, q.T, out=r)
+        np.subtract(segs, r, out=r)
+        f2 = np.einsum("ij,ij->i", r, r) / s
+        # rounding bounds the computed residual by ~(order + 1) s eps times the window's rms
+        level = np.einsum("ij,ij->i", segs, segs) / s + mean**2
+        f2[f2 <= ((order + 1) * s * _EPS) ** 2 * level] = 0.0
+        yield f2.reshape(rows, -1)
+
+
+def _one_profile(y) -> np.ndarray:
+    """``y`` as a one-row batch; raises unless it is a single profile."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"expected one profile, got an array of shape {y.shape}")
+    return y[None, :]
 
 
 def fluctuation(y: np.ndarray, s: int, order: int = 1, *, both_ends: bool = False) -> np.ndarray:
@@ -221,10 +259,8 @@ def fluctuation(y: np.ndarray, s: int, order: int = 1, *, both_ends: bool = Fals
     Windows are the first floor(N/s) non-overlapping blocks; with
     ``both_ends`` the mirrored blocks from the end are appended.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"expected one profile, got an array of shape {y.shape}")
-    return np.sqrt(_window_f2(y[None, :], int(s), order, both_ends)[0])
+    (f2,) = _window_f2(_one_profile(y), (s,), order, both_ends)
+    return np.sqrt(f2[0])
 
 
 def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFunction:
@@ -236,13 +272,14 @@ def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFu
     and raises, as does a scale at which every window is zero.
     """
     cfg = cfg or MfdfaConfig()
-    y = np.asarray(y, dtype=float)
+    y = _one_profile(y)
     scales = cfg.resolve_scales(y.size)
     q_grid = cfg.resolve_q()
     values = np.empty((q_grid.size, scales.size))
     n_windows = np.empty(scales.size, dtype=int)
-    for si, s in enumerate(scales):
-        f = fluctuation(y, int(s), cfg.detrend_order, both_ends=cfg.both_ends)
+    f2s = _window_f2(y, scales, cfg.detrend_order, cfg.both_ends)
+    for si, (s, f2) in enumerate(zip(scales, f2s)):
+        f = np.sqrt(f2[0])
         n_windows[si] = f.size
         live = f > 0
         if not live.all() and np.any(q_grid <= 0):
@@ -285,19 +322,18 @@ def dfa_exponents(X, scales=None, order: int = 1):
     window at each scale, and the log2 RMS fluctuation is fitted against
     log2 scale.  Returns (slopes, fit_mse) arrays of length n_series.
     Matches the q=2 column of :func:`scaling_function` on the same grid.
-    A row with zero fluctuation in every window at some scale raises.
+    A row with zero fluctuation in every window at some scale raises
+    :class:`ZeroFluctuationError`, which names the row and the scale.
     """
     profiles = profile(np.atleast_2d(X))
     if scales is None:
         scales = default_scale_grid(profiles.shape[1])
     scales = np.asarray(scales, dtype=int)
     logf = np.empty((profiles.shape[0], scales.size))
-    for si, s in enumerate(scales):
-        f2 = _window_f2(profiles, int(s), order, False).mean(axis=1)
+    for si, f2 in enumerate(_window_f2(profiles, scales, order, False)):
+        f2 = f2.mean(axis=1)
         if not f2.all():
-            raise ValueError(
-                f"row {np.argmin(f2)}: zero fluctuation in every window at scale {s}"
-            )
+            raise ZeroFluctuationError(int(np.argmin(f2)), int(scales[si]))
         logf[:, si] = 0.5 * np.log2(f2)
     h, _, mse = _loglog_fit(scales, logf)
     return h, mse

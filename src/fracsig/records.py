@@ -103,7 +103,7 @@ class MultichannelRecord:
 
 def load_record(
     path,
-    rate_hz: float,
+    rate_hz: float = 1.0,
     *,
     subject_id: str = "",
     institution: str = "",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fracdyn
+from . import fracdyn, mfdfa
 from .records import MultichannelRecord
 
 __all__ = [
@@ -60,14 +60,27 @@ class SubjectCase(MultichannelRecord):
 MIN_WINDOWS_PER_SIDE = 5
 
 
-def _side_alphas(X: np.ndarray, spec: WindowSpec) -> np.ndarray:
-    """Per-window, per-channel orders (DFA re-centres every window)."""
-    starts = np.arange(spec.count(X.shape[1])) * spec.stride
+def _side_alphas(case: SubjectCase, lo: int, hi: int, side: str, spec: WindowSpec) -> np.ndarray:
+    """Per-window, per-channel orders of samples [lo, hi) (DFA re-centres every window).
+
+    A window that cannot be fitted raises naming the subject, the
+    channel, the side and the window's first sample in the record.
+    """
+    X = case.channels[:, lo:hi]
+    starts = np.arange(spec.count(hi - lo)) * spec.stride
     # one (n_windows * n_channels, window_len) batch keeps the DFA fits vectorized
     windows = np.concatenate(
         [X[:, s : s + spec.window_len] for s in starts], axis=0
     )
-    return fracdyn.estimate_alphas(windows)
+    try:
+        return fracdyn.estimate_alphas(windows)
+    except mfdfa.ZeroFluctuationError as exc:
+        window, channel = divmod(exc.row, case.n_channels)
+        raise ValueError(
+            f"subject {case.subject_id!r}: channel {case.labels[channel]!r}: "
+            f"{side} window starting at sample {lo + starts[window]} has zero "
+            f"fluctuation in every DFA window at scale {exc.scale}"
+        ) from None
 
 
 def window_alphas(case: SubjectCase, spec: WindowSpec | None = None, split_index: int | None = None):
@@ -79,15 +92,18 @@ def window_alphas(case: SubjectCase, spec: WindowSpec | None = None, split_index
     """
     spec = spec or WindowSpec()
     split = case.inoculation_index if split_index is None else int(split_index)
-    X = case.channels
+    n = case.n_samples
     n_pre = spec.count(split)
-    n_post = spec.count(X.shape[1] - split)
+    n_post = spec.count(n - split)
     if n_pre < MIN_WINDOWS_PER_SIDE or n_post < MIN_WINDOWS_PER_SIDE:
         raise ValueError(
             f"need >= {MIN_WINDOWS_PER_SIDE} windows per side, got "
             f"{n_pre} pre and {n_post} post at split {split}"
         )
-    return _side_alphas(X[:, :split], spec), _side_alphas(X[:, split:], spec)
+    return (
+        _side_alphas(case, 0, split, "pre", spec),
+        _side_alphas(case, split, n, "post", spec),
+    )
 
 
 def _kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -291,6 +291,70 @@ class TestViralCommand:
         assert code == cli.EXIT_DATA
         assert "infected" in capsys.readouterr().err
 
+    def test_unfittable_window_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        entries = []
+        for i in range(3):
+            X = rng.standard_normal((3, 4096))
+            if i == 0:
+                X[1, :2048] = 0.5  # ch01 constant over the pre side
+            records.write_record(records.MultichannelRecord(X), tmp_path / f"s{i}.csv")
+            entries.append(records.ManifestEntry(
+                f"s{i}.csv", f"s{i}",
+                extra={"inoculation_index": 2048, "infected": i % 2 == 0},
+            ))
+        records.write_manifest(entries, tmp_path / "manifest.json")
+        code = run(
+            "viral", str(tmp_path / "manifest.json"), "--window", "1024",
+            "--stride", "256", "--shifts", "0", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == cli.EXIT_DATA
+        assert (
+            "subject 's0': channel 'ch01': pre window starting at sample 0 has zero "
+            "fluctuation in every DFA window at scale 16"
+        ) in capsys.readouterr().err
+
+
+class TestFlagUsageErrors:
+    """A bad list item, an empty list or a dropped flag is a usage error."""
+
+    PATHS = ("m.json", "r.csv", "s.csv", "c.csv", "f.jsonl", "d")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["viral", "m.json", "--shifts", "1,x", "--out", "s.csv"], "--shifts"),
+            (["viral", "m.json", "--shifts", ",", "--out", "s.csv"], "--shifts"),
+            (["mfdfa", "r.csv", "--q", "1,y", "--out-dir", "d"], "--q"),
+            (["mfdfa", "r.csv", "--scales", "16,x", "--out-dir", "d"], "--scales"),
+            (["mfdfa", "r.csv", "--scales", " , ", "--out-dir", "d"], "--scales"),
+            (["convergence", "r.csv", "--alpha", "0.5,z", "--out", "c.csv"], "--alpha"),
+        ],
+        ids=["shifts-item", "shifts-empty", "q-item", "scales-item", "scales-empty",
+             "alpha-item"],
+    )
+    def test_usage_error(self, tmp_path, capsys, argv, flag):
+        argv = [str(tmp_path / a) if a in self.PATHS else a for a in argv]
+        assert run(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mfdfa", "r.csv", "--out-dir", "d"],
+            ["extract", "m.json", "--out", "f.jsonl"],
+            ["viral", "m.json", "--out", "s.csv"],
+        ],
+        ids=["mfdfa", "extract", "viral"],
+    )
+    def test_rate_only_on_convergence(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a in self.PATHS else a for a in argv]
+        assert run(*argv, "--rate", "2") == cli.EXIT_USAGE
+        assert "unrecognized arguments: --rate 2" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_feature_range_wider_than_float64_is_data_error(self, tmp_path, capsys):

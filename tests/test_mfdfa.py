@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,94 @@ class TestDfaFailFast:
         np.testing.assert_array_equal(
             mfdfa.profile(X), np.stack([mfdfa.profile(row) for row in X])
         )
+
+
+def per_scale_window_f2(profiles, s, order, both_ends):
+    """The per-scale allocating kernel the workspace loop replaced, kept as
+    its bit-identity reference: windows are copied, centred and projected
+    in fresh arrays at every scale."""
+    rows, n = profiles.shape
+    if s < order + 2:
+        raise ValueError(f"scale {s} too small for detrend order {order}")
+    if s > n:
+        raise ValueError(f"scale {s} exceeds series length {n}")
+    nw = n // s
+    segs = profiles[:, : nw * s].reshape(rows, nw, s)
+    if both_ends:
+        tail = profiles[:, n - nw * s :].reshape(rows, nw, s)
+        segs = np.concatenate([segs, tail], axis=1)
+    segs = segs.reshape(-1, s)
+    mean = segs.sum(axis=1) / s
+    segs = segs - mean[:, None]
+    q = mfdfa._detrend_basis(s, order)
+    resid = segs - (segs @ q) @ q.T
+    f2 = np.einsum("ij,ij->i", resid, resid) / s
+    level = np.einsum("ij,ij->i", segs, segs) / s + mean**2
+    f2[f2 <= ((order + 1) * s * np.finfo(float).eps) ** 2 * level] = 0.0
+    return f2.reshape(rows, -1)
+
+
+def per_scale_kernel(profiles, scales, order, both_ends):
+    for s in scales:
+        yield per_scale_window_f2(profiles, int(s), order, both_ends)
+
+
+def outcome(fn):
+    """("ok", *arrays) returned by ``fn()``, or ("raised", type, message)."""
+    try:
+        result = fn()
+    except ValueError as exc:
+        return "raised", type(exc).__name__, str(exc)
+    return ("ok", *result) if isinstance(result, tuple) else ("ok", result)
+
+
+class TestWorkspaceKernelBitIdentity:
+    """The reused-workspace kernel reproduces the per-scale reference bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        n=st.integers(64, 900),
+        order=st.integers(0, 3),
+        both_ends=st.booleans(),
+        log_amp=st.floats(-3.0, 6.0),
+        constant=st.sampled_from([None, "half", "row"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_per_scale_reference(
+        self, rows, n, order, both_ends, log_amp, constant, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = 10.0**log_amp * (rng.standard_normal((rows, n)) + rng.uniform(-20, 20))
+        bad = int(rng.integers(rows))
+        if constant == "half":
+            X[bad, : n // 2] = 0.1
+        elif constant == "row":
+            X[bad] = 3.0
+        scales = np.unique(rng.integers(order + 2, n // 4 + 1, size=6))
+        y = mfdfa.profile(X[bad])
+        grid = tuple(map(int, scales))
+        configs = [
+            mfdfa.MfdfaConfig(q, grid, order, both_ends=both_ends)
+            for q in [(-3.0, 1.0, 2.0, 5.0), (1.0, 2.0)]
+        ]
+
+        def results():
+            return [
+                outcome(lambda: mfdfa.fluctuation(y, grid[0], order, both_ends=both_ends)),
+                *(outcome(lambda: mfdfa.scaling_function(y, cfg).values) for cfg in configs),
+                outcome(lambda: mfdfa.dfa_exponents(X, scales, order)),
+            ]
+
+        new = results()
+        with mock.patch.object(mfdfa, "_window_f2", per_scale_kernel):
+            old = results()
+        for a, b in zip(new, old):
+            assert a[0] == b[0] and len(a) == len(b)
+            if a[0] == "raised":
+                assert a == b
+            else:
+                assert all(np.array_equal(u, v) for u, v in zip(a[1:], b[1:]))
 
 
 class TestScaleGrids:

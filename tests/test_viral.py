@@ -44,6 +44,22 @@ class TestWindowAlphas:
         with pytest.raises(ValueError, match="windows per side"):
             viral.window_alphas(case, spec, split_index=500)
 
+    @pytest.mark.parametrize(
+        "channel, lo, side, start",
+        [(1, 0, "pre", 0), (2, 2560, "post", 2560)],
+    )
+    def test_unfittable_window_names_the_case(self, channel, lo, side, start):
+        # ch01 constant over the pre side, or ch02 constant from sample 2560
+        X = np.random.default_rng(4).standard_normal((3, 4096))
+        X[channel, lo : lo + 1536] = 0.5
+        case = viral.SubjectCase(X, subject_id="S07", inoculation_index=2048, infected=True)
+        message = (
+            f"subject 'S07': channel 'ch0{channel}': {side} window starting at "
+            f"sample {start} has zero fluctuation in every DFA window at scale 16"
+        )
+        with pytest.raises(ValueError, match=message):
+            viral.window_alphas(case, viral.WindowSpec(1024, 256))
+
     def test_infected_subject_separates(self):
         case = synth.synth_viral_cohort(1, 1, seed=1, side_samples=4200, alpha_shift=0.4)[0]
         pre, post = viral.window_alphas(case, viral.WindowSpec(3000, 200))
