@@ -305,6 +305,8 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
     rng = np.random.default_rng(cfg.seed + 1)
     flat = params.flat
     cache = np.zeros_like(flat)
+    work = np.empty_like(flat)  # the update's only temporary, reused every step
+    decay = cfg.rmsprop_decay
     history = {"loss": [], "accuracy": []}
     n = X.shape[0]
     for epoch in range(cfg.epochs):
@@ -317,9 +319,15 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
                 raise fracdyn.NumericalError(f"NaN loss at epoch {epoch}")
             losses.append(loss)
             g = grad.flat
-            cache *= cfg.rmsprop_decay
-            cache += (1 - cfg.rmsprop_decay) * g**2
-            flat -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.rmsprop_epsilon)
+            cache *= decay
+            np.multiply(g, g, out=work)
+            work *= 1 - decay
+            cache += work
+            np.sqrt(cache, out=work)
+            work += cfg.rmsprop_epsilon
+            g *= cfg.learning_rate
+            g /= work
+            flat -= g
         preds = mlp_predict(params, X).argmax(axis=1)
         history["loss"].append(float(np.mean(losses)))
         history["accuracy"].append(float(np.mean(preds == y)))

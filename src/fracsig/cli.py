@@ -455,7 +455,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mfdfa", help="scaling function and Hurst spectrum")
     p.add_argument("record")
-    p.add_argument("--q", type=_list_of(float), default="-5,-3,-1,1,3,5")
+    p.add_argument(
+        "--q", type=_list_of(float), default="-5,-3,-1,1,3,5",
+        help="comma-separated moment orders; a list starting with a negative "
+        "item is written --q=-5,-3,3",
+    )
     p.add_argument("--scales", type=_list_of(int), help="comma-separated window sizes")
     p.add_argument("--dyadic", action="store_true", help="power-of-two scales")
     p.add_argument("--detrend-order", type=int, default=1)
@@ -505,7 +509,11 @@ def _build_parser() -> _Parser:
     p.add_argument("manifest")
     p.add_argument("--window", type=int, default=3000)
     p.add_argument("--stride", type=int, default=100)
-    p.add_argument("--shifts", type=_list_of(int), default="-200,-100,0,100,200")
+    p.add_argument(
+        "--shifts", type=_list_of(int), default="-200,-100,0,100,200",
+        help="comma-separated inoculation shifts in samples; a list starting "
+        "with a negative item is written --shifts=-200,0",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_viral)
 
@@ -541,7 +549,7 @@ def _apply_config(argv: list[str]) -> list[str]:
             if value.lower() == "true":
                 extra.append(flag)
         else:
-            extra.extend([flag, value])
+            extra.append(f"{flag}={value}")  # one token, so "-200,0" is not read as a flag
     # insert right after the subcommand tokens so explicit flags still win
     cut = None
     i = 0

@@ -20,8 +20,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri, stdtrit
 
 __all__ = [
     "ZeroFluctuationError",
@@ -372,9 +371,9 @@ def cohort_spectrum(spectra, *, mode: str = "student-t") -> CohortSpectrum:
     mean = h.mean(axis=0)
     sem = h.std(axis=0, ddof=1) / np.sqrt(n)
     if mode == "student-t":
-        crit = stats.t.ppf(0.975, n - 1)
+        crit = stdtrit(n - 1, 0.975)
     elif mode == "normal":
-        crit = stats.norm.ppf(0.975)
+        crit = ndtri(0.975)
     else:
         raise ValueError(f"unknown CI mode: {mode!r}")
     return CohortSpectrum(q0, mean, mean - crit * sem, mean + crit * sem, n)

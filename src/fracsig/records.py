@@ -166,14 +166,20 @@ def load_record(
     )
 
 
+_ROWS_PER_WRITE = 1024
+
+
 def write_record(record: MultichannelRecord, path) -> None:
     """Write a record as CSV (inverse of :func:`load_record`)."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(record.labels)
-        for row in record.channels.T:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(record.labels)
+        # The rows csv.writer would give: float reprs never need quoting.
+        # Blocks of rows keep the Python floats of a long record out of memory.
+        rows = record.channels.T
+        for start in range(0, rows.shape[0], _ROWS_PER_WRITE):
+            block = rows[start : start + _ROWS_PER_WRITE].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 @dataclass(frozen=True)

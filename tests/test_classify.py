@@ -184,6 +184,35 @@ class TestTraining:
         b, _ = classify.mlp_train(X, y, cfg, n_classes=3)
         np.testing.assert_array_equal(a.weights[0], b.weights[0])
 
+    @pytest.mark.parametrize("batch_size", [64, 16])
+    def test_mlp_matches_allocating_rmsprop(self, batch_size):
+        # reference: the same loop with the rmsprop step written out allocating
+        X, y = self._blobs(n=90)
+        cfg = classify.TrainConfig(epochs=4, batch_size=batch_size, seed=2)
+        params, history = classify.mlp_train(X, y, cfg, hidden=(20, 10), n_classes=3)
+
+        ref = classify.init_mlp(X.shape[1], (20, 10), 3, cfg.seed)
+        rng = np.random.default_rng(cfg.seed + 1)
+        flat = ref.flat
+        cache = np.zeros_like(flat)
+        losses_by_epoch, accuracy = [], []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(y))
+            losses = []
+            for start in range(0, len(y), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grad = classify.mlp_gradients(ref, X[idx], y[idx], cfg.dropout_rate, rng)
+                losses.append(loss)
+                g = grad.flat
+                cache *= cfg.rmsprop_decay
+                cache += (1 - cfg.rmsprop_decay) * g**2
+                flat -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.rmsprop_epsilon)
+            losses_by_epoch.append(float(np.mean(losses)))
+            preds = classify.mlp_predict(ref, X).argmax(axis=1)
+            accuracy.append(float(np.mean(preds == y)))
+        assert np.array_equal(params.flat, flat)
+        assert history == {"loss": losses_by_epoch, "accuracy": accuracy}
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
             classify.mlp_train(np.zeros((4, 2)), np.zeros(4, int))

@@ -392,6 +392,37 @@ class TestConfigFile:
         ) == 0
         assert c.read_bytes() != a.read_bytes()
 
+    def test_negative_list_values(self, tmp_path, capsys):
+        # each config value reaches argparse as one --flag=value token
+        rec = tmp_path / "fgn.csv"
+        assert run("synth", "fgn", "--hurst", "0.7", "--n", "2048", "--out", str(rec)) == 0
+        (tmp_path / "q.cfg").write_text("q = -5,-3,3\n")
+        assert run(
+            "--config", str(tmp_path / "q.cfg"), "mfdfa", str(rec),
+            "--out-dir", str(tmp_path / "cfg"),
+        ) == 0
+        assert run("mfdfa", str(rec), "--q=-5,-3,3", "--out-dir", str(tmp_path / "flag")) == 0
+        names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+        assert len(names) == 4  # three q files and the spectrum
+        for name in names:
+            cfg_file = tmp_path / "cfg" / name
+            assert cfg_file.read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+        cohort = tmp_path / "vir"
+        assert run(
+            "synth", "viral", "--subjects", "4", "--infected", "2",
+            "--side-samples", "3000", "--seed", "6", "--out-dir", str(cohort),
+        ) == 0
+        (tmp_path / "v.cfg").write_text("window = 1024\nstride = 256\nshifts = -200,0\n")
+        sweep = tmp_path / "sweep.csv"
+        assert run(
+            "--config", str(tmp_path / "v.cfg"), "viral", str(cohort / "manifest.json"),
+            "--out", str(sweep),
+        ) == 0
+        assert [r.split(",")[0] for r in sweep.read_text().splitlines()] == [
+            "shift", "-200", "0",
+        ]
+
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")

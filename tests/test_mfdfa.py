@@ -358,6 +358,23 @@ class TestCohortSpectrum:
         assert np.isclose(cohort.ci_low[0], mean - crit * sem)
         assert np.isclose(cohort.ci_high[0], mean + crit * sem)
 
+    @pytest.mark.parametrize("mode", ["student-t", "normal"])
+    def test_critical_values_match_scipy_stats(self, mode):
+        from scipy import stats
+
+        rng = np.random.default_rng(3)
+        q = np.array([-2.0, 2.0])
+        for n in range(2, 201):
+            h = rng.uniform(0.2, 1.2, size=(n, q.size))
+            zeros = np.zeros(q.size)
+            spectra = [mfdfa.HurstSpectrum(q, row, zeros, zeros) for row in h]
+            cohort = mfdfa.cohort_spectrum(spectra, mode=mode)
+            crit = stats.t.ppf(0.975, n - 1) if mode == "student-t" else stats.norm.ppf(0.975)
+            mean = h.mean(axis=0)
+            sem = h.std(axis=0, ddof=1) / np.sqrt(n)
+            assert np.array_equal(cohort.ci_low, mean - crit * sem), n
+            assert np.array_equal(cohort.ci_high, mean + crit * sem), n
+
     def test_mismatched_grids_rejected(self):
         class Spec:
             def __init__(self, q):

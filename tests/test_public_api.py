@@ -1,5 +1,9 @@
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,19 @@ def test_all_resolves_and_lists_every_public_definition(name):
     }
     unlisted = sorted(defined - set(module.__all__))
     assert not unlisted, f"{name} defines public {unlisted} outside __all__"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of a command's start-up time and memory
+    import fracsig
+
+    src = str(Path(fracsig.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    code = "import sys, fracsig.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

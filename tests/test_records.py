@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,21 @@ class TestCsvRoundTrip:
         write_record(rec, path)
         back = load_record(path, 1.0)
         np.testing.assert_array_equal(back.as_matrix(), rec.as_matrix())
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        values = [-0.0, 5e-324, 1e22, 0.1, -1.5e-7, 1.0, -1.7976931348623157e308, 123456.789]
+        # 2400 rows: more than one block of the writer
+        matrix = np.tile([values, values[::-1], np.roll(values, 3)], (1, 300))
+        rec = MultichannelRecord(matrix, ("a", "b c", "d"))
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rec.labels)
+            for row in matrix.T:
+                writer.writerow([repr(float(v)) for v in row])
+        path = tmp_path / "rec.csv"
+        write_record(rec, path)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
