@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fracdyn
+from .records import N_STAGES
 
 __all__ = [
     "LabeledCase",
@@ -36,9 +37,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-N_STAGES = 5
-
 
 @dataclass(frozen=True)
 class LabeledCase:
@@ -368,34 +366,19 @@ def kfold(cases, k: int = 5, seed: int = 0, *, by_subject: bool = False):
     ``by_subject`` keeps every subject_id entirely inside one fold.
     """
     cases = list(cases)
-    n = len(cases)
-    if n < k:
-        raise ValueError(f"need at least {k} cases, got {n}")
-    rng = np.random.default_rng(seed)
-    if by_subject:
-        subjects = sorted({c.subject_id for c in cases})
-        if len(subjects) < k:
-            raise ValueError(
-                f"{len(subjects)} subjects cannot fill {k} folds; "
-                f"need at least {k}"
-            )
-        order = rng.permutation(len(subjects))
-        fold_of_subject = {
-            subjects[si]: fi % k for fi, si in enumerate(order)
-        }
-        folds = [
-            np.array([i for i, c in enumerate(cases) if fold_of_subject[c.subject_id] == f], dtype=int)
-            for f in range(k)
-        ]
-    else:
-        order = rng.permutation(n)
-        folds = [order[f::k] for f in range(k)]
-    splits = []
-    for f in range(k):
-        test = np.sort(folds[f])
-        train = np.sort(np.concatenate([folds[g] for g in range(k) if g != f]))
-        splits.append((train, test))
-    return splits
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got k={k}")
+    if len(cases) < k:
+        raise ValueError(f"need at least {k} cases, got {len(cases)}")
+    groups = [c.subject_id for c in cases] if by_subject else range(len(cases))
+    names, group_of = np.unique(groups, return_inverse=True)
+    if names.size < k:
+        raise ValueError(f"{names.size} subjects cannot fill {k} folds; need at least {k}")
+    order = np.random.default_rng(seed).permutation(names.size)
+    fold_of_group = np.empty(names.size, dtype=int)
+    fold_of_group[order] = np.arange(names.size) % k  # permutation position i -> fold i % k
+    fold = fold_of_group[group_of]
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
 def holdout(cases, institution: str, seed: int = 0):
@@ -412,6 +395,8 @@ def holdout(cases, institution: str, seed: int = 0):
         )
     test = [c for c in cases if c.institution == institution]
     train = [c for c in cases if c.institution != institution]
+    if not train:
+        raise ValueError(f"holding out institution {institution!r} leaves no training cases")
     rng = np.random.default_rng(seed)
     by_stage: dict[int, list] = {}
     for c in train:

@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _float_cell(v: float) -> str:
-    return repr(float(v))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -106,37 +103,37 @@ def _cmd_synth_system(args) -> int:
     return EXIT_OK
 
 
+def _write_record_set(out_dir, recs, extra=lambda r: {}) -> None:
+    """Write ``<subject_id>.csv`` per record and a manifest with ``extra(record)`` added."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for rec in recs:
+        name = f"{rec.subject_id}.csv"
+        records.write_record(rec, out_dir / name)
+        entries.append(
+            records.ManifestEntry(
+                name, rec.subject_id, rec.institution, rec.stage_label, extra(rec)
+            )
+        )
+    records.write_manifest(entries, out_dir / "manifest.json")
+
+
 def _cmd_synth_cohort(args) -> int:
     if args.per_class < 1:
         raise ValueError(f"--per-class must be at least 1, got {args.per_class}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cohort = synth.synth_stage_cohort(
         n_records=classify.N_STAGES * args.per_class,
         n_channels=args.channels,
         seed=args.seed,
         n_samples=args.samples,
     )
-    entries = []
-    for i, record in enumerate(cohort):
-        name = f"rec{i:03d}.csv"
-        records.write_record(record, out_dir / name)
-        entries.append(
-            records.ManifestEntry(
-                path=name,
-                subject_id=record.subject_id,
-                institution=record.institution,
-                stage=record.stage_label,
-            )
-        )
-    records.write_manifest(entries, out_dir / "manifest.json")
-    print(f"wrote {len(entries)} records to {out_dir}")
+    _write_record_set(args.out_dir, cohort)
+    print(f"wrote {len(cohort)} records to {Path(args.out_dir)}")
     return EXIT_OK
 
 
 def _cmd_synth_viral(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cases = synth.synth_viral_cohort(
         args.subjects,
         args.infected,
@@ -144,22 +141,12 @@ def _cmd_synth_viral(args) -> int:
         side_samples=args.side_samples,
         alpha_shift=args.alpha_shift,
     )
-    entries = []
-    for case in cases:
-        name = f"{case.subject_id}.csv"
-        records.write_record(case, out_dir / name)
-        entries.append(
-            records.ManifestEntry(
-                path=name,
-                subject_id=case.subject_id,
-                extra={
-                    "inoculation_index": case.inoculation_index,
-                    "infected": case.infected,
-                },
-            )
-        )
-    records.write_manifest(entries, out_dir / "manifest.json")
-    print(f"wrote {len(entries)} subjects to {out_dir}")
+    _write_record_set(
+        args.out_dir,
+        cases,
+        lambda c: {"inoculation_index": c.inoculation_index, "infected": c.infected},
+    )
+    print(f"wrote {len(cases)} subjects to {Path(args.out_dir)}")
     return EXIT_OK
 
 
@@ -189,18 +176,10 @@ def _cmd_mfdfa(args) -> int:
         payload["std_across_s"] = [float(v) for v in diag.std_across_s]
         _write_json(out_dir / f"spectrum_{label}.json", payload)
         logs = np.log2(sf.scale_grid.astype(float))
-        for qi, q in enumerate(sf.q_grid):
-            rows = [
-                (_float_cell(ls), _float_cell(lv))
-                for ls, lv in zip(logs, np.log2(sf.values[qi]))
-            ]
-            _write_csv(
-                out_dir / f"sf_{label}_q{q:g}.csv",
-                ("log2_s", "log2_sf"),
-                rows,
-            )
-        focus = mfdfa.focus_point(sf, spectrum)
-        print(f"{label}: focus spread {focus.spread:.4f}")
+        for q, values in zip(sf.q_grid, sf.values):
+            name = f"sf_{label}_q{q:g}.csv"
+            _write_csv(out_dir / name, ("log2_s", "log2_sf"), zip(logs, np.log2(values)))
+        print(f"{label}: focus spread {payload['focus_spread']:.4f}")
     return EXIT_OK
 
 
@@ -261,21 +240,19 @@ def _load_features(path) -> list[classify.LabeledCase]:
                     subject_id=str(item.get("subject_id", "")),
                 )
             )
+            if len(cases) == 1:
+                first_line = lineno
+            elif cases[-1].features.size != cases[0].features.size:
+                raise records.RecordFormatError(
+                    f"{path}: line {lineno}: {cases[-1].features.size} features, "
+                    f"but line {first_line} has {cases[0].features.size}"
+                )
     if not cases:
         raise records.RecordFormatError(f"{path}: no feature lines")
     return cases
 
 
 # ---------------------------------------------------------------- train
-
-
-def _history_rows(history):
-    loss = history["loss"]
-    acc = history.get("accuracy", [float("nan")] * len(loss))
-    return [
-        (str(e), _float_cell(l), _float_cell(a))
-        for e, (l, a) in enumerate(zip(loss, acc))
-    ]
 
 
 def _train_splits(args, cases):
@@ -315,14 +292,13 @@ def _cmd_train(args) -> int:
             params, losses = classify.logistic_train(
                 Xtr, ytr, epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
             )
-            history = {"loss": losses}
+            history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
         probs = classify.mlp_predict(params, Xte)
         metrics = classify.evaluate([c.stage for c in test], probs)
         accuracies.append(metrics.accuracy)
         _write_json(out_dir / metrics_name, metrics.to_dict())
-        _write_csv(
-            out_dir / curve_name, ("epoch", "loss", "accuracy"), _history_rows(history)
-        )
+        rows = zip(count(), history["loss"], history["accuracy"])
+        _write_csv(out_dir / curve_name, ("epoch", "loss", "accuracy"), rows)
         print(f"{label}: accuracy {metrics.accuracy:.4f}")
     summary = {
         "mode": args.mode,
@@ -355,11 +331,7 @@ def _cmd_convergence(args) -> int:
     times, dists = fracdyn.coupling_convergence(
         record, alpha, args.step_seconds, horizon=args.horizon, ridge=args.ridge
     )
-    _write_csv(
-        args.out,
-        ("time_s", "wasserstein"),
-        [(_float_cell(t), _float_cell(d)) for t, d in zip(times, dists)],
-    )
+    _write_csv(args.out, ("time_s", "wasserstein"), zip(times, dists))
     below = bool(dists[-1] < args.threshold)
     print(
         f"final distance {dists[-1]:.6f} at {times[-1]:g} s; "
@@ -391,11 +363,7 @@ def _cmd_viral(args) -> int:
         )
     spec = viral.WindowSpec(args.window, args.stride)
     rows = viral.shift_sweep(cases, args.shifts, spec)
-    _write_csv(
-        args.out,
-        ("shift", "type_one", "type_two"),
-        [(str(s), str(t1), str(t2)) for s, t1, t2 in rows],
-    )
+    _write_csv(args.out, ("shift", "type_one", "type_two"), rows)
     for s, t1, t2 in rows:
         print(f"shift {s}: type I {t1}, type II {t2}")
     return EXIT_OK
@@ -581,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     except fracdyn.NumericalError as exc:
         print(f"fracsig: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (records.RecordFormatError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"fracsig: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

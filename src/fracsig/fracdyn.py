@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON = 50
+# fewest samples an order estimate accepts: enough DFA scales for a log-log fit
+MIN_DFA_SAMPLES = 1 << 10
 
 
 class NumericalError(RuntimeError):
@@ -202,16 +204,16 @@ class AlphaEstimate:
 _ALPHA_MSE_THRESHOLD = 0.05
 
 
-def _dfa_alphas(X, detrend_order: int):
+def _dfa_alphas(X):
     """Orders and log-log fit MSEs of the rows of ``X``: one DFA call."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] < 1 << 10:
-        raise ValueError(f"need at least {1 << 10} samples, got {X.shape[1]}")
-    h, mse = dfa_exponents(X, order=detrend_order)
+    if X.shape[1] < MIN_DFA_SAMPLES:
+        raise ValueError(f"need at least {MIN_DFA_SAMPLES} samples, got {X.shape[1]}")
+    h, mse = dfa_exponents(X)
     return h - 0.5, mse
 
 
-def estimate_alpha(x, *, detrend_order: int = 1) -> AlphaEstimate:
+def estimate_alpha(x) -> AlphaEstimate:
     """Per-channel order via the DFA route: alpha = H_DFA - 0.5.
 
     Valid for alpha in (-0.5, 1.5) by construction of the DFA exponent.
@@ -221,15 +223,15 @@ def estimate_alpha(x, *, detrend_order: int = 1) -> AlphaEstimate:
     x = np.asarray(getattr(x, "samples", x), dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected one series, got an array of shape {x.shape}")
-    alpha, mse = _dfa_alphas(x[None, :], detrend_order)
+    alpha, mse = _dfa_alphas(x[None, :])
     return AlphaEstimate(
         float(alpha[0]), float(mse[0]), float(mse[0]) > _ALPHA_MSE_THRESHOLD
     )
 
 
-def estimate_alphas(X, *, detrend_order: int = 1) -> np.ndarray:
+def estimate_alphas(X) -> np.ndarray:
     """Vectorized :func:`estimate_alpha` over the rows of a matrix."""
-    return _dfa_alphas(X, detrend_order)[0]
+    return _dfa_alphas(X)[0]
 
 
 def _min_fit_length(n: int, horizon: int) -> int:

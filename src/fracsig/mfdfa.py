@@ -58,23 +58,25 @@ class ZeroFluctuationError(ValueError):
         self.scale = scale
 
 
-def default_scale_grid(n: int, num: int = 20, s_min: int = 16) -> np.ndarray:
-    """~``num`` log-spaced integer scales in [s_min, n // 4], deduplicated."""
-    s_max = n // 4
-    if s_max < s_min:
-        raise ValueError(f"series too short for scale grid: n={n}")
-    grid = np.unique(
-        np.round(np.exp(np.linspace(np.log(s_min), np.log(s_max), num))).astype(int)
-    )
-    return grid
+_MIN_SCALE = 16
+_SCALE_GRID_POINTS = 20
 
 
-def dyadic_scale_grid(n: int, s_min: int = 16) -> np.ndarray:
-    """Powers of two in [s_min, n // 4]; exact for dyadic constructions."""
+def default_scale_grid(n: int) -> np.ndarray:
+    """~20 log-spaced integer scales in [16, n // 4], deduplicated."""
     s_max = n // 4
-    if s_max < s_min:
+    if s_max < _MIN_SCALE:
         raise ValueError(f"series too short for scale grid: n={n}")
-    exps = np.arange(int(np.log2(s_min)), int(np.floor(np.log2(s_max))) + 1)
+    logs = np.linspace(np.log(_MIN_SCALE), np.log(s_max), _SCALE_GRID_POINTS)
+    return np.unique(np.round(np.exp(logs)).astype(int))
+
+
+def dyadic_scale_grid(n: int) -> np.ndarray:
+    """Powers of two in [16, n // 4]; exact for dyadic constructions."""
+    s_max = n // 4
+    if s_max < _MIN_SCALE:
+        raise ValueError(f"series too short for scale grid: n={n}")
+    exps = np.arange(int(np.log2(_MIN_SCALE)), int(np.floor(np.log2(s_max))) + 1)
     return (2 ** exps).astype(int)
 
 

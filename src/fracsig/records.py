@@ -24,7 +24,10 @@ __all__ = [
     "load_manifest",
     "write_manifest",
     "RecordFormatError",
+    "N_STAGES",
 ]
+
+N_STAGES = 5  # disease stages are labelled 0..N_STAGES - 1
 
 
 class RecordFormatError(ValueError):
@@ -82,8 +85,8 @@ class MultichannelRecord:
             raise ValueError("channel values must be finite")
         if not (self.rate_hz > 0):
             raise ValueError("rate_hz must be positive")
-        if self.stage_label is not None and self.stage_label not in range(5):
-            raise ValueError("stage_label must be in 0..4")
+        if self.stage_label is not None and self.stage_label not in range(N_STAGES):
+            raise ValueError(f"stage_label must be in 0..{N_STAGES - 1}")
         matrix.flags.writeable = False
         object.__setattr__(self, "channels", matrix)
         object.__setattr__(self, "labels", labels)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fracdyn
-from .records import MultichannelRecord, TimeSeries
+from .records import N_STAGES, MultichannelRecord, TimeSeries
 
 __all__ = [
     "synth_fgn",
@@ -286,12 +286,12 @@ def synth_stage_cohort(
         _draw_stable(
             rng, n, _COHORT_SPECTRAL_RADIUS, _COHORT_DIAG_SHIFT, (0.2, 0.6), 0.98, (1, -1)
         )
-        for _ in range(5)
+        for _ in range(N_STAGES)
     ]
     shift = _COHORT_DIAG_SHIFT * np.eye(n)
     records = []
     for r in range(n_records):
-        stage = r % 5
+        stage = r % N_STAGES
         base, alpha = draws[stage]
         site = _COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)]
         labels = dict(subject_id=f"rec{r:03d}", institution=site, stage_label=stage)
@@ -327,6 +327,10 @@ def synth_viral_cohort(
     """
     from .viral import SubjectCase
 
+    if n_subjects < 1:
+        raise ValueError(f"need at least one subject, got n_subjects={n_subjects}")
+    if not 0 <= n_infected <= n_subjects:
+        raise ValueError(f"n_infected={n_infected} must lie in 0..n_subjects={n_subjects}")
     rng = np.random.default_rng(seed)
     cases = []
     for s in range(n_subjects):

@@ -33,8 +33,10 @@ class WindowSpec:
     stride: int = 100
 
     def __post_init__(self):
-        if self.window_len < 1 << 8:
-            raise ValueError("window_len must be at least 256")
+        if self.window_len < fracdyn.MIN_DFA_SAMPLES:
+            raise ValueError(
+                f"window_len must be at least {fracdyn.MIN_DFA_SAMPLES}, got {self.window_len}"
+            )
         if not (0 < self.stride <= self.window_len):
             raise ValueError("stride must lie in (0, window_len]")
 
@@ -113,9 +115,10 @@ def _kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
 
 
 _DENSITY_FLOOR = 1e-12
+_KL_GRID_SIZE = 512
 
 
-def kl_feature(pre, post, bandwidth: float | None = None, grid_size: int = 512) -> float:
+def kl_feature(pre, post, bandwidth: float | None = None) -> float:
     """KL(pre || post) between Gaussian-kernel density estimates.
 
     Densities are evaluated on one shared grid spanning both sample sets
@@ -133,7 +136,7 @@ def kl_feature(pre, post, bandwidth: float | None = None, grid_size: int = 512) 
         bandwidth = 1.06 * pooled_std * min(pre.size, post.size) ** (-1 / 5)
     lo = min(pre.min(), post.min()) - 4 * bandwidth
     hi = max(pre.max(), post.max()) + 4 * bandwidth
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, _KL_GRID_SIZE)
     dx = grid[1] - grid[0]
     p = np.maximum(_kde(pre, grid, bandwidth), _DENSITY_FLOOR)
     q = np.maximum(_kde(post, grid, bandwidth), _DENSITY_FLOOR)

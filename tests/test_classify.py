@@ -303,6 +303,69 @@ class TestKfold:
         with pytest.raises(ValueError, match="at least"):
             classify.kfold(_toy_cases(3), 5)
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds(self, k):
+        with pytest.raises(ValueError, match=f"need at least 2 folds, got k={k}"):
+            classify.kfold(_toy_cases(10), k)
+
+    @staticmethod
+    def _reference_kfold(cases, k, seed, by_subject):
+        """Reference: separate per-case and per-subject fold builders."""
+        n = len(cases)
+        if n < k:
+            raise ValueError(f"need at least {k} cases, got {n}")
+        rng = np.random.default_rng(seed)
+        if by_subject:
+            subjects = sorted({c.subject_id for c in cases})
+            if len(subjects) < k:
+                raise ValueError(
+                    f"{len(subjects)} subjects cannot fill {k} folds; need at least {k}"
+                )
+            order = rng.permutation(len(subjects))
+            fold_of_subject = {subjects[si]: fi % k for fi, si in enumerate(order)}
+            folds = [
+                np.array(
+                    [i for i, c in enumerate(cases) if fold_of_subject[c.subject_id] == f],
+                    dtype=int,
+                )
+                for f in range(k)
+            ]
+        else:
+            order = rng.permutation(n)
+            folds = [order[f::k] for f in range(k)]
+        return [
+            (
+                np.sort(np.concatenate([folds[g] for g in range(k) if g != f])),
+                np.sort(folds[f]),
+            )
+            for f in range(k)
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        subjects=st.lists(st.integers(0, 11), min_size=1, max_size=40),
+        k=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        by_subject=st.booleans(),
+    )
+    def test_matches_reference_builders(self, subjects, k, seed, by_subject):
+        cases = [
+            classify.LabeledCase([float(i)], i % classify.N_STAGES, subject_id=f"s{s}")
+            for i, s in enumerate(subjects)
+        ]
+        try:
+            expected = self._reference_kfold(cases, k, seed, by_subject)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                classify.kfold(cases, k, seed, by_subject=by_subject)
+            assert str(got.value) == str(exc)
+            return
+        splits = classify.kfold(cases, k, seed, by_subject=by_subject)
+        assert len(splits) == len(expected)
+        for (train, test), (ref_train, ref_test) in zip(splits, expected):
+            assert np.array_equal(train, ref_train)
+            assert np.array_equal(test, ref_test)
+
 
 class TestHoldout:
     def test_test_set_is_pure_and_untouched(self):
@@ -317,6 +380,11 @@ class TestHoldout:
         train, _ = classify.holdout(cases, "inst-0")
         counts = np.bincount([c.stage for c in train], minlength=5)
         assert counts.min() == counts.max()
+
+    def test_no_training_cases_left(self):
+        cases = _toy_cases(10, n_institutions=1)
+        with pytest.raises(ValueError, match="'inst-0' leaves no training cases"):
+            classify.holdout(cases, "inst-0")
 
     def test_unknown_institution_lists_available(self):
         with pytest.raises(ValueError, match="inst-0"):

@@ -57,13 +57,18 @@ class TestExitCodes:
               "--out-dir", "c"], "--per-class"),
             (["cohort", "--per-class", "-1", "--channels", "2", "--samples", "100",
               "--out-dir", "c"], "--per-class"),
+            (["viral", "--subjects", "0", "--out-dir", "c"], "n_subjects=0"),
+            (["viral", "--subjects", "4", "--infected", "9", "--out-dir", "c"],
+             "n_infected=9"),
         ],
-        ids=["samples", "n", "channels", "per-class-zero", "per-class-negative"],
+        ids=["samples", "n", "channels", "per-class-zero", "per-class-negative",
+             "viral-subjects-zero", "viral-infected-above-subjects"],
     )
     def test_zero_size_is_data_error(self, tmp_path, capsys, argv, named):
         argv = [str(tmp_path / a) if a in ("c", "x.csv") else a for a in argv]
         assert run("synth", *argv) == cli.EXIT_DATA
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "c" / "manifest.json").exists()
 
 
 class TestSynthSystem:
@@ -314,6 +319,18 @@ class TestViralCommand:
             "fluctuation in every DFA window at scale 16"
         ) in capsys.readouterr().err
 
+    def test_window_below_dfa_minimum_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "vir"
+        assert run(
+            "synth", "viral", "--subjects", "3", "--infected", "1",
+            "--side-samples", "1200", "--out-dir", str(out),
+        ) == 0
+        sweep = tmp_path / "sweep.csv"
+        code = run("viral", str(out / "manifest.json"), "--window", "512", "--out", str(sweep))
+        assert code == cli.EXIT_DATA
+        assert "window_len must be at least 1024, got 512" in capsys.readouterr().err
+        assert not sweep.exists()
+
 
 class TestFlagUsageErrors:
     """A bad list item, an empty list or a dropped flag is a usage error."""
@@ -356,7 +373,38 @@ class TestFlagUsageErrors:
         assert "unrecognized arguments: --rate 2" in capsys.readouterr().err
 
 
+def _feature_lines(institutions=("site-a", "site-b"), widths=(3,) * 10):
+    return "".join(
+        json.dumps({
+            "features": [0.1 * i + j for j in range(w)], "stage": i % 5,
+            "institution": institutions[i % len(institutions)], "subject_id": f"s{i}",
+        }) + "\n"
+        for i, w in enumerate(widths)
+    )
+
+
 class TestTrainCommand:
+    @pytest.mark.parametrize(
+        "text, argv, named",
+        [
+            (_feature_lines(), ["--folds", "1"], "need at least 2 folds, got k=1"),
+            (_feature_lines(), ["--folds", "0"], "need at least 2 folds, got k=0"),
+            (_feature_lines(institutions=("site-a",)), ["--mode", "holdout"],
+             "holding out institution 'site-a' leaves no training cases"),
+            ("\n" + _feature_lines(widths=[3, 3, 2, 3]), [],
+             "line 4: 2 features, but line 2 has 3"),
+        ],
+        ids=["one-fold", "zero-folds", "one-institution", "ragged-features"],
+    )
+    def test_bad_training_input_fails_fast(self, tmp_path, capsys, text, argv, named):
+        feats = tmp_path / "features.jsonl"
+        feats.write_text(text)
+        out = tmp_path / "run"
+        code = run("train", str(feats), *argv, "--epochs", "2", "--out-dir", str(out))
+        assert code == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_feature_range_wider_than_float64_is_data_error(self, tmp_path, capsys):
         feats = tmp_path / "features.jsonl"
         # every 9-case training split holds both signs of column 0

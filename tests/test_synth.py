@@ -220,6 +220,14 @@ class TestViralCohort:
         assert all(c.channels.shape == (3, 3000) for c in cases)
         assert all(c.inoculation_index == 1500 for c in cases)
 
+    @pytest.mark.parametrize(
+        "n_subjects, n_infected, named",
+        [(0, 0, "n_subjects=0"), (4, 9, "n_infected=9"), (4, -1, "n_infected=-1")],
+    )
+    def test_counts_checked(self, n_subjects, n_infected, named):
+        with pytest.raises(ValueError, match=named):
+            synth.synth_viral_cohort(n_subjects, n_infected, seed=0, side_samples=300)
+
     def test_shift_moves_post_alpha(self):
         case = synth.synth_viral_cohort(1, 1, seed=2, side_samples=4096, alpha_shift=0.4)[0]
         pre = case.channels[0, :4096]

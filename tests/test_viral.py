@@ -21,6 +21,10 @@ class TestWindowSpec:
     def test_window_floor(self):
         with pytest.raises(ValueError, match="window_len"):
             viral.WindowSpec(100, 10)
+        # the DFA minimum: a shorter window would fail inside its first fit
+        with pytest.raises(ValueError, match="window_len must be at least 1024, got 1023"):
+            viral.WindowSpec(1023, 100)
+        assert viral.WindowSpec(1024, 100).window_len == 1024
 
 
 class TestSubjectCase:
