@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from itertools import count
@@ -43,17 +44,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_csv(path, header, rows) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_json(path, payload) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_files(out_dir, texts) -> None:
+    """Make ``out_dir`` and write each ``name: text`` of ``texts`` into it.
+
+    Commands call this once every output is built, so a command that
+    fails makes no directory and writes no file.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
 
 
 def _list_of(cast):
@@ -155,8 +167,6 @@ def _cmd_synth_viral(args) -> int:
 
 def _cmd_mfdfa(args) -> int:
     record = records.load_record(args.record)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scale_grid = args.scales
     if scale_grid is None and args.dyadic:
         scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
@@ -167,6 +177,7 @@ def _cmd_mfdfa(args) -> int:
         q_zero_mode=args.q_zero_mode,
         both_ends=args.both_ends,
     )
+    texts = {}
     for label, samples in zip(record.labels, record.channels):
         sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
         spectrum = mfdfa.hurst_spectrum(sf)
@@ -174,12 +185,14 @@ def _cmd_mfdfa(args) -> int:
         payload = mfdfa.spectrum_to_dict(sf, spectrum)
         payload["std_across_q"] = [float(v) for v in diag.std_across_q]
         payload["std_across_s"] = [float(v) for v in diag.std_across_s]
-        _write_json(out_dir / f"spectrum_{label}.json", payload)
+        texts[f"spectrum_{label}.json"] = _json_text(payload)
         logs = np.log2(sf.scale_grid.astype(float))
         for q, values in zip(sf.q_grid, sf.values):
-            name = f"sf_{label}_q{q:g}.csv"
-            _write_csv(out_dir / name, ("log2_s", "log2_sf"), zip(logs, np.log2(values)))
+            texts[f"sf_{label}_q{q:g}.csv"] = _csv_text(
+                ("log2_s", "log2_sf"), zip(logs, np.log2(values))
+            )
         print(f"{label}: focus spread {payload['focus_spread']:.4f}")
+    _write_files(args.out_dir, texts)
     return EXIT_OK
 
 
@@ -188,29 +201,23 @@ def _cmd_mfdfa(args) -> int:
 
 def _cmd_extract(args) -> int:
     entries = records.load_manifest(args.manifest)
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        for entry in entries:
-            record = records.load_record(
-                entry.path,
-                subject_id=entry.subject_id,
-                institution=entry.institution,
-                stage_label=entry.stage,
-            )
-            case = classify.extract_features(
-                record, horizon=args.horizon, ridge=args.ridge
-            )
-            fh.write(
-                json.dumps(
-                    {
-                        "subject_id": case.subject_id,
-                        "institution": case.institution,
-                        "stage": case.stage,
-                        "features": [float(v) for v in case.features],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    lines = []  # written only once every record has its features
+    for entry in entries:
+        record = records.load_record(
+            entry.path,
+            subject_id=entry.subject_id,
+            institution=entry.institution,
+            stage_label=entry.stage,
+        )
+        case = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
+        item = {
+            "subject_id": case.subject_id,
+            "institution": case.institution,
+            "stage": case.stage,
+            "features": [float(v) for v in case.features],
+        }
+        lines.append(json.dumps(item, sort_keys=True) + "\n")
+    Path(args.out).write_text("".join(lines), encoding="utf-8")
     print(f"wrote {len(entries)} feature lines to {args.out}")
     return EXIT_OK
 
@@ -270,8 +277,6 @@ def _train_splits(args, cases):
 
 def _cmd_train(args) -> int:
     cases = _load_features(args.features)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lr = args.learning_rate  # None keeps each model's own default step size
     cfg = classify.TrainConfig(
         epochs=args.epochs,
@@ -280,7 +285,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         **({} if lr is None else {"learning_rate": lr}),
     )
-    accuracies = []
+    accuracies, texts = [], {}
     for metrics_name, curve_name, label, train, test in _train_splits(args, cases):
         scaler = classify.MinMaxScaler()
         Xtr = scaler.fit_transform(np.stack([c.features for c in train]))
@@ -296,9 +301,9 @@ def _cmd_train(args) -> int:
         probs = classify.mlp_predict(params, Xte)
         metrics = classify.evaluate([c.stage for c in test], probs)
         accuracies.append(metrics.accuracy)
-        _write_json(out_dir / metrics_name, metrics.to_dict())
+        texts[metrics_name] = _json_text(metrics.to_dict())
         rows = zip(count(), history["loss"], history["accuracy"])
-        _write_csv(out_dir / curve_name, ("epoch", "loss", "accuracy"), rows)
+        texts[curve_name] = _csv_text(("epoch", "loss", "accuracy"), rows)
         print(f"{label}: accuracy {metrics.accuracy:.4f}")
     summary = {
         "mode": args.mode,
@@ -307,7 +312,8 @@ def _cmd_train(args) -> int:
         "accuracy_std": float(np.std(accuracies)),
         "n_evaluations": len(accuracies),
     }
-    _write_json(out_dir / "summary.json", summary)
+    texts["summary.json"] = _json_text(summary)
+    _write_files(args.out_dir, texts)
     print(
         f"{args.mode} {args.model}: accuracy "
         f"{summary['accuracy_mean']:.4f} +/- {summary['accuracy_std']:.4f}"
@@ -331,7 +337,9 @@ def _cmd_convergence(args) -> int:
     times, dists = fracdyn.coupling_convergence(
         record, alpha, args.step_seconds, horizon=args.horizon, ridge=args.ridge
     )
-    _write_csv(args.out, ("time_s", "wasserstein"), zip(times, dists))
+    Path(args.out).write_text(
+        _csv_text(("time_s", "wasserstein"), zip(times, dists)), encoding="utf-8", newline=""
+    )
     below = bool(dists[-1] < args.threshold)
     print(
         f"final distance {dists[-1]:.6f} at {times[-1]:g} s; "
@@ -363,7 +371,9 @@ def _cmd_viral(args) -> int:
         )
     spec = viral.WindowSpec(args.window, args.stride)
     rows = viral.shift_sweep(cases, args.shifts, spec)
-    _write_csv(args.out, ("shift", "type_one", "type_two"), rows)
+    Path(args.out).write_text(
+        _csv_text(("shift", "type_one", "type_two"), rows), encoding="utf-8", newline=""
+    )
     for s, t1, t2 in rows:
         print(f"shift {s}: type I {t1}, type II {t2}")
     return EXIT_OK

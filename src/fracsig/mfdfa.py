@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri, stdtrit
 
 __all__ = [
     "ZeroFluctuationError",
@@ -270,8 +269,12 @@ def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFu
     For q != 0: S_F(q, s) = { mean_v F(v, s)^q }^{1/q}; q = 0 uses the
     geometric mean when ``q_zero_mode`` is "log-average".  A zero
     fluctuation in any window makes the moments of order q <= 0 diverge
-    and raises, as does a scale at which every window is zero.
+    and raises, as does a scale at which every window is zero.  The first
+    call loads ``scipy.special`` for ``logsumexp``; of the commands, only
+    ``mfdfa`` needs it.
     """
+    from scipy.special import logsumexp
+
     cfg = cfg or MfdfaConfig()
     y = _one_profile(y)
     scales = cfg.resolve_scales(y.size)
@@ -360,7 +363,14 @@ def focus_point(sf: ScalingFunction, spectrum: HurstSpectrum | None = None) -> F
 
 
 def cohort_spectrum(spectra, *, mode: str = "student-t") -> CohortSpectrum:
-    """Mean H(q) with a two-sided 95% confidence interval across records."""
+    """Mean H(q) with a two-sided 95% confidence interval across records.
+
+    The critical value is the t (``mode="student-t"``, n - 1 degrees of
+    freedom) or normal quantile at 0.975 from ``scipy.special``; the first
+    call loads scipy, which no command needs.
+    """
+    from scipy.special import ndtri, stdtrit
+
     spectra = list(spectra)
     if len(spectra) < 2:
         raise ValueError("need at least 2 spectra")

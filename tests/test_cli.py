@@ -68,7 +68,7 @@ class TestExitCodes:
         argv = [str(tmp_path / a) if a in ("c", "x.csv") else a for a in argv]
         assert run("synth", *argv) == cli.EXIT_DATA
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "c" / "manifest.json").exists()
+        assert not any(tmp_path.iterdir())
 
 
 class TestSynthSystem:
@@ -120,6 +120,14 @@ class TestMfdfaCommand:
         header = next(iter(out.glob("sf_*_q*.csv"))).read_text().splitlines()[0]
         assert header == "log2_s,log2_sf"
 
+    def test_invalid_flag_makes_no_directory(self, tmp_path, capsys):
+        rec = tmp_path / "casc.csv"
+        run("synth", "cascade", "--p", "0.75", "--depth", "10", "--out", str(rec))
+        out = tmp_path / "mf"
+        assert run("mfdfa", str(rec), "--q=0", "--out-dir", str(out)) == cli.EXIT_DATA
+        assert "q_grid contains only 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def cohort_dir(tmp_path_factory):
@@ -162,18 +170,20 @@ class TestPipelineCommands:
 
     def test_extract_constant_channel_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        channels = np.stack([rng.standard_normal(1200), np.zeros(1200)])
-        records.write_record(
-            records.MultichannelRecord(channels, ("c0", "c1")), tmp_path / "r.csv"
-        )
-        entry = records.ManifestEntry("r.csv", "subj-9", "site-a", stage=1)
-        records.write_manifest([entry], tmp_path / "manifest.json")
-        code = run(
-            "extract", str(tmp_path / "manifest.json"),
-            "--out", str(tmp_path / "features.jsonl"),
-        )
+        good = rng.standard_normal((2, 1200))
+        constant = np.stack([rng.standard_normal(1200), np.zeros(1200)])
+        entries = []
+        for name, channels in [("good", good), ("subj-9", constant)]:
+            records.write_record(
+                records.MultichannelRecord(channels, ("c0", "c1")), tmp_path / f"{name}.csv"
+            )
+            entries.append(records.ManifestEntry(f"{name}.csv", name, "site-a", stage=1))
+        records.write_manifest(entries, tmp_path / "manifest.json")
+        out = tmp_path / "features.jsonl"
+        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out))
         assert code == cli.EXIT_DATA
         assert "subject 'subj-9': channel 'c1' is constant" in capsys.readouterr().err
+        assert not out.exists()  # no partial feature file for train to read
 
     def test_convergence(self, tmp_path, capsys):
         rec = tmp_path / "sys.csv"
@@ -318,6 +328,7 @@ class TestViralCommand:
             "subject 's0': channel 'ch01': pre window starting at sample 0 has zero "
             "fluctuation in every DFA window at scale 16"
         ) in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_window_below_dfa_minimum_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "vir"
@@ -403,7 +414,7 @@ class TestTrainCommand:
         code = run("train", str(feats), *argv, "--epochs", "2", "--out-dir", str(out))
         assert code == cli.EXIT_DATA
         assert named in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_feature_range_wider_than_float64_is_data_error(self, tmp_path, capsys):
         feats = tmp_path / "features.jsonl"
@@ -419,6 +430,7 @@ class TestTrainCommand:
         )
         assert code == cli.EXIT_DATA
         assert "feature column 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigFile:
