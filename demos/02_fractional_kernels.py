@@ -13,9 +13,9 @@ from fracsig import fracdyn
 
 
 def main():
-    for alpha in (0.1, 0.3, 0.5, 0.9):
-        kernel = fracdyn.gl_coefficients(alpha, horizon=10_000)
-        partial = np.abs(kernel.coeffs.sum())
+    alphas = (0.1, 0.3, 0.5, 0.9)
+    psi = fracdyn.gl_coefficients(alphas, horizon=10_000)  # one row per order
+    for alpha, partial in zip(alphas, np.abs(psi.sum(axis=1))):
         print(f"alpha={alpha:.1f}  |sum of first 1e4 coeffs| = {partial:.4f}")
     print("the slow tail is the reason simulation uses a short horizon\n")
 

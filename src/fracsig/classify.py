@@ -60,7 +60,7 @@ def extract_features(
     record,
     *,
     horizon: int = fracdyn.DEFAULT_HORIZON,
-    ridge: float = 1e-6,
+    ridge: float = fracdyn.DEFAULT_RIDGE,
     alpha=None,
 ) -> LabeledCase:
     """Estimate per-channel orders, fit the coupling matrix, flatten it.

@@ -168,7 +168,7 @@ def _cmd_synth_viral(args) -> int:
 def _cmd_mfdfa(args) -> int:
     record = records.load_record(args.record)
     scale_grid = args.scales
-    if scale_grid is None and args.dyadic:
+    if args.dyadic:
         scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
     cfg = mfdfa.MfdfaConfig(
         q_grid=args.q,
@@ -234,19 +234,23 @@ def _load_features(path) -> list[classify.LabeledCase]:
                 raise records.RecordFormatError(
                     f"{path}: line {lineno}: invalid JSON: {exc}"
                 ) from None
+            if not isinstance(item, dict):
+                raise records.RecordFormatError(f"{path}: line {lineno}: not a JSON object")
             for key in ("features", "stage"):
                 if key not in item:
                     raise records.RecordFormatError(
                         f"{path}: line {lineno}: missing field {key!r}"
                     )
-            cases.append(
-                classify.LabeledCase(
+            try:
+                case = classify.LabeledCase(
                     np.asarray(item["features"], dtype=float),
                     int(item["stage"]),
                     institution=str(item.get("institution", "")),
                     subject_id=str(item.get("subject_id", "")),
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise records.RecordFormatError(f"{path}: line {lineno}: {exc}") from None
+            cases.append(case)
             if len(cases) == 1:
                 first_line = lineno
             elif cases[-1].features.size != cases[0].features.size:
@@ -438,8 +442,9 @@ def _build_parser() -> _Parser:
         help="comma-separated moment orders; a list starting with a negative "
         "item is written --q=-5,-3,3",
     )
-    p.add_argument("--scales", type=_list_of(int), help="comma-separated window sizes")
-    p.add_argument("--dyadic", action="store_true", help="power-of-two scales")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--scales", type=_list_of(int), help="comma-separated window sizes")
+    grid.add_argument("--dyadic", action="store_true", help="power-of-two scales")
     p.add_argument("--detrend-order", type=int, default=1)
     p.add_argument("--q-zero-mode", choices=("exclude", "log-average"), default="exclude")
     p.add_argument("--both-ends", action="store_true")
@@ -449,7 +454,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("extract", help="coupling-matrix features from a manifest")
     p.add_argument("manifest")
     p.add_argument("--horizon", type=int, default=fracdyn.DEFAULT_HORIZON)
-    p.add_argument("--ridge", type=float, default=1e-6)
+    p.add_argument("--ridge", type=float, default=fracdyn.DEFAULT_RIDGE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -478,7 +483,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--step-seconds", type=float, default=60.0)
     p.add_argument("--horizon", type=int, default=fracdyn.DEFAULT_HORIZON)
-    p.add_argument("--ridge", type=float, default=1e-6)
+    p.add_argument("--ridge", type=float, default=fracdyn.DEFAULT_RIDGE)
     p.add_argument("--threshold", type=float, default=0.02)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convergence)

@@ -6,15 +6,22 @@ The model couples n channels through
 
 where ``frac_diff`` is the Grünwald–Letnikov fractional difference of
 order alpha_i, truncated to a finite memory horizon.  This module builds
-the GL kernels, simulates trajectories, estimates per-channel orders and
-the coupling matrix (optionally with unknown low-rank inputs), and
-tracks coupling convergence over growing prefixes.
+the GL weight tables, simulates trajectories, estimates per-channel
+orders and the coupling matrix (optionally with unknown low-rank
+inputs), and tracks coupling convergence over growing prefixes.
+
+The simulated recursion has one memory horizon, ``DEFAULT_HORIZON``:
+:func:`simulate` and the stability checks in :mod:`fracsig.synth` all
+truncate at it, so a model certified stable is the model that runs.  The
+coupling fits take their own ``horizon`` (the ``--horizon`` flag of the
+``extract`` and ``convergence`` commands), since they fit recorded data.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,7 +29,6 @@ from .mfdfa import dfa_exponents, wasserstein_1d
 from .records import MultichannelRecord
 
 __all__ = [
-    "GLKernel",
     "FractionalModel",
     "AlphaEstimate",
     "EstimationReport",
@@ -40,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON = 50
+DEFAULT_RIDGE = 1e-6
 # fewest samples an order estimate accepts: enough DFA scales for a log-log fit
 MIN_DFA_SAMPLES = 1 << 10
 
@@ -48,20 +55,14 @@ class NumericalError(RuntimeError):
     """Raised when a computation diverges or fails to converge."""
 
 
-@dataclass(frozen=True)
-class GLKernel:
-    """Grünwald–Letnikov weights psi(alpha, j) for j = 0..horizon."""
+def gl_coefficients(alpha, horizon: int) -> np.ndarray:
+    """Grünwald–Letnikov weights psi(alpha, j) for j = 0..horizon.
 
-    alpha: float
-    coeffs: np.ndarray
-    horizon: int
-
-
-def gl_coefficients(alpha: float, horizon: int) -> GLKernel:
-    """GL weights by the stable recurrence.
-
-    psi(alpha, 0) = 1 and psi(alpha, j) = psi(alpha, j-1) * (j-1-alpha)/j,
-    which matches the gamma-ratio definition away from its poles.
+    ``alpha`` is one order or an array of orders; the result has shape
+    ``np.shape(alpha) + (horizon + 1,)``, one row of weights per order.
+    Each row comes from the stable recurrence psi(alpha, 0) = 1 and
+    psi(alpha, j) = psi(alpha, j-1) * (j-1-alpha)/j, which matches the
+    gamma-ratio definition away from its poles.
 
     The full sum of the weights is 0 for alpha > 0, but for 0 < alpha < 1
     a kernel truncated at horizon J leaves a constant residual
@@ -70,13 +71,13 @@ def gl_coefficients(alpha: float, horizon: int) -> GLKernel:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if not np.isfinite(alpha):
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha)):
         raise ValueError("alpha must be finite")
-    coeffs = np.empty(horizon + 1)
-    coeffs[0] = 1.0
-    for j in range(1, horizon + 1):
-        coeffs[j] = coeffs[j - 1] * (j - 1 - alpha) / j
-    return GLKernel(float(alpha), coeffs, horizon)
+    # Python floats round as float64 elements do, and step far faster
+    rows = [list(accumulate(range(1, horizon + 1), lambda c, j: c * (j - 1 - a) / j, initial=1.0))
+            for a in alpha.ravel().tolist()]
+    return np.array(rows).reshape(alpha.shape + (horizon + 1,))
 
 
 def frac_difference(x, alpha: float, horizon: int | None = None) -> np.ndarray:
@@ -91,7 +92,7 @@ def frac_difference(x, alpha: float, horizon: int | None = None) -> np.ndarray:
     j_max = n - 1 if horizon is None else int(horizon)
     if j_max > n - 1:
         j_max = n - 1
-    psi = gl_coefficients(alpha, max(j_max, 1)).coeffs[: j_max + 1]
+    psi = gl_coefficients(alpha, max(j_max, 1))[: j_max + 1]
     if n * (j_max + 1) > 1 << 22:
         full = np.fft.irfft(
             np.fft.rfft(x, 2 * n) * np.fft.rfft(psi, 2 * n), 2 * n
@@ -142,7 +143,6 @@ def simulate(
     u: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     seed: int = 0,
-    horizon: int = DEFAULT_HORIZON,
     rate_hz: float = 1.0,
     subject_id: str = "",
     institution: str = "",
@@ -156,13 +156,14 @@ def simulate(
         x[k+1] = A x[k] + B u[k] + w[k]
                  - sum_{j=1..min(k+1, J)} psi(alpha, j) x[k+1-j]
 
-    with w ~ N(0, noise_scale^2), drawn from a seeded generator.
+    with J = ``DEFAULT_HORIZON`` and w ~ N(0, noise_scale^2), drawn from
+    a seeded generator.
     """
     if T < 1:
         raise ValueError(f"need at least one step, got T={T}")
     n = model.n
     rng = np.random.default_rng(seed)
-    psi = np.stack([gl_coefficients(a, horizon).coeffs for a in model.alpha])  # (n, J+1)
+    psi = gl_coefficients(model.alpha, DEFAULT_HORIZON)  # (n, J+1)
     x = np.zeros((T, n))
     x[0] = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if u is not None:
@@ -173,7 +174,7 @@ def simulate(
             raise ValueError("model has no input matrix B")
     noise = rng.standard_normal((T, n)) * model.noise_scale
     for k in range(T - 1):
-        j_max = min(k + 1, horizon)
+        j_max = min(k + 1, DEFAULT_HORIZON)
         # memory window x[k+1-j] for j=1..j_max, newest first
         window = x[k + 1 - j_max : k + 1][::-1]  # (j_max, n)
         memory = np.einsum("nj,jn->n", psi[:, 1 : j_max + 1], window)
@@ -299,7 +300,7 @@ def estimate_coupling(
     alpha,
     *,
     horizon: int = DEFAULT_HORIZON,
-    ridge: float = 1e-6,
+    ridge: float = DEFAULT_RIDGE,
 ) -> np.ndarray:
     """Least-squares fit of the coupling matrix A with known orders.
 
@@ -336,7 +337,7 @@ def estimate_with_unknown_input(
     p: int,
     *,
     horizon: int = DEFAULT_HORIZON,
-    ridge: float = 1e-6,
+    ridge: float = DEFAULT_RIDGE,
 ) -> EstimationReport:
     """Alternating estimation of A under a rank-p unknown input.
 
@@ -406,13 +407,14 @@ def coupling_convergence(
     step_seconds: float,
     *,
     horizon: int = DEFAULT_HORIZON,
-    ridge: float = 1e-6,
+    ridge: float = DEFAULT_RIDGE,
 ):
     """Wasserstein distance between coupling estimates of growing prefixes.
 
-    For t = step, 2*step, ...: estimate A from the first t seconds and
-    from the first t+step seconds, and compare their n^2 entries as
-    empirical distributions.  Returns (times_seconds, distances).
+    Fits A to every prefix of t = step, 2*step, ... seconds that is long
+    enough for a coupling fit, then compares the n^2 entries of each fit
+    with the next one's as empirical distributions.  Returns
+    (times_seconds, distances), timed at the shorter prefix of each pair.
     """
     X = record.channels
     n, T = X.shape
@@ -421,18 +423,16 @@ def coupling_convergence(
     if step < 1 or T <= 2 * step:
         raise ValueError("record shorter than two steps")
     min_len = _min_fit_length(n, horizon)
-    times, dists = [], []
-    prev = None
-    prev_t = None
-    for t in range(step, T + 1, step):
-        if t < min_len:
-            continue
-        A = estimate_coupling(X[:, :t], alpha, horizon=horizon, ridge=ridge)
-        if prev is not None:
-            times.append(prev_t / rate)
-            dists.append(wasserstein_1d(prev.ravel(), A.ravel()))
-        prev, prev_t = A, t
-    return np.asarray(times), np.asarray(dists)
+    prefixes = [t for t in range(step, T + 1, step) if t >= min_len]
+    if len(prefixes) < 2:
+        raise ValueError(
+            f"record length {T} with a step of {step} samples leaves fewer than "
+            f"two prefixes of at least {min_len} samples, the shortest coupling fit"
+        )
+    fits = [estimate_coupling(X[:, :t], alpha, horizon=horizon, ridge=ridge).ravel()
+            for t in prefixes]
+    dists = [wasserstein_1d(a, b) for a, b in zip(fits, fits[1:])]
+    return np.asarray(prefixes[:-1]) / rate, np.asarray(dists)
 
 
 def model_to_json(alpha, A) -> str:

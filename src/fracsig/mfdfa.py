@@ -67,7 +67,9 @@ def default_scale_grid(n: int) -> np.ndarray:
     if s_max < _MIN_SCALE:
         raise ValueError(f"series too short for scale grid: n={n}")
     logs = np.linspace(np.log(_MIN_SCALE), np.log(s_max), _SCALE_GRID_POINTS)
-    return np.unique(np.round(np.exp(logs)).astype(int))
+    scales = np.round(np.exp(logs)).astype(int)
+    # sorted already, so dropping repeats dedupes (np.unique would import numpy.ma)
+    return scales[np.concatenate(([True], scales[1:] != scales[:-1]))]
 
 
 def dyadic_scale_grid(n: int) -> np.ndarray:

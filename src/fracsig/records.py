@@ -219,6 +219,18 @@ def load_manifest(path) -> list[ManifestEntry]:
         for key in _MANIFEST_REQUIRED:
             if key not in item:
                 raise RecordFormatError(f"{path}: entry {i} missing field {key!r}")
+        stage = item.get("stage")
+        if stage is not None:
+            try:
+                stage = int(stage)
+            except (TypeError, ValueError):
+                raise RecordFormatError(
+                    f"{path}: entry {i}: stage {item['stage']!r} is not an integer"
+                ) from None
+            if stage not in range(N_STAGES):
+                raise RecordFormatError(
+                    f"{path}: entry {i}: stage {stage} is not in 0..{N_STAGES - 1}"
+                )
         rec_path = str((path.parent / item["path"]).resolve())
         known = {"path", "subject_id", "institution", "stage"}
         entries.append(
@@ -226,7 +238,7 @@ def load_manifest(path) -> list[ManifestEntry]:
                 path=rec_path,
                 subject_id=str(item["subject_id"]),
                 institution=str(item.get("institution", "")),
-                stage=None if item.get("stage") is None else int(item["stage"]),
+                stage=stage,
                 extra={k: v for k, v in item.items() if k not in known},
             )
         )

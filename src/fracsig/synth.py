@@ -10,6 +10,9 @@ spectral radius, per-channel orders, then R shrunk by 0.8 until each
 signed coupling s * R - diag_shift * I has companion spectral radius
 below a limit.  :func:`random_stable_model` returns one such model;
 :func:`synth_stage_cohort` simulates jittered records of one per stage.
+Every stability check truncates the recursion at
+``fracdyn.DEFAULT_HORIZON``, the one memory horizon
+:func:`fracsig.fracdyn.simulate` runs.
 
 The shrink loop decides stability without forming the n*J companion
 matrix.  :func:`companion_radius_at_least` counts, by the argument
@@ -48,6 +51,9 @@ _COHORT_INSTITUTIONS = ("site-a", "site-b", "site-c", "site-d")
 _COHORT_SPECTRAL_RADIUS = 0.5
 _COHORT_DIAG_SHIFT = 0.8
 _COHORT_JITTER = 0.05
+
+# viral cohort: order of every healthy channel before per-channel jitter
+_VIRAL_ALPHA_HEALTHY = 0.25
 
 # winding-count stability check: contour points per batched determinant,
 # largest trusted phase step, shrinks before the loop tests -diag_shift * I
@@ -142,16 +148,16 @@ def synth_frac_noise(alpha: float, n: int, seed: int) -> TimeSeries:
     return TimeSeries(x, label=f"frac-noise-a{alpha:g}")
 
 
-def companion_spectral_radius(alpha, A, horizon: int = fracdyn.DEFAULT_HORIZON) -> float:
-    """Spectral radius of the truncated fractional recursion.
+def companion_spectral_radius(alpha, A) -> float:
+    """Spectral radius of the recursion truncated at ``fracdyn.DEFAULT_HORIZON``.
 
     Stacks the memory window into one companion state; the recursion is
     asymptotically stable iff this radius is below 1.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     A = np.asarray(A, dtype=float)
-    n, J = alpha.size, horizon
-    psi = np.stack([fracdyn.gl_coefficients(a, J).coeffs for a in alpha])
+    n, J = alpha.size, fracdyn.DEFAULT_HORIZON
+    psi = fracdyn.gl_coefficients(alpha, J)
     C = np.zeros((n * J, n * J))
     C[:n, :n] = A - np.diag(psi[:, 1])
     for j in range(2, J + 1):
@@ -160,12 +166,11 @@ def companion_spectral_radius(alpha, A, horizon: int = fracdyn.DEFAULT_HORIZON) 
     return float(np.max(np.abs(np.linalg.eigvals(C))))
 
 
-def companion_radius_at_least(
-    alpha, A, limit: float, horizon: int = fracdyn.DEFAULT_HORIZON
-) -> bool:
-    """Whether ``companion_spectral_radius(alpha, A, horizon) >= limit``.
+def companion_radius_at_least(alpha, A, limit: float) -> bool:
+    """Whether ``companion_spectral_radius(alpha, A) >= limit``.
 
-    The companion eigenvalues are lambda = 1/z over the zeros z of
+    J is ``fracdyn.DEFAULT_HORIZON``.  The companion eigenvalues are
+    lambda = 1/z over the zeros z of
     g(z) = det(diag_i(sum_{j<=J} psi_ij z^j) - z A), with g(0) = 1, so the
     radius reaches ``limit`` iff g has a zero in |z| <= r = 1/limit.  That
     count is the winding number of g around the circle |z| = r.  The
@@ -179,10 +184,10 @@ def companion_radius_at_least(
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     A = np.asarray(A, dtype=float)
-    n, J = alpha.size, horizon
+    n, J = alpha.size, fracdyn.DEFAULT_HORIZON
     r = 1.0 / limit
     m = 1 << int(np.ceil(np.log2(4 * n * J)))
-    psi = np.stack([fracdyn.gl_coefficients(a, J).coeffs for a in alpha])
+    psi = fracdyn.gl_coefficients(alpha, J)
     # conj(rfft) of real coefficients: p_i(r e^{i pi k / m}) for k = 0..m
     diag = np.conj(np.fft.rfft(psi * r ** np.arange(J + 1), 2 * m, axis=1)).T
     z = r * np.exp(1j * np.pi * np.arange(m + 1) / m)
@@ -199,21 +204,21 @@ def companion_radius_at_least(
         count = round(fine.sum() / np.pi)
         if count == round(coarse.sum() / np.pi) and np.max(np.abs(fine)) <= _WINDING_MAX_STEP:
             return count > 0
-    return companion_spectral_radius(alpha, A, horizon) >= limit
+    return companion_spectral_radius(alpha, A) >= limit
 
 
-def _draw_stable(rng, n, spectral_radius, diag_shift, alpha_range, limit, signs,
-                 horizon=fracdyn.DEFAULT_HORIZON):
+def _draw_stable(rng, n, spectral_radius, diag_shift, alpha_range, limit, signs):
     """Draw (R, alpha) with every s * R - diag_shift * I stable, s in ``signs``.
 
     R is rescaled to ``spectral_radius``, then shrunk by 0.8 until
     :func:`companion_radius_at_least` says each signed coupling has
-    companion spectral radius below ``limit``; the signs are checked in
-    order and a failing sign skips the rest.  The winding count decides
-    almost every check; a zero of g near the contour sends it to the
-    dense eigenvalues.  Shrinking cannot end when -diag_shift * I alone
-    reaches ``limit``: after 10 shrinks that coupling is checked once, and
-    if it fails a ``ValueError`` names ``diag_shift`` and ``limit``.
+    companion spectral radius below ``limit`` at ``fracdyn.DEFAULT_HORIZON``;
+    the signs are checked in order and a failing sign skips the rest.  The
+    winding count decides almost every check; a zero of g near the contour
+    sends it to the dense eigenvalues.  Shrinking cannot end when
+    -diag_shift * I alone reaches ``limit``: after 10 shrinks that coupling
+    is checked once, and if it fails a ``ValueError`` names ``diag_shift``
+    and ``limit``.
     """
     if n < 1:
         raise ValueError(f"need at least one channel, got n={n}")
@@ -222,12 +227,10 @@ def _draw_stable(rng, n, spectral_radius, diag_shift, alpha_range, limit, signs,
     alpha = rng.uniform(*alpha_range, size=n)
     shift = diag_shift * np.eye(n)
     shrinks = 0
-    while any(companion_radius_at_least(alpha, s * R - shift, limit, horizon) for s in signs):
+    while any(companion_radius_at_least(alpha, s * R - shift, limit) for s in signs):
         R *= 0.8
         shrinks += 1
-        if shrinks == _SHRINKS_BEFORE_GUARD and companion_radius_at_least(
-            alpha, -shift, limit, horizon
-        ):
+        if shrinks == _SHRINKS_BEFORE_GUARD and companion_radius_at_least(alpha, -shift, limit):
             raise ValueError(
                 f"diag_shift={diag_shift:g} alone leaves the companion radius at or "
                 f"above limit={limit:g}; no shrink of the coupling can reach it"
@@ -244,19 +247,17 @@ def random_stable_model(
     alpha_range: tuple[float, float] = (0.2, 0.6),
     noise_scale: float = 1.0,
     n_inputs: int = 0,
-    horizon: int = fracdyn.DEFAULT_HORIZON,
 ) -> fracdyn.FractionalModel:
     """Random coupling matrix with a guaranteed-stable fractional recursion.
 
     A = R - diag_shift * I where R is rescaled to ``spectral_radius``; the
     negative diagonal shift counteracts the positive one-step feedback of
     the fractional memory.  The off-diagonal part is shrunk until the
-    companion spectral radius drops below 0.999.
+    companion spectral radius at ``fracdyn.DEFAULT_HORIZON``, the horizon
+    :func:`fracsig.fracdyn.simulate` runs, drops below 0.999.
     """
     rng = np.random.default_rng(seed)
-    R, alpha = _draw_stable(
-        rng, n, spectral_radius, diag_shift, alpha_range, 0.999, (1,), horizon
-    )
+    R, alpha = _draw_stable(rng, n, spectral_radius, diag_shift, alpha_range, 0.999, (1,))
     B = rng.standard_normal((n, n_inputs)) / np.sqrt(n) if n_inputs > 0 else None
     return fracdyn.FractionalModel(alpha, R - diag_shift * np.eye(n), B, noise_scale)
 
@@ -316,14 +317,14 @@ def synth_viral_cohort(
     seed: int = 0,
     *,
     side_samples: int = 4200,
-    alpha_healthy: float = 0.25,
     alpha_shift: float = 0.35,
 ):
     """Three-channel subjects with an order shift injected after inoculation.
 
-    Healthy subjects keep ``alpha_healthy`` throughout; infected subjects
-    switch to ``alpha_healthy + alpha_shift`` at the midpoint inoculation
-    index.  Returns a list of :class:`fracsig.viral.SubjectCase`.
+    Each channel's order is 0.25 plus N(0, 0.05^2) jitter.  Healthy
+    subjects keep it throughout; infected subjects add ``alpha_shift`` at
+    the midpoint inoculation index.  Returns a list of
+    :class:`fracsig.viral.SubjectCase`.
     """
     from .viral import SubjectCase
 
@@ -337,7 +338,7 @@ def synth_viral_cohort(
         infected = s < n_infected
         chans = []
         for c in range(3):
-            a_pre = alpha_healthy + 0.05 * rng.standard_normal()
+            a_pre = _VIRAL_ALPHA_HEALTHY + 0.05 * rng.standard_normal()
             a_post = a_pre + (alpha_shift if infected else 0.0)
             pre = synth_frac_noise(a_pre, side_samples, int(rng.integers(1 << 31))).samples
             post = synth_frac_noise(a_post, side_samples, int(rng.integers(1 << 31))).samples

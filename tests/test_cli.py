@@ -197,6 +197,40 @@ class TestPipelineCommands:
         assert rows[0] == "time_s,wasserstein"
         assert len(rows) > 2
 
+    def test_convergence_with_one_fittable_prefix_is_data_error(self, tmp_path, capsys):
+        rec = tmp_path / "sys.csv"
+        run("synth", "system", "--channels", "12", "--n", "250", "--out", str(rec))
+        curve = tmp_path / "curve.csv"
+        code = run(
+            "convergence", str(rec), "--alpha=" + ",".join(["0.3"] * 12),
+            "--step-seconds", "100", "--out", str(curve),
+        )
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "record length 250 with a step of 100 samples" in err
+        assert "at least 171 samples" in err
+        assert "Traceback" not in err
+        assert not curve.exists()
+
+    @pytest.mark.parametrize(
+        "stage, named",
+        [('"x"', "entry 1: stage 'x' is not an integer"),
+         ("7", "entry 1: stage 7 is not in 0..4")],
+        ids=["not-an-integer", "out-of-range"],
+    )
+    def test_extract_bad_manifest_stage_names_entry(self, cohort_dir, tmp_path, capsys,
+                                                     stage, named):
+        entries = json.loads((cohort_dir / "manifest.json").read_text())[:2]
+        for entry in entries:
+            entry["path"] = str(cohort_dir / entry["path"])
+        text = json.dumps(entries).replace('"stage": 1', f'"stage": {stage}')
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "features.jsonl"
+        assert run("extract", str(manifest), "--out", str(out)) == cli.EXIT_DATA
+        assert f"{manifest}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def cohort_features(cohort_dir, tmp_path_factory):
@@ -357,9 +391,11 @@ class TestFlagUsageErrors:
             (["mfdfa", "r.csv", "--scales", "16,x", "--out-dir", "d"], "--scales"),
             (["mfdfa", "r.csv", "--scales", " , ", "--out-dir", "d"], "--scales"),
             (["convergence", "r.csv", "--alpha", "0.5,z", "--out", "c.csv"], "--alpha"),
+            (["mfdfa", "r.csv", "--scales", "16,32", "--dyadic", "--out-dir", "d"],
+             "--dyadic"),
         ],
         ids=["shifts-item", "shifts-empty", "q-item", "scales-item", "scales-empty",
-             "alpha-item"],
+             "alpha-item", "scales-with-dyadic"],
     )
     def test_usage_error(self, tmp_path, capsys, argv, flag):
         argv = [str(tmp_path / a) if a in self.PATHS else a for a in argv]
@@ -404,8 +440,14 @@ class TestTrainCommand:
              "holding out institution 'site-a' leaves no training cases"),
             ("\n" + _feature_lines(widths=[3, 3, 2, 3]), [],
              "line 4: 2 features, but line 2 has 3"),
+            (_feature_lines() + '{"features": [0.1, "abc", 0.3], "stage": 1}\n', [],
+             "features.jsonl: line 11: could not convert string to float: 'abc'"),
+            (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": 9}\n', [],
+             "features.jsonl: line 11: stage must be in 0..4"),
+            (_feature_lines() + "5\n", [], "features.jsonl: line 11: not a JSON object"),
         ],
-        ids=["one-fold", "zero-folds", "one-institution", "ragged-features"],
+        ids=["one-fold", "zero-folds", "one-institution", "ragged-features",
+             "non-numeric-feature", "stage-out-of-range", "not-an-object"],
     )
     def test_bad_training_input_fails_fast(self, tmp_path, capsys, text, argv, named):
         feats = tmp_path / "features.jsonl"

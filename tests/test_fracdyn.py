@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, gammasgn
 
-from fracsig import fracdyn, synth
+from fracsig import fracdyn, records, synth
 
 
 def gamma_ratio_kernel(alpha, horizon):
@@ -17,34 +17,62 @@ def gamma_ratio_kernel(alpha, horizon):
 
 class TestGlCoefficients:
     def test_hand_values_alpha_half(self):
-        psi = fracdyn.gl_coefficients(0.5, 3).coeffs
+        psi = fracdyn.gl_coefficients(0.5, 3)
         np.testing.assert_allclose(psi, [1.0, -0.5, -0.125, -0.0625])
 
     def test_first_two_terms(self):
         for a in (0.2, 0.7, 1.3):
-            psi = fracdyn.gl_coefficients(a, 2).coeffs
+            psi = fracdyn.gl_coefficients(a, 2)
             assert psi[0] == 1.0
             assert np.isclose(psi[1], -a)
 
     def test_matches_gamma_formula(self):
         for a in np.arange(0.1, 2.0, 0.2):
-            psi = fracdyn.gl_coefficients(a, 50).coeffs
+            psi = fracdyn.gl_coefficients(a, 50)
             oracle = gamma_ratio_kernel(a, 50)
             np.testing.assert_allclose(psi, oracle, atol=1e-10)
 
     def test_integer_alpha_one(self):
         # alpha = 1 reduces to the first difference: psi = 1, -1, 0, 0, ...
-        psi = fracdyn.gl_coefficients(1.0, 5).coeffs
+        psi = fracdyn.gl_coefficients(1.0, 5)
         np.testing.assert_allclose(psi, [1, -1, 0, 0, 0, 0], atol=1e-15)
 
     def test_partial_sum_tail(self):
         # remainder of the full sum (which is 0) scales like J^-alpha
-        s = fracdyn.gl_coefficients(0.8, 10**4).coeffs.sum()
+        s = fracdyn.gl_coefficients(0.8, 10**4).sum()
         assert abs(s) < 1e-2
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             fracdyn.gl_coefficients(np.nan, 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_in_an_array(self, bad):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            fracdyn.gl_coefficients(np.array([0.3, bad, 0.5]), 10)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 50, 10**4])
+    def test_table_equals_scalar_loop_bitwise(self, horizon):
+        def scalar_loop(a, J):
+            # the recurrence one order at a time, as numpy scalar steps
+            coeffs = np.empty(J + 1)
+            coeffs[0] = 1.0
+            for j in range(1, J + 1):
+                coeffs[j] = coeffs[j - 1] * (j - 1 - a) / j
+            return coeffs
+
+        orders = np.concatenate([[0.0, 1.0, -0.3, -1.0, 2.0], np.linspace(-1.5, 2.5, 21)])
+        reference = np.stack([scalar_loop(a, horizon) for a in orders])
+        table = fracdyn.gl_coefficients(orders, horizon)
+        assert table.shape == (orders.size, horizon + 1)
+        assert np.array_equal(table, reference)
+        grid = fracdyn.gl_coefficients(orders.reshape(2, -1), horizon)
+        assert grid.shape == (2, orders.size // 2, horizon + 1)
+        assert np.array_equal(grid.reshape(reference.shape), reference)
+        for a, row in zip(orders[:5], reference):
+            one = fracdyn.gl_coefficients(a, horizon)
+            assert one.shape == (horizon + 1,)
+            assert np.array_equal(one, row)
 
 
 class TestFracDifference:
@@ -92,7 +120,7 @@ class TestFracDifference:
 
     def test_truncated_matches_convolution(self):
         x = np.random.default_rng(3).standard_normal(200)
-        psi = fracdyn.gl_coefficients(0.6, 50).coeffs
+        psi = fracdyn.gl_coefficients(0.6, 50)
         out = fracdyn.frac_difference(x, 0.6, 50)
         k = 120
         expected = sum(psi[j] * x[k - j] for j in range(51))
@@ -262,6 +290,17 @@ class TestCouplingConvergence:
         record = fracdyn.simulate(model, 300, seed=0)
         with pytest.raises(ValueError, match="short"):
             fracdyn.coupling_convergence(record, model.alpha, 200.0)
+
+    def test_fewer_than_two_fittable_prefixes(self):
+        # 12 channels need 50 + 120 + 1 = 171 samples: of the 100- and
+        # 200-sample prefixes only the second can be fitted
+        X = np.random.default_rng(0).standard_normal((12, 250))
+        record = records.MultichannelRecord(X)
+        with pytest.raises(ValueError, match=(
+            "record length 250 with a step of 100 samples leaves fewer than two "
+            "prefixes of at least 171 samples"
+        )):
+            fracdyn.coupling_convergence(record, np.full(12, 0.3), 100.0)
 
 
 class TestModelJson:

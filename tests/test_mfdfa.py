@@ -291,6 +291,14 @@ class TestScaleGrids:
         assert grid[-1] <= 1024
         assert np.all(np.diff(grid) > 0)
 
+    def test_default_grid_equals_unique_of_rounded_scales(self):
+        for n in range(64, 40_001):
+            logs = np.linspace(np.log(16), np.log(n // 4), 20)
+            reference = np.unique(np.round(np.exp(logs)).astype(int))
+            grid = mfdfa.default_scale_grid(n)
+            assert grid.dtype == reference.dtype
+            assert np.array_equal(grid, reference), n
+
     def test_dyadic_powers_of_two(self):
         grid = mfdfa.dyadic_scale_grid(4096)
         assert np.all(grid & (grid - 1) == 0)

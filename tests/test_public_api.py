@@ -28,7 +28,9 @@ def test_all_resolves_and_lists_every_public_definition(name):
 
 # one interpreter runs the command chains; scipy costs most of a command's
 # start-up time and memory, and only the mfdfa command's scaling_function
-# and cohort_spectrum import it
+# and cohort_spectrum import it.  numpy imports numpy.ma lazily (15-19 ms),
+# and np.unique is one call that pulls it in; train's mlp_train calls it,
+# so train runs last and numpy.ma is checked after extract and after viral
 COMMAND_CHAINS = """
 import sys
 from fracsig.cli import main
@@ -38,16 +40,19 @@ for argv in [
     ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "1100",
      "--out-dir", "cohort"],
     ["extract", "cohort/manifest.json", "--out", "features.jsonl"],
-    ["train", "features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "run"],
     ["synth", "viral", "--subjects", "4", "--infected", "2", "--out-dir", "viral"],
     ["viral", "viral/manifest.json", "--out", "sweep.csv"],
+    ["train", "features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "run"],
 ]:
     assert main(argv) == 0, argv
+    if argv[0] in ("extract", "viral"):
+        print(argv[0], "numpy.ma" in sys.modules)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
-def test_cli_commands_leave_scipy_out(tmp_path):
+@pytest.fixture(scope="module")
+def chain_stdout(tmp_path_factory):
     import fracsig
 
     src = str(Path(fracsig.__file__).resolve().parents[1])
@@ -55,7 +60,16 @@ def test_cli_commands_leave_scipy_out(tmp_path):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     out = subprocess.run(
-        [sys.executable, "-c", COMMAND_CHAINS], cwd=tmp_path, env=env,
-        capture_output=True, text=True, check=True, timeout=300,
+        [sys.executable, "-c", COMMAND_CHAINS], cwd=tmp_path_factory.mktemp("chains"),
+        env=env, capture_output=True, text=True, check=True, timeout=300,
     )
-    assert out.stdout.splitlines()[-1] == "[]"
+    return out.stdout.splitlines()
+
+
+def test_cli_commands_leave_scipy_out(chain_stdout):
+    assert chain_stdout[-1] == "[]"
+
+
+def test_extract_and_viral_leave_numpy_ma_out(chain_stdout):
+    checks = [line for line in chain_stdout if line.startswith(("extract ", "viral "))]
+    assert checks == ["extract False", "viral False"]

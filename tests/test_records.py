@@ -232,6 +232,22 @@ class TestManifest:
         with pytest.raises(RecordFormatError, match="invalid JSON"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "stage, named",
+        [('"x"', "entry 1: stage 'x' is not an integer"),
+         ("7", "entry 1: stage 7 is not in 0..4"),
+         ("[1]", "entry 1: stage [1] is not an integer")],
+    )
+    def test_bad_stage_names_entry(self, tmp_path, stage, named):
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            '[{"path": "a.csv", "subject_id": "a", "stage": 0},'
+            f' {{"path": "b.csv", "subject_id": "b", "stage": {stage}}}]'
+        )
+        with pytest.raises(RecordFormatError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: {named}"
+
     def test_non_array(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{}")
