@@ -17,8 +17,8 @@ OUT.mkdir(exist_ok=True)
 
 
 def main():
-    series = synth.synth_cascade(p=0.75, depth=14)
-    y = mfdfa.profile(series.samples)
+    measure = synth.synth_cascade(p=0.75, depth=14)  # a plain 1-D array
+    y = mfdfa.profile(measure)
 
     cfg = mfdfa.MfdfaConfig(scale_grid=mfdfa.dyadic_scale_grid(len(y)))
     sf = mfdfa.scaling_function(y, cfg)

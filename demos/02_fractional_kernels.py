@@ -31,8 +31,8 @@ def main():
         A=np.array([[-0.3, 0.1], [0.0, -0.25]]),
         noise_scale=1.0,
     )
-    record = fracdyn.simulate(model, T=2000, seed=1)
-    stds = record.channels.std(axis=1)
+    X = fracdyn.simulate(model, T=2000, seed=1)  # (channels, samples) array
+    stds = X.std(axis=1)
     print(f"simulated 2-channel fractional system, channel stds: "
           f"{stds[0]:.3f}, {stds[1]:.3f}")
 

@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from fracsig import fracdyn, synth
+from fracsig import fracdyn, records, synth
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -19,16 +19,16 @@ OUT.mkdir(exist_ok=True)
 
 def main():
     model = synth.random_stable_model(6, seed=2, noise_scale=1.0)
-    record = fracdyn.simulate(model, T=6000, seed=3)
+    X = fracdyn.simulate(model, T=6000, seed=3)  # (channels, samples) array
 
     # the scalar order estimator is calibrated on pure fractional noise
     for true_alpha in (0.2, 0.4, 0.6):
         noise = synth.synth_frac_noise(true_alpha, 8192, seed=11)
-        est = fracdyn.estimate_alpha(noise.samples)
+        est = fracdyn.estimate_alpha(noise)
         print(f"order {true_alpha:.1f}: estimated {est.alpha:.3f} "
               f"(fit mse {est.fit_mse:.1e})")
 
-    a_hat = fracdyn.estimate_coupling(record, model.alpha)
+    a_hat = fracdyn.estimate_coupling(X, model.alpha)
     rel = np.linalg.norm(a_hat - model.A) / np.linalg.norm(model.A)
     print(f"coupling matrix relative error (true orders): {rel:.4f}")
 
@@ -39,16 +39,18 @@ def main():
     u = np.zeros((6000, 1))
     for b in np.random.default_rng(7).integers(0, 5900, 25):
         u[b : b + 60, 0] = 5.0
-    rec2 = fracdyn.simulate(driven, T=6000, u=u, seed=4)
+    X2 = fracdyn.simulate(driven, T=6000, u=u, seed=4)
 
-    blind = fracdyn.estimate_coupling(rec2, driven.alpha)
-    report = fracdyn.estimate_with_unknown_input(rec2, driven.alpha, p=1)
+    blind = fracdyn.estimate_coupling(X2, driven.alpha)
+    report = fracdyn.estimate_with_unknown_input(X2, driven.alpha, p=1)
     err_blind = np.linalg.norm(blind - driven.A) / np.linalg.norm(driven.A)
     err_aware = np.linalg.norm(report.model.A - driven.A) / np.linalg.norm(driven.A)
     print(f"with hidden input: blind error {err_blind:.4f}, "
           f"input-aware error {err_aware:.4f} "
           f"({report.iterations} rounds, converged={report.converged})")
 
+    # the convergence curve is timed in seconds, so it takes a record and its rate
+    record = records.MultichannelRecord(X, rate_hz=1.0)
     times, dists = fracdyn.coupling_convergence(record, model.alpha, 500.0)
     rows = ["time_s,wasserstein"]
     rows += [f"{t:.0f},{d:.6f}" for t, d in zip(times, dists)]

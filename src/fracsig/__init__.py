@@ -11,7 +11,6 @@ from .records import (
     ManifestEntry,
     MultichannelRecord,
     RecordFormatError,
-    TimeSeries,
     load_manifest,
     load_record,
     write_manifest,
@@ -27,7 +26,6 @@ __all__ = [
     "records",
     "synth",
     "viral",
-    "TimeSeries",
     "MultichannelRecord",
     "ManifestEntry",
     "RecordFormatError",

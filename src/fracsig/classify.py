@@ -297,7 +297,8 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
     cfg = cfg or TrainConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    if np.unique(y).size < 2:
+    # not np.unique, which imports numpy.ma (15-19 ms) on first use
+    if y.size == 0 or np.all(y == y[0]):
         raise ValueError("training set must contain at least 2 classes")
     params = init_mlp(X.shape[1], hidden, n_classes, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -86,27 +87,27 @@ def _list_of(cast):
 # ---------------------------------------------------------------- synth
 
 
-def _write_series(series, out) -> int:
-    """Write one generated series as a one-channel record."""
-    record = records.MultichannelRecord(series.samples[None, :], (series.label,))
-    records.write_record(record, out)
+def _write_series(samples, label, out) -> int:
+    """Write one generated series as a one-channel record headed ``label``."""
+    records.write_record(records.MultichannelRecord(samples[None, :], (label,)), out)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_synth_fgn(args) -> int:
-    return _write_series(synth.synth_fgn(args.hurst, args.n, args.seed), args.out)
+    samples = synth.synth_fgn(args.hurst, args.n, args.seed)
+    return _write_series(samples, f"fgn-H{args.hurst:g}", args.out)
 
 
 def _cmd_synth_cascade(args) -> int:
-    series = synth.synth_cascade(args.p, args.depth, args.seed, shuffle=args.shuffle)
-    return _write_series(series, args.out)
+    samples = synth.synth_cascade(args.p, args.depth, args.seed, shuffle=args.shuffle)
+    return _write_series(samples, f"cascade-p{args.p:g}", args.out)
 
 
 def _cmd_synth_system(args) -> int:
     model = synth.random_stable_model(args.channels, args.seed, noise_scale=args.noise_scale)
-    record = fracdyn.simulate(model, args.n, seed=args.seed)
-    records.write_record(record, args.out)
+    X = fracdyn.simulate(model, args.n, seed=args.seed)
+    records.write_record(records.MultichannelRecord(X), args.out)
     if args.model_out:
         Path(args.model_out).write_text(
             fracdyn.model_to_json(model.alpha, model.A), encoding="utf-8"
@@ -203,13 +204,16 @@ def _cmd_extract(args) -> int:
     entries = records.load_manifest(args.manifest)
     lines = []  # written only once every record has its features
     for entry in entries:
-        record = records.load_record(
-            entry.path,
+        record = dataclasses.replace(
+            records.load_record(entry.path),
             subject_id=entry.subject_id,
             institution=entry.institution,
             stage_label=entry.stage,
         )
-        case = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
+        try:
+            case = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
+        except (ValueError, fracdyn.NumericalError) as exc:
+            raise type(exc)(f"{entry.path}: {exc}") from None
         item = {
             "subject_id": case.subject_id,
             "institution": case.institution,

@@ -8,13 +8,17 @@ where ``frac_diff`` is the Grünwald–Letnikov fractional difference of
 order alpha_i, truncated to a finite memory horizon.  This module builds
 the GL weight tables, simulates trajectories, estimates per-channel
 orders and the coupling matrix (optionally with unknown low-rank
-inputs), and tracks coupling convergence over growing prefixes.
+inputs), and tracks coupling convergence over growing prefixes.  Every
+function takes and returns plain arrays, (n_channels, n_samples) for a
+multichannel signal; only :func:`coupling_convergence` takes a record,
+for its sampling rate.
 
 The simulated recursion has one memory horizon, ``DEFAULT_HORIZON``:
 :func:`simulate` and the stability checks in :mod:`fracsig.synth` all
 truncate at it, so a model certified stable is the model that runs.  The
 coupling fits take their own ``horizon`` (the ``--horizon`` flag of the
-``extract`` and ``convergence`` commands), since they fit recorded data.
+``extract`` and ``convergence`` commands), since they fit recorded data;
+a horizon below 1 or a negative ridge is rejected where a fit starts.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from itertools import accumulate
 import numpy as np
 
 from .mfdfa import dfa_exponents, wasserstein_1d
-from .records import MultichannelRecord
 
 __all__ = [
     "FractionalModel",
@@ -87,7 +90,7 @@ def frac_difference(x, alpha: float, horizon: int | None = None) -> np.ndarray:
     The operator is linear in ``x``; alpha=0 is the identity and alpha=1
     yields first differences (with z[0] = x[0]).
     """
-    x = np.asarray(getattr(x, "samples", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     n = x.size
     j_max = n - 1 if horizon is None else int(horizon)
     if j_max > n - 1:
@@ -143,12 +146,10 @@ def simulate(
     u: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     seed: int = 0,
-    rate_hz: float = 1.0,
-    subject_id: str = "",
-    institution: str = "",
-    stage_label: int | None = None,
-) -> MultichannelRecord:
+) -> np.ndarray:
     """Forward-simulate ``T`` steps of the fractional linear model.
+
+    Returns the C-contiguous (n, T) trajectory, one row per channel.
 
     The state update moves every memory term of the GL expansion except
     the leading one to the right-hand side:
@@ -184,9 +185,7 @@ def simulate(
         if not np.all(np.abs(nxt) < _OVERFLOW_GUARD):
             raise NumericalError(f"trajectory diverged at step {k + 1}")
         x[k + 1] = nxt
-    return MultichannelRecord(
-        np.ascontiguousarray(x.T), None, rate_hz, subject_id, institution, stage_label
-    )
+    return np.ascontiguousarray(x.T)
 
 
 @dataclass(frozen=True)
@@ -221,7 +220,7 @@ def estimate_alpha(x) -> AlphaEstimate:
     A poor log-log fit sets ``low_confidence`` instead of raising.  The
     one-row case of :func:`estimate_alphas`.
     """
-    x = np.asarray(getattr(x, "samples", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected one series, got an array of shape {x.shape}")
     alpha, mse = _dfa_alphas(x[None, :])
@@ -240,9 +239,17 @@ def _min_fit_length(n: int, horizon: int) -> int:
     return horizon + 10 * n + 1
 
 
-def _fit_matrix(record, horizon: int) -> np.ndarray:
+def _check_fit_params(horizon: int, ridge: float) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
+
+
+def _fit_matrix(X, horizon: int, ridge: float) -> np.ndarray:
     """Channel matrix of a coupling fit, rejected below the minimum length."""
-    X = np.asarray(getattr(record, "channels", record), dtype=float)
+    _check_fit_params(horizon, ridge)
+    X = np.asarray(X, dtype=float)
     n, T = X.shape
     if T < _min_fit_length(n, horizon):
         raise ValueError(
@@ -296,7 +303,7 @@ def _solve_ridge(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.nd
 
 
 def estimate_coupling(
-    record,
+    X,
     alpha,
     *,
     horizon: int = DEFAULT_HORIZON,
@@ -304,12 +311,13 @@ def estimate_coupling(
 ) -> np.ndarray:
     """Least-squares fit of the coupling matrix A with known orders.
 
-    Channels are mean-centered and variance-normalized before the fit
-    for conditioning; coefficients are mapped back to the input units, so
-    the result estimates A of the generating model directly.  An
-    intercept column absorbs the centering offset exactly.
+    ``X`` is the (n, T) channel matrix.  Channels are mean-centered and
+    variance-normalized before the fit for conditioning; coefficients are
+    mapped back to the input units, so the result estimates A of the
+    generating model directly.  An intercept column absorbs the
+    centering offset exactly.
     """
-    X = _fit_matrix(record, horizon)
+    X = _fit_matrix(X, horizon, ridge)
     design, targets, sigma = _regression_blocks(X, alpha, horizon)
     coeffs = _solve_ridge(design, targets, ridge)
     A = coeffs[:-1].T  # drop intercept row; rows are channels
@@ -332,7 +340,7 @@ class EstimationReport:
 
 
 def estimate_with_unknown_input(
-    record,
+    X,
     alpha,
     p: int,
     *,
@@ -341,6 +349,7 @@ def estimate_with_unknown_input(
 ) -> EstimationReport:
     """Alternating estimation of A under a rank-p unknown input.
 
+    ``X`` is the (n, T) channel matrix.
     Each round alternates an input step with a refit step.  Input step:
     project the current residuals onto their top p singular directions
     (the input enters through a fixed n-by-p matrix, so its footprint
@@ -354,7 +363,7 @@ def estimate_with_unknown_input(
     residual norm excludes the captured drive; an increase aborts the
     loop with ``converged=False``.
     """
-    X = _fit_matrix(record, horizon)
+    X = _fit_matrix(X, horizon, ridge)
     if p >= X.shape[0]:
         raise ValueError("input count p must be strictly smaller than n")
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -413,14 +422,23 @@ def coupling_convergence(
 
     Fits A to every prefix of t = step, 2*step, ... seconds that is long
     enough for a coupling fit, then compares the n^2 entries of each fit
-    with the next one's as empirical distributions.  Returns
-    (times_seconds, distances), timed at the shorter prefix of each pair.
+    with the next one's as empirical distributions.  ``record`` is a
+    :class:`fracsig.records.MultichannelRecord`, whose ``rate_hz`` turns
+    seconds into samples.  Returns (times_seconds, distances), timed at the
+    shorter prefix of each pair.
     """
+    _check_fit_params(horizon, ridge)
     X = record.channels
     n, T = X.shape
     rate = record.rate_hz
-    step = int(round(step_seconds * rate))
-    if step < 1 or T <= 2 * step:
+    samples = step_seconds * rate
+    if not (np.isfinite(samples) and round(samples) >= 1):
+        raise ValueError(
+            f"step of {step_seconds:g} s at {rate:g} Hz is {samples:g} samples; "
+            "need a finite step that rounds to at least 1 sample"
+        )
+    step = int(round(samples))
+    if T <= 2 * step:
         raise ValueError("record shorter than two steps")
     min_len = _min_fit_length(n, horizon)
     prefixes = [t for t in range(step, T + 1, step) if t >= min_len]

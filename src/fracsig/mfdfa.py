@@ -181,7 +181,7 @@ class ScalingDiagnostics:
 
 def profile(x) -> np.ndarray:
     """Cumulative sum of the mean-centered series; row by row for a matrix."""
-    x = np.asarray(getattr(x, "samples", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
     finite = np.isfinite(x).all(axis=-1)

@@ -1,9 +1,12 @@
-"""Time-series containers and CSV/manifest ingestion.
+"""The record container and CSV/manifest ingestion.
 
 A record is one read-only (n_channels, n_samples) float64 matrix with a
-label per row.  CSV layout: one header row with channel labels, one
-column per channel, one row per sample.  Sampling rate is supplied out
-of band (device exports do not carry it).
+label per row, plus the subject's labels.  Records exist where files are
+written or read and where labels are attached; the numeric layers take
+and return plain arrays.  CSV layout: one header row with channel
+labels, one column per channel, one row per sample.  Sampling rate is
+supplied out of band (device exports do not carry it), and the subject
+labels come from the manifest.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "TimeSeries",
     "MultichannelRecord",
     "ManifestEntry",
     "load_record",
@@ -32,25 +34,6 @@ N_STAGES = 5  # disease stages are labelled 0..N_STAGES - 1
 
 class RecordFormatError(ValueError):
     """Raised when an input file violates the record format contract."""
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """One labelled 1-D series, as the single-channel generators return it."""
-
-    samples: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +66,8 @@ class MultichannelRecord:
             raise ValueError(f"need {n} unique channel labels, got {labels}")
         if not np.isfinite(matrix).all():
             raise ValueError("channel values must be finite")
-        if not (self.rate_hz > 0):
-            raise ValueError("rate_hz must be positive")
+        if not 0 < self.rate_hz < np.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if self.stage_label is not None and self.stage_label not in range(N_STAGES):
             raise ValueError(f"stage_label must be in 0..{N_STAGES - 1}")
         matrix.flags.writeable = False
@@ -99,20 +82,9 @@ class MultichannelRecord:
     def n_samples(self) -> int:
         return self.channels.shape[1]
 
-    def as_matrix(self) -> np.ndarray:
-        """The (n_channels, n_samples) matrix itself; read-only, no copy."""
-        return self.channels
 
-
-def load_record(
-    path,
-    rate_hz: float = 1.0,
-    *,
-    subject_id: str = "",
-    institution: str = "",
-    stage_label: int | None = None,
-) -> MultichannelRecord:
-    """Read a record from CSV.
+def load_record(path, rate_hz: float = 1.0) -> MultichannelRecord:
+    """Read a record from CSV, without subject labels.
 
     Header row gives channel labels; every following row holds one sample
     per channel.  Blank or repeated labels, ragged rows, non-numeric cells
@@ -164,9 +136,7 @@ def load_record(
             f"{path}: row {row + 2}, column {col + 1}: "
             f"non-finite value {float(matrix[col, row])!r}"
         )
-    return MultichannelRecord(
-        matrix, labels, rate_hz, subject_id, institution, stage_label
-    )
+    return MultichannelRecord(matrix, labels, rate_hz)
 
 
 _ROWS_PER_WRITE = 1024

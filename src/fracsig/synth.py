@@ -3,7 +3,9 @@
 These are the oracles of the package: signals with analytically known
 scaling properties (fractional Gaussian noise, binomial cascades,
 fractionally integrated noise) and stable multichannel fractional
-systems for round-trip estimator tests.
+systems for round-trip estimator tests.  The 1-D generators return a
+plain float64 array; only the cohorts, which carry subject labels, build
+records.
 
 Every stable system comes from one draw: a random R rescaled to a target
 spectral radius, per-channel orders, then R shrunk by 0.8 until each
@@ -32,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fracdyn
-from .records import N_STAGES, MultichannelRecord, TimeSeries
+from .records import N_STAGES, MultichannelRecord
 
 __all__ = [
     "synth_fgn",
@@ -69,7 +71,7 @@ def _fgn_autocovariance(h: float, k: np.ndarray) -> np.ndarray:
     )
 
 
-def synth_fgn(h: float, n: int, seed: int) -> TimeSeries:
+def synth_fgn(h: float, n: int, seed: int) -> np.ndarray:
     """Exact fractional Gaussian noise by circulant embedding.
 
     Unit variance, zero mean in expectation; the target Hurst exponent
@@ -95,10 +97,10 @@ def synth_fgn(h: float, n: int, seed: int) -> TimeSeries:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     sample = np.fft.fft(np.sqrt(eig / m) * z)
-    return TimeSeries(sample.real[:n], label=f"fgn-H{h:g}")
+    return sample.real[:n].copy()  # a view would keep the 4x larger complex buffer
 
 
-def synth_cascade(p: float, depth: int, seed: int = 0, *, shuffle: bool = False) -> TimeSeries:
+def synth_cascade(p: float, depth: int, seed: int = 0, *, shuffle: bool = False) -> np.ndarray:
     """Binomial multiplicative cascade of length 2**depth.
 
     Each refinement splits a cell's mass by the multiplier pair
@@ -121,7 +123,7 @@ def synth_cascade(p: float, depth: int, seed: int = 0, *, shuffle: bool = False)
             left = p
         halves = np.stack([measure * left, measure * (1.0 - left)], axis=1)
         measure = halves.reshape(-1)
-    return TimeSeries(measure, label=f"cascade-p{p:g}")
+    return measure
 
 
 def cascade_hurst_exponent(p: float, q) -> np.ndarray:
@@ -135,7 +137,7 @@ def cascade_hurst_exponent(p: float, q) -> np.ndarray:
     return 1.0 / q - np.log2(p**q + (1.0 - p) ** q) / q
 
 
-def synth_frac_noise(alpha: float, n: int, seed: int) -> TimeSeries:
+def synth_frac_noise(alpha: float, n: int, seed: int) -> np.ndarray:
     """Series whose fractional difference of order ``alpha`` is white noise.
 
     Built by exact fractional integration (full-memory GL convolution of
@@ -144,8 +146,7 @@ def synth_frac_noise(alpha: float, n: int, seed: int) -> TimeSeries:
     """
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(n)
-    x = fracdyn.frac_difference(w, -alpha, None)
-    return TimeSeries(x, label=f"frac-noise-a{alpha:g}")
+    return fracdyn.frac_difference(w, -alpha, None)
 
 
 def companion_spectral_radius(alpha, A) -> float:
@@ -277,7 +278,9 @@ def synth_stage_cohort(
     with the sign s drawn per record.  The sign flip keeps the class
     means of the coupling features near zero, so the classes are not
     linearly separable even though each is a tight pair of clusters.
-    Stages and the four institutions are assigned round robin.
+    Each simulated matrix becomes a record labelled ``recNNN`` with its
+    stage and site; stages and the four institutions are assigned round
+    robin.
     """
     if n_records < 1:
         raise ValueError(f"need at least one record, got n_records={n_records}")
@@ -295,19 +298,21 @@ def synth_stage_cohort(
         stage = r % N_STAGES
         base, alpha = draws[stage]
         site = _COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)]
-        labels = dict(subject_id=f"rec{r:03d}", institution=site, stage_label=stage)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         for _ in range(20):
             R = sign * base + _COHORT_JITTER * rng.standard_normal((n, n)) / np.sqrt(n)
             model = fracdyn.FractionalModel(alpha, R - shift, noise_scale=1.0)
             try:
                 sim_seed = int(rng.integers(1 << 31))
-                records.append(fracdyn.simulate(model, n_samples, seed=sim_seed, **labels))
+                X = fracdyn.simulate(model, n_samples, seed=sim_seed)
                 break
             except fracdyn.NumericalError:
                 continue  # rare: jitter pushed the recursion unstable, redraw
         else:
             raise fracdyn.NumericalError("could not draw a stable jittered model")
+        records.append(
+            MultichannelRecord(X, subject_id=f"rec{r:03d}", institution=site, stage_label=stage)
+        )
     return records
 
 
@@ -340,8 +345,8 @@ def synth_viral_cohort(
         for c in range(3):
             a_pre = _VIRAL_ALPHA_HEALTHY + 0.05 * rng.standard_normal()
             a_post = a_pre + (alpha_shift if infected else 0.0)
-            pre = synth_frac_noise(a_pre, side_samples, int(rng.integers(1 << 31))).samples
-            post = synth_frac_noise(a_post, side_samples, int(rng.integers(1 << 31))).samples
+            pre = synth_frac_noise(a_pre, side_samples, int(rng.integers(1 << 31)))
+            post = synth_frac_noise(a_post, side_samples, int(rng.integers(1 << 31)))
             chans.append(np.concatenate([pre, post]))
         cases.append(
             SubjectCase(

@@ -17,6 +17,7 @@ import pytest
 from scipy.special import gammaln
 
 from fracsig import classify, cli, fracdyn, mfdfa, synth, viral
+from fracsig.records import MultichannelRecord
 
 from test_mfdfa import plain_dfa
 
@@ -88,7 +89,7 @@ class TestCriterion2FgnHurst:
         errors = {}
         for h_true in (0.3, 0.5, 0.8):
             X = np.stack(
-                [synth.synth_fgn(h_true, 1 << 16, seed).samples for seed in range(20)]
+                [synth.synth_fgn(h_true, 1 << 16, seed) for seed in range(20)]
             )
             h_hat, _ = mfdfa.dfa_exponents(X)
             errors[h_true] = float(np.mean(np.abs(h_hat - h_true)))
@@ -104,7 +105,7 @@ class TestCriterion2FgnHurst:
 class TestCriterion3MultifractalOracle:
     def test_cascade_spectrum_and_focus(self):
         p = 0.75
-        x = synth.synth_cascade(p, 14).samples
+        x = synth.synth_cascade(p, 14)
         cfg = mfdfa.MfdfaConfig(scale_grid=tuple(mfdfa.dyadic_scale_grid(x.size)))
         sf = mfdfa.scaling_function(mfdfa.profile(x), cfg)
         spectrum = mfdfa.hurst_spectrum(sf)
@@ -145,7 +146,7 @@ class TestCriterion5SystemIdentification:
             model = synth.random_stable_model(
                 12, seed, noise_scale=1.0, diag_shift=0.8, spectral_radius=0.5
             )
-            X = fracdyn.simulate(model, 10_000, seed=seed + 50).as_matrix()
+            X = fracdyn.simulate(model, 10_000, seed=seed + 50)
             # 20 dB measurement noise on top of the simulated record
             rng = np.random.default_rng(seed + 500)
             sigma = X.std(axis=1, keepdims=True) / np.sqrt(100.0)
@@ -172,7 +173,7 @@ class TestCriterion5SystemIdentification:
             u = np.zeros((10_000, 1))
             for b in rng.integers(0, 9000, 40):
                 u[b : b + 60, 0] = 5.0
-            X = fracdyn.simulate(model, 10_000, u=u, seed=seed + 100).as_matrix()
+            X = fracdyn.simulate(model, 10_000, u=u, seed=seed + 100)
 
             def err(A):
                 return np.linalg.norm(A - model.A) / np.linalg.norm(model.A)
@@ -197,7 +198,7 @@ class TestCriterion6AlphaRoundTrip:
         for alpha in (0.0, 0.2, 0.4):
             X = np.stack(
                 [
-                    synth.synth_frac_noise(alpha, 1 << 14, seed).samples
+                    synth.synth_frac_noise(alpha, 1 << 14, seed)
                     for seed in range(20)
                 ]
             )
@@ -213,7 +214,7 @@ class TestCriterion7CouplingConvergence:
         model = synth.random_stable_model(
             12, 7, noise_scale=1.0, diag_shift=0.8, spectral_radius=0.5
         )
-        record = fracdyn.simulate(model, 3600, seed=7, rate_hz=1.0)
+        record = MultichannelRecord(fracdyn.simulate(model, 3600, seed=7), rate_hz=1.0)
         times, dists = fracdyn.coupling_convergence(record, model.alpha, 60.0)
         late = dists[times >= 600.0]
         ok = late.size > 0 and bool(np.all(late < 0.02))

@@ -41,26 +41,23 @@ class TestLabeledCase:
 class TestExtractFeatures:
     def test_feature_count_is_channels_squared(self):
         model = synth.random_stable_model(4, 0, noise_scale=1.0)
-        record = fracdyn.simulate(model, 1500, seed=0, stage_label=2)
+        record = records.MultichannelRecord(fracdyn.simulate(model, 1500, seed=0), stage_label=2)
         case = classify.extract_features(record)
         assert case.features.shape == (16,)
         assert case.stage == 2
 
     def test_unlabeled_rejected(self):
         model = synth.random_stable_model(3, 0, noise_scale=1.0)
-        record = fracdyn.simulate(model, 1500, seed=0)
+        record = records.MultichannelRecord(fracdyn.simulate(model, 1500, seed=0))
         with pytest.raises(ValueError, match="unlabeled"):
             classify.extract_features(record)
 
 
     def test_constant_channel_named_before_dividing(self):
         model = synth.random_stable_model(3, 0, noise_scale=1.0)
-        record = fracdyn.simulate(model, 1500, seed=0, stage_label=2, subject_id="s7")
-        channels = record.channels.copy()
+        channels = fracdyn.simulate(model, 1500, seed=0)
         channels[1] = 3.0
-        record = records.MultichannelRecord(
-            channels, record.labels, subject_id="s7", stage_label=2
-        )
+        record = records.MultichannelRecord(channels, subject_id="s7", stage_label=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(

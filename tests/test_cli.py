@@ -83,10 +83,30 @@ class TestSynthSystem:
         alpha, A = fracdyn.model_from_json(model_out.read_text())
         np.testing.assert_array_equal(alpha, model.alpha)
         np.testing.assert_array_equal(A, model.A)
-        expected = fracdyn.simulate(model, 600, seed=2, rate_hz=2.0)
+        expected = fracdyn.simulate(model, 600, seed=2)
         loaded = records.load_record(rec, 2.0)
-        np.testing.assert_array_equal(loaded.as_matrix(), expected.as_matrix())
-        assert loaded.labels == expected.labels
+        np.testing.assert_array_equal(loaded.channels, expected)
+        assert loaded.labels == ("ch00", "ch01", "ch02", "ch03")
+
+
+class TestSynthSeries:
+    @pytest.mark.parametrize(
+        "argv, header, expected",
+        [
+            (["fgn", "--hurst", "0.7", "--n", "1024", "--seed", "3"], "fgn-H0.7",
+             lambda: synth.synth_fgn(0.7, 1024, 3)),
+            (["cascade", "--p", "0.7", "--depth", "10", "--seed", "3", "--shuffle"],
+             "cascade-p0.7", lambda: synth.synth_cascade(0.7, 10, 3, shuffle=True)),
+        ],
+        ids=["fgn", "cascade"],
+    )
+    def test_file_is_the_library_array_under_its_header(self, tmp_path, capsys,
+                                                         argv, header, expected):
+        rec = tmp_path / "series.csv"
+        assert run("synth", *argv, "--out", str(rec)) == 0
+        loaded = records.load_record(rec)
+        assert loaded.labels == (header,)
+        np.testing.assert_array_equal(loaded.channels, expected()[None, :])
 
 
 class TestDeterminism:
@@ -182,8 +202,50 @@ class TestPipelineCommands:
         out = tmp_path / "features.jsonl"
         code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out))
         assert code == cli.EXIT_DATA
-        assert "subject 'subj-9': channel 'c1' is constant" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'subj-9.csv'}: subject 'subj-9': channel 'c1' is constant" in err
+        assert err.count("subj-9'") == 1  # the path prefix does not repeat the subject
         assert not out.exists()  # no partial feature file for train to read
+
+    def test_extract_names_a_record_too_short_to_estimate(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        assert run("synth", "cohort", "--per-class", "1", "--channels", "2",
+                   "--samples", "40", "--out-dir", str(cohort)) == 0
+        out = tmp_path / "features.jsonl"
+        code = run("extract", str(cohort / "manifest.json"), "--out", str(out))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{cohort / 'rec000.csv'}: need at least 1024 samples, got 40" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["extract", "MANIFEST", "--ridge", "-0.5"],
+             "ridge must be finite and nonnegative, got -0.5"),
+            (["extract", "MANIFEST", "--horizon", "-3"], "horizon must be at least 1, got -3"),
+            (["convergence", "SYSTEM", "--horizon", "-3"], "horizon must be at least 1, got -3"),
+            (["convergence", "SYSTEM", "--step-seconds", "0.4"],
+             "step of 0.4 s at 1 Hz is 0.4 samples; need a finite step"),
+            (["convergence", "SYSTEM", "--step-seconds", "inf"],
+             "step of inf s at 1 Hz is inf samples; need a finite step"),
+            (["convergence", "SYSTEM", "--rate", "inf"],
+             "rate_hz must be positive and finite, got inf"),
+        ],
+        ids=["extract-negative-ridge", "extract-negative-horizon",
+             "convergence-negative-horizon", "convergence-step-below-one-sample",
+             "convergence-infinite-step", "convergence-infinite-rate"],
+    )
+    def test_bad_coupling_fit_parameter_is_data_error(self, cohort_dir, tmp_path, capsys,
+                                                      argv, named):
+        system = tmp_path / "sys.csv"
+        run("synth", "system", "--channels", "3", "--n", "1200", "--out", str(system))
+        inputs = {"MANIFEST": str(cohort_dir / "manifest.json"), "SYSTEM": str(system)}
+        out = tmp_path / "out.txt"
+        argv = [inputs.get(a, a) for a in argv]
+        assert run(*argv, "--out", str(out)) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_convergence(self, tmp_path, capsys):
         rec = tmp_path / "sys.csv"

@@ -133,13 +133,14 @@ class TestSimulate:
 
     def test_deterministic(self):
         model = self._model()
-        a = fracdyn.simulate(model, 500, seed=7).as_matrix()
-        b = fracdyn.simulate(model, 500, seed=7).as_matrix()
+        a = fracdyn.simulate(model, 500, seed=7)
+        b = fracdyn.simulate(model, 500, seed=7)
         np.testing.assert_array_equal(a, b)
+        assert a.shape == (4, 500) and a.dtype == np.float64 and a.flags.c_contiguous
 
     def test_stays_bounded(self):
         model = self._model()
-        X = fracdyn.simulate(model, 5000, seed=1).as_matrix()
+        X = fracdyn.simulate(model, 5000, seed=1)
         assert np.all(np.isfinite(X))
         assert np.abs(X).max() < 100
 
@@ -147,13 +148,13 @@ class TestSimulate:
         model = fracdyn.FractionalModel(
             self._model().alpha, self._model().A, noise_scale=0.0
         )
-        X = fracdyn.simulate(model, 2000, x0=np.ones(4), seed=0).as_matrix()
+        X = fracdyn.simulate(model, 2000, x0=np.ones(4), seed=0)
         assert np.abs(X[:, -1]).max() < np.abs(X[:, 0]).max()
 
     def test_input_matrix(self):
         model = synth.random_stable_model(4, 0, n_inputs=1, noise_scale=0.0)
         u = np.ones((500, 1))
-        X = fracdyn.simulate(model, 500, u=u, seed=0).as_matrix()
+        X = fracdyn.simulate(model, 500, u=u, seed=0)
         assert np.abs(X).max() > 0  # the input drives the state
 
     def test_input_without_b_rejected(self):
@@ -176,12 +177,12 @@ class TestAlphaEstimate:
         errs = []
         for a in (0.0, 0.3):
             for seed in range(3):
-                x = synth.synth_frac_noise(a, 1 << 13, seed).samples
+                x = synth.synth_frac_noise(a, 1 << 13, seed)
                 errs.append(abs(fracdyn.estimate_alpha(x).alpha - a))
         assert np.mean(errs) <= 0.07
 
     def test_float_conversion(self):
-        x = synth.synth_frac_noise(0.2, 1 << 12, 0).samples
+        x = synth.synth_frac_noise(0.2, 1 << 12, 0)
         est = fracdyn.estimate_alpha(x)
         assert float(est) == est.alpha
 
@@ -220,7 +221,7 @@ class TestAlphaEstimate:
 class TestEstimateCoupling:
     def test_exact_recovery_without_noise(self):
         model = synth.random_stable_model(5, 11, noise_scale=1.0)
-        X = fracdyn.simulate(model, 6000, seed=3).as_matrix()
+        X = fracdyn.simulate(model, 6000, seed=3)
         A_hat = fracdyn.estimate_coupling(X, model.alpha, ridge=0.0)
         rel = np.linalg.norm(A_hat - model.A) / np.linalg.norm(model.A)
         assert rel < 0.05
@@ -247,7 +248,7 @@ class TestUnknownInput:
         u = np.zeros((T, 1))
         for b in rng.integers(0, T - 1000, 30):
             u[b : b + 60, 0] = 5.0  # persistent bursts, not isolated spikes
-        X = fracdyn.simulate(model, T, u=u, seed=101).as_matrix()
+        X = fracdyn.simulate(model, T, u=u, seed=101)
         blind = fracdyn.estimate_coupling(X, model.alpha)
         report = fracdyn.estimate_with_unknown_input(X, model.alpha, 1)
 
@@ -276,10 +277,42 @@ class TestMinimumFitLength:
             fracdyn.estimate_with_unknown_input(X, np.full(4, 0.3), 1)
 
 
+class TestFitParameters:
+    """Every coupling fit names a horizon below 1 or a negative or non-finite ridge."""
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [({"horizon": -3}, "horizon must be at least 1, got -3"),
+         ({"horizon": 0}, "horizon must be at least 1, got 0"),
+         ({"ridge": -0.5}, "ridge must be finite and nonnegative, got -0.5"),
+         ({"ridge": np.nan}, "ridge must be finite and nonnegative, got nan")],
+        ids=["horizon-negative", "horizon-zero", "ridge-negative", "ridge-nan"],
+    )
+    @pytest.mark.parametrize("fit", ["known", "unknown", "convergence"])
+    def test_rejected_by_name(self, fit, kwargs, named):
+        X = np.random.default_rng(0).standard_normal((3, 600))
+        alpha = np.full(3, 0.3)
+        calls = {
+            "known": lambda: fracdyn.estimate_coupling(X, alpha, **kwargs),
+            "unknown": lambda: fracdyn.estimate_with_unknown_input(X, alpha, 1, **kwargs),
+            "convergence": lambda: fracdyn.coupling_convergence(
+                records.MultichannelRecord(X), alpha, 200.0, **kwargs
+            ),
+        }
+        with pytest.raises(ValueError, match=named):
+            calls[fit]()
+
+    @pytest.mark.parametrize("step, samples", [(0.2, "0.4"), (np.inf, "inf"), (np.nan, "nan")])
+    def test_step_below_one_sample_or_not_finite(self, step, samples):
+        record = records.MultichannelRecord(np.ones((2, 100)), rate_hz=2.0)
+        with pytest.raises(ValueError, match=f"step of {step:g} s at 2 Hz is {samples} samples"):
+            fracdyn.coupling_convergence(record, np.full(2, 0.3), step)
+
+
 class TestCouplingConvergence:
     def test_distances_fall(self):
         model = synth.random_stable_model(6, 4, noise_scale=1.0)
-        record = fracdyn.simulate(model, 4000, seed=4)
+        record = records.MultichannelRecord(fracdyn.simulate(model, 4000, seed=4))
         times, dists = fracdyn.coupling_convergence(record, model.alpha, 200.0)
         assert times.size == dists.size > 3
         assert np.all(np.diff(times) > 0)
@@ -287,7 +320,7 @@ class TestCouplingConvergence:
 
     def test_too_short_record(self):
         model = synth.random_stable_model(3, 0, noise_scale=1.0)
-        record = fracdyn.simulate(model, 300, seed=0)
+        record = records.MultichannelRecord(fracdyn.simulate(model, 300, seed=0))
         with pytest.raises(ValueError, match="short"):
             fracdyn.coupling_convergence(record, model.alpha, 200.0)
 

@@ -316,7 +316,7 @@ class TestHurstSpectrum:
         for h_true in (0.3, 0.8):
             errs = []
             for seed in range(5):
-                x = synth.synth_fgn(h_true, 1 << 14, seed).samples
+                x = synth.synth_fgn(h_true, 1 << 14, seed)
                 sf = mfdfa.scaling_function(
                     mfdfa.profile(x), mfdfa.MfdfaConfig(q_grid=(2.0,))
                 )
@@ -325,7 +325,7 @@ class TestHurstSpectrum:
 
     def test_cascade_matches_analytic(self):
         p = 0.75
-        x = synth.synth_cascade(p, 14).samples
+        x = synth.synth_cascade(p, 14)
         cfg = mfdfa.MfdfaConfig(scale_grid=tuple(mfdfa.dyadic_scale_grid(x.size)))
         sf = mfdfa.scaling_function(mfdfa.profile(x), cfg)
         spec = mfdfa.hurst_spectrum(sf)
@@ -334,7 +334,7 @@ class TestHurstSpectrum:
         assert np.all(np.diff(spec.h) <= 1e-9)  # nonincreasing in q
 
     def test_focus_point_on_cascade(self):
-        x = synth.synth_cascade(0.75, 14).samples
+        x = synth.synth_cascade(0.75, 14)
         cfg = mfdfa.MfdfaConfig(scale_grid=tuple(mfdfa.dyadic_scale_grid(x.size)))
         sf = mfdfa.scaling_function(mfdfa.profile(x), cfg)
         focus = mfdfa.focus_point(sf)

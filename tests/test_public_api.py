@@ -29,8 +29,9 @@ def test_all_resolves_and_lists_every_public_definition(name):
 # one interpreter runs the command chains; scipy costs most of a command's
 # start-up time and memory, and only the mfdfa command's scaling_function
 # and cohort_spectrum import it.  numpy imports numpy.ma lazily (15-19 ms),
-# and np.unique is one call that pulls it in; train's mlp_train calls it,
-# so train runs last and numpy.ma is checked after extract and after viral
+# and np.unique is one call that pulls it in.  A module stays imported, so
+# numpy.ma is checked after each of extract, viral and train, and train runs
+# last: its check then covers every command of the chain
 COMMAND_CHAINS = """
 import sys
 from fracsig.cli import main
@@ -45,7 +46,7 @@ for argv in [
     ["train", "features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "run"],
 ]:
     assert main(argv) == 0, argv
-    if argv[0] in ("extract", "viral"):
+    if argv[0] in ("extract", "viral", "train"):
         print(argv[0], "numpy.ma" in sys.modules)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
@@ -73,3 +74,7 @@ def test_cli_commands_leave_scipy_out(chain_stdout):
 def test_extract_and_viral_leave_numpy_ma_out(chain_stdout):
     checks = [line for line in chain_stdout if line.startswith(("extract ", "viral "))]
     assert checks == ["extract False", "viral False"]
+
+
+def test_train_leaves_numpy_ma_out(chain_stdout):
+    assert [line for line in chain_stdout if line.startswith("train ")] == ["train False"]

@@ -11,31 +11,11 @@ from fracsig.records import (
     ManifestEntry,
     MultichannelRecord,
     RecordFormatError,
-    TimeSeries,
     load_manifest,
     load_record,
     write_manifest,
     write_record,
 )
-
-
-class TestTimeSeries:
-    def test_basic(self):
-        ts = TimeSeries([1.0, 2.0, 3.0], label="eda")
-        assert len(ts) == 3
-        assert ts.label == "eda"
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TimeSeries([])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            TimeSeries([1.0, np.nan])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            TimeSeries(np.zeros((2, 2)))
 
 
 class TestMultichannelRecord:
@@ -46,14 +26,13 @@ class TestMultichannelRecord:
         rec = self._record()
         assert rec.n_channels == 2
         assert rec.n_samples == 2
-        assert rec.as_matrix().shape == (2, 2)
+        assert rec.channels.shape == (2, 2)
 
     def test_matrix_is_the_read_only_channels(self):
         rec = self._record()
-        assert rec.as_matrix() is rec.as_matrix() is rec.channels
         assert rec.channels.dtype == np.float64 and rec.channels.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
-            rec.as_matrix()[0, 0] = 9.0
+            rec.channels[0, 0] = 9.0
 
     def test_contiguous_input_is_viewed_not_copied(self):
         X = np.arange(6.0).reshape(2, 3)
@@ -86,7 +65,7 @@ class TestMultichannelRecord:
         with pytest.raises(ValueError, match="nonempty"):
             MultichannelRecord(np.zeros(shape))
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_nonpositive_rate(self, rate):
         with pytest.raises(ValueError, match="rate_hz"):
             self._record(rate_hz=rate)
@@ -112,9 +91,9 @@ class TestCsvRoundTrip:
         )
         path = tmp_path / "rec.csv"
         write_record(rec, path)
-        back = load_record(path, 8.0, subject_id="s1", stage_label=2)
+        back = load_record(path, 8.0)
         assert back.labels == rec.labels
-        np.testing.assert_array_equal(back.as_matrix(), rec.as_matrix())
+        np.testing.assert_array_equal(back.channels, rec.channels)
         assert not back.channels.flags.writeable
 
     def test_subject_case_round_trip(self, tmp_path):
@@ -138,7 +117,7 @@ class TestCsvRoundTrip:
         rec = MultichannelRecord([values], ("x",))
         write_record(rec, path)
         back = load_record(path, 1.0)
-        np.testing.assert_array_equal(back.as_matrix(), rec.as_matrix())
+        np.testing.assert_array_equal(back.channels, rec.channels)
 
     def test_bytes_match_csv_writer(self, tmp_path):
         values = [-0.0, 5e-324, 1e22, 0.1, -1.5e-7, 1.0, -1.7976931348623157e308, 123456.789]

@@ -8,22 +8,22 @@ from fracsig import fracdyn, synth
 
 class TestFgn:
     def test_deterministic(self):
-        a = synth.synth_fgn(0.7, 1024, 3).samples
-        b = synth.synth_fgn(0.7, 1024, 3).samples
+        a = synth.synth_fgn(0.7, 1024, 3)
+        b = synth.synth_fgn(0.7, 1024, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_unit_variance(self):
-        x = synth.synth_fgn(0.7, 1 << 15, 0).samples
+        x = synth.synth_fgn(0.7, 1 << 15, 0)
         assert abs(x.std() - 1.0) < 0.1
 
     def test_half_is_white(self):
         # H = 1/2 makes increments uncorrelated
-        x = synth.synth_fgn(0.5, 1 << 14, 1).samples
+        x = synth.synth_fgn(0.5, 1 << 14, 1)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 0.05
 
     def test_positive_lag1_for_large_h(self):
-        x = synth.synth_fgn(0.9, 1 << 14, 1).samples
+        x = synth.synth_fgn(0.9, 1 << 14, 1)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert r1 > 0.2
 
@@ -38,19 +38,19 @@ class TestFgn:
 
 class TestCascade:
     def test_mass_one_and_nonnegative(self):
-        x = synth.synth_cascade(0.7, 12).samples
+        x = synth.synth_cascade(0.7, 12)
         assert np.isclose(x.sum(), 1.0)
         assert np.all(x >= 0)
         assert x.size == 1 << 12
 
     def test_deterministic_by_default(self):
-        a = synth.synth_cascade(0.6, 10, 0).samples
-        b = synth.synth_cascade(0.6, 10, 99).samples
+        a = synth.synth_cascade(0.6, 10, 0)
+        b = synth.synth_cascade(0.6, 10, 99)
         np.testing.assert_array_equal(a, b)
 
     def test_shuffle_changes_arrangement_not_mass(self):
-        a = synth.synth_cascade(0.7, 10, 1, shuffle=True).samples
-        b = synth.synth_cascade(0.7, 10, 2, shuffle=True).samples
+        a = synth.synth_cascade(0.7, 10, 1, shuffle=True)
+        b = synth.synth_cascade(0.7, 10, 2, shuffle=True)
         assert not np.array_equal(a, b)
         np.testing.assert_allclose(sorted(a), sorted(b))
 
@@ -73,7 +73,7 @@ class TestFracNoise:
     def test_difference_is_white(self):
         # applying the forward difference recovers the seeded noise
         alpha = 0.4
-        x = synth.synth_frac_noise(alpha, 4096, 5).samples
+        x = synth.synth_frac_noise(alpha, 4096, 5)
         w = fracdyn.frac_difference(x, alpha, None)
         expected = np.random.default_rng(5).standard_normal(4096)
         np.testing.assert_allclose(w, expected, atol=1e-9)
@@ -102,7 +102,7 @@ class TestStableModels:
     @given(seed=st.integers(0, 10_000))
     def test_simulation_never_diverges(self, seed):
         model = synth.random_stable_model(4, seed, noise_scale=1.0)
-        X = fracdyn.simulate(model, 1500, seed=seed).as_matrix()
+        X = fracdyn.simulate(model, 1500, seed=seed)
         assert np.all(np.isfinite(X))
 
 
@@ -209,7 +209,7 @@ class TestStageCohort:
     def test_deterministic(self):
         a = synth.synth_stage_cohort(n_records=5, n_channels=3, seed=1, n_samples=1200)
         b = synth.synth_stage_cohort(n_records=5, n_channels=3, seed=1, n_samples=1200)
-        np.testing.assert_array_equal(a[3].as_matrix(), b[3].as_matrix())
+        np.testing.assert_array_equal(a[3].channels, b[3].channels)
 
 
 class TestViralCohort:
