@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from fracsig import fracdyn, records, synth
+from fracsig import fracdyn, synth
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -49,9 +49,8 @@ def main():
           f"input-aware error {err_aware:.4f} "
           f"({report.iterations} rounds, converged={report.converged})")
 
-    # the convergence curve is timed in seconds, so it takes a record and its rate
-    record = records.MultichannelRecord(X, rate_hz=1.0)
-    times, dists = fracdyn.coupling_convergence(record, model.alpha, 500.0)
+    # one sample per second: prefix lengths are times in seconds
+    times, dists = fracdyn.coupling_convergence(X, model.alpha, 500)
     rows = ["time_s,wasserstein"]
     rows += [f"{t:.0f},{d:.6f}" for t, d in zip(times, dists)]
     (OUT / "convergence.csv").write_text("\n".join(rows) + "\n")

@@ -201,6 +201,7 @@ def _cmd_mfdfa(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    fracdyn.check_fit_params(args.horizon, args.ridge)
     entries = records.load_manifest(args.manifest)
     lines = []  # written only once every record has its features
     for entry in entries:
@@ -212,8 +213,10 @@ def _cmd_extract(args) -> int:
         )
         try:
             case = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
-        except (ValueError, fracdyn.NumericalError) as exc:
-            raise type(exc)(f"{entry.path}: {exc}") from None
+        except fracdyn.NumericalError as exc:
+            raise fracdyn.NumericalError(f"{entry.path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{entry.path}: {exc}") from None
         item = {
             "subject_id": case.subject_id,
             "institution": case.institution,
@@ -342,9 +345,16 @@ def _cmd_convergence(args) -> int:
             )
     else:
         alpha = fracdyn.estimate_alphas(record.channels)
-    times, dists = fracdyn.coupling_convergence(
-        record, alpha, args.step_seconds, horizon=args.horizon, ridge=args.ridge
+    samples = args.step_seconds * args.rate
+    if not (np.isfinite(samples) and round(samples) >= 1):
+        raise ValueError(
+            f"step of {args.step_seconds:g} s at {args.rate:g} Hz is {samples:g} samples; "
+            "need a finite step that rounds to at least 1 sample"
+        )
+    lengths, dists = fracdyn.coupling_convergence(
+        record.channels, alpha, int(round(samples)), horizon=args.horizon, ridge=args.ridge
     )
+    times = lengths / args.rate
     Path(args.out).write_text(
         _csv_text(("time_s", "wasserstein"), zip(times, dists)), encoding="utf-8", newline=""
     )

@@ -10,8 +10,7 @@ the GL weight tables, simulates trajectories, estimates per-channel
 orders and the coupling matrix (optionally with unknown low-rank
 inputs), and tracks coupling convergence over growing prefixes.  Every
 function takes and returns plain arrays, (n_channels, n_samples) for a
-multichannel signal; only :func:`coupling_convergence` takes a record,
-for its sampling rate.
+multichannel signal, and counts time in samples.
 
 The simulated recursion has one memory horizon, ``DEFAULT_HORIZON``:
 :func:`simulate` and the stability checks in :mod:`fracsig.synth` all
@@ -44,6 +43,7 @@ __all__ = [
     "estimate_coupling",
     "estimate_with_unknown_input",
     "coupling_convergence",
+    "check_fit_params",
     "model_to_json",
     "model_from_json",
 ]
@@ -239,7 +239,8 @@ def _min_fit_length(n: int, horizon: int) -> int:
     return horizon + 10 * n + 1
 
 
-def _check_fit_params(horizon: int, ridge: float) -> None:
+def check_fit_params(horizon: int, ridge: float) -> None:
+    """Reject a coupling-fit horizon below 1 or a negative or non-finite ridge."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if not 0 <= ridge < np.inf:
@@ -248,7 +249,7 @@ def _check_fit_params(horizon: int, ridge: float) -> None:
 
 def _fit_matrix(X, horizon: int, ridge: float) -> np.ndarray:
     """Channel matrix of a coupling fit, rejected below the minimum length."""
-    _check_fit_params(horizon, ridge)
+    check_fit_params(horizon, ridge)
     X = np.asarray(X, dtype=float)
     n, T = X.shape
     if T < _min_fit_length(n, horizon):
@@ -411,33 +412,26 @@ def estimate_with_unknown_input(
 
 
 def coupling_convergence(
-    record,
+    X,
     alpha,
-    step_seconds: float,
+    step: int,
     *,
     horizon: int = DEFAULT_HORIZON,
     ridge: float = DEFAULT_RIDGE,
 ):
     """Wasserstein distance between coupling estimates of growing prefixes.
 
-    Fits A to every prefix of t = step, 2*step, ... seconds that is long
-    enough for a coupling fit, then compares the n^2 entries of each fit
-    with the next one's as empirical distributions.  ``record`` is a
-    :class:`fracsig.records.MultichannelRecord`, whose ``rate_hz`` turns
-    seconds into samples.  Returns (times_seconds, distances), timed at the
-    shorter prefix of each pair.
+    Fits A to every prefix of t = step, 2*step, ... samples of the (n, T)
+    matrix ``X`` that is long enough for a coupling fit, then compares the
+    n^2 entries of each fit with the next one's as empirical distributions.
+    Returns (prefix_lengths, distances), each distance at the shorter
+    prefix of its pair.
     """
-    _check_fit_params(horizon, ridge)
-    X = record.channels
+    check_fit_params(horizon, ridge)
+    if step < 1:
+        raise ValueError(f"step must be at least 1 sample, got {step}")
+    X = np.asarray(X, dtype=float)
     n, T = X.shape
-    rate = record.rate_hz
-    samples = step_seconds * rate
-    if not (np.isfinite(samples) and round(samples) >= 1):
-        raise ValueError(
-            f"step of {step_seconds:g} s at {rate:g} Hz is {samples:g} samples; "
-            "need a finite step that rounds to at least 1 sample"
-        )
-    step = int(round(samples))
     if T <= 2 * step:
         raise ValueError("record shorter than two steps")
     min_len = _min_fit_length(n, horizon)
@@ -450,7 +444,7 @@ def coupling_convergence(
     fits = [estimate_coupling(X[:, :t], alpha, horizon=horizon, ridge=ridge).ravel()
             for t in prefixes]
     dists = [wasserstein_1d(a, b) for a, b in zip(fits, fits[1:])]
-    return np.asarray(prefixes[:-1]) / rate, np.asarray(dists)
+    return np.asarray(prefixes[:-1]), np.asarray(dists)
 
 
 def model_to_json(alpha, A) -> str:

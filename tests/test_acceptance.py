@@ -17,7 +17,6 @@ import pytest
 from scipy.special import gammaln
 
 from fracsig import classify, cli, fracdyn, mfdfa, synth, viral
-from fracsig.records import MultichannelRecord
 
 from test_mfdfa import plain_dfa
 
@@ -214,8 +213,9 @@ class TestCriterion7CouplingConvergence:
         model = synth.random_stable_model(
             12, 7, noise_scale=1.0, diag_shift=0.8, spectral_radius=0.5
         )
-        record = MultichannelRecord(fracdyn.simulate(model, 3600, seed=7), rate_hz=1.0)
-        times, dists = fracdyn.coupling_convergence(record, model.alpha, 60.0)
+        # at 1 Hz a prefix of t samples is t seconds
+        X = fracdyn.simulate(model, 3600, seed=7)
+        times, dists = fracdyn.coupling_convergence(X, model.alpha, 60)
         late = dists[times >= 600.0]
         ok = late.size > 0 and bool(np.all(late < 0.02))
         assert report(

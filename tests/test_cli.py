@@ -218,6 +218,23 @@ class TestPipelineCommands:
         assert f"{cohort / 'rec000.csv'}: need at least 1024 samples, got 40" in err
         assert not out.exists()
 
+    def test_extract_names_a_record_with_zero_fluctuation(self, tmp_path, capsys):
+        # each value held for 16 samples: every scale-16 window is a straight
+        # line, though the channel is not constant
+        rng = np.random.default_rng(0)
+        X = np.stack([rng.standard_normal(2048), np.repeat(rng.standard_normal(128), 16)])
+        records.write_record(records.MultichannelRecord(X), tmp_path / "held.csv")
+        records.write_manifest([records.ManifestEntry("held.csv", "s1", "site-a", stage=1)],
+                               tmp_path / "manifest.json")
+        out = tmp_path / "features.jsonl"
+        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'held.csv'}: " in err
+        assert "zero fluctuation in every window at scale 16" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -244,7 +261,8 @@ class TestPipelineCommands:
         out = tmp_path / "out.txt"
         argv = [inputs.get(a, a) for a in argv]
         assert run(*argv, "--out", str(out)) == cli.EXIT_DATA
-        assert named in capsys.readouterr().err
+        # a flag's error names the flag's value, not a record
+        assert f"fracsig: error: {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_convergence(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, gammasgn
 
-from fracsig import fracdyn, records, synth
+from fracsig import fracdyn, synth
 
 
 def gamma_ratio_kernel(alpha, horizon):
@@ -295,45 +295,41 @@ class TestFitParameters:
         calls = {
             "known": lambda: fracdyn.estimate_coupling(X, alpha, **kwargs),
             "unknown": lambda: fracdyn.estimate_with_unknown_input(X, alpha, 1, **kwargs),
-            "convergence": lambda: fracdyn.coupling_convergence(
-                records.MultichannelRecord(X), alpha, 200.0, **kwargs
-            ),
+            "convergence": lambda: fracdyn.coupling_convergence(X, alpha, 200, **kwargs),
         }
         with pytest.raises(ValueError, match=named):
             calls[fit]()
 
-    @pytest.mark.parametrize("step, samples", [(0.2, "0.4"), (np.inf, "inf"), (np.nan, "nan")])
-    def test_step_below_one_sample_or_not_finite(self, step, samples):
-        record = records.MultichannelRecord(np.ones((2, 100)), rate_hz=2.0)
-        with pytest.raises(ValueError, match=f"step of {step:g} s at 2 Hz is {samples} samples"):
-            fracdyn.coupling_convergence(record, np.full(2, 0.3), step)
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_step_below_one_sample(self, step):
+        with pytest.raises(ValueError, match=f"step must be at least 1 sample, got {step}"):
+            fracdyn.coupling_convergence(np.ones((2, 100)), np.full(2, 0.3), step)
 
 
 class TestCouplingConvergence:
     def test_distances_fall(self):
         model = synth.random_stable_model(6, 4, noise_scale=1.0)
-        record = records.MultichannelRecord(fracdyn.simulate(model, 4000, seed=4))
-        times, dists = fracdyn.coupling_convergence(record, model.alpha, 200.0)
-        assert times.size == dists.size > 3
-        assert np.all(np.diff(times) > 0)
+        X = fracdyn.simulate(model, 4000, seed=4)
+        lengths, dists = fracdyn.coupling_convergence(X, model.alpha, 200)
+        assert lengths.size == dists.size > 3
+        assert np.all(np.diff(lengths) > 0)
         assert dists[-1] < dists[0]
 
     def test_too_short_record(self):
         model = synth.random_stable_model(3, 0, noise_scale=1.0)
-        record = records.MultichannelRecord(fracdyn.simulate(model, 300, seed=0))
+        X = fracdyn.simulate(model, 300, seed=0)
         with pytest.raises(ValueError, match="short"):
-            fracdyn.coupling_convergence(record, model.alpha, 200.0)
+            fracdyn.coupling_convergence(X, model.alpha, 200)
 
     def test_fewer_than_two_fittable_prefixes(self):
         # 12 channels need 50 + 120 + 1 = 171 samples: of the 100- and
         # 200-sample prefixes only the second can be fitted
         X = np.random.default_rng(0).standard_normal((12, 250))
-        record = records.MultichannelRecord(X)
         with pytest.raises(ValueError, match=(
             "record length 250 with a step of 100 samples leaves fewer than two "
             "prefixes of at least 171 samples"
         )):
-            fracdyn.coupling_convergence(record, np.full(12, 0.3), 100.0)
+            fracdyn.coupling_convergence(X, np.full(12, 0.3), 100)
 
 
 class TestModelJson:
