@@ -19,30 +19,27 @@ OUT.mkdir(exist_ok=True)
 
 def main():
     records = synth.synth_stage_cohort(n_records=60, n_channels=6, seed=1)
-    cases = [classify.extract_features(r) for r in records]
-    print(f"cohort: {len(cases)} records, "
-          f"{cases[0].features.size} features each")
+    # one feature matrix, stage vector and site list; both split kinds index them
+    X = np.stack([classify.extract_features(r) for r in records])
+    y = np.array([r.stage_label for r in records])
+    sites = [r.institution for r in records]
+    print(f"cohort: {X.shape[0]} records, {X.shape[1]} features each")
 
     cfg = classify.TrainConfig(epochs=300, seed=0)
     accs = []
-    for train_idx, test_idx in classify.kfold(cases, k=5, seed=0):
+    for train, test in classify.kfold(len(y), k=5, seed=0):
         scaler = classify.MinMaxScaler()
-        X_tr = scaler.fit_transform(np.array([cases[i].features for i in train_idx]))
-        X_te = scaler.transform(np.array([cases[i].features for i in test_idx]))
-        y_tr = np.array([cases[i].stage for i in train_idx])
-        y_te = np.array([cases[i].stage for i in test_idx])
-        params, _ = classify.mlp_train(X_tr, y_tr, cfg)
-        metrics = classify.evaluate(y_te, classify.mlp_predict(params, X_te))
+        X_tr, X_te = scaler.fit_transform(X[train]), scaler.transform(X[test])
+        params, _ = classify.mlp_train(X_tr, y[train], cfg)
+        metrics = classify.evaluate(y[test], classify.mlp_predict(params, X_te))
         accs.append(metrics.accuracy)
     print(f"5-fold accuracy: {np.mean(accs):.3f} "
           f"(folds: {', '.join(f'{a:.2f}' for a in accs)})")
 
-    train, test = classify.holdout(cases, "site-b", seed=0)
+    train, test = classify.holdout(sites, y, "site-b", seed=0)
     scaler = classify.MinMaxScaler()
-    X_tr = scaler.fit_transform(np.array([c.features for c in train]))
-    X_te = scaler.transform(np.array([c.features for c in test]))
-    y_tr = np.array([c.stage for c in train])
-    y_te = np.array([c.stage for c in test])
+    X_tr, X_te = scaler.fit_transform(X[train]), scaler.transform(X[test])
+    y_tr, y_te = y[train], y[test]
     params, _ = classify.mlp_train(X_tr, y_tr, cfg)
     metrics = classify.evaluate(y_te, classify.mlp_predict(params, X_te))
     print(f"holdout on site-b: accuracy {metrics.accuracy:.3f}, "

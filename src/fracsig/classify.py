@@ -5,6 +5,11 @@ classifier is a from-scratch feedforward network (two ReLU hidden
 layers of 300 and 100 units, softmax output, inverted dropout, rmsprop)
 with a multinomial logistic-regression baseline, k-fold and
 institution hold-out harnesses, and a confusion-matrix metrics suite.
+
+A cohort is one (m, d) feature matrix, one stage vector and one list
+of institution names.  Both split builders return (train, test) index
+arrays, so a caller stacks the features once and takes ``X[train]``,
+``y[train]``, ``X[test]`` and ``y[test]`` for every split.
 """
 
 from __future__ import annotations
@@ -14,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fracdyn
+from . import fracdyn, mfdfa
 from .records import N_STAGES
 
 __all__ = [
-    "LabeledCase",
     "MinMaxScaler",
     "TrainConfig",
     "MLPParams",
@@ -38,53 +42,38 @@ __all__ = [
     "load_model",
 ]
 
-@dataclass(frozen=True)
-class LabeledCase:
-    """Flattened coupling features with stage and provenance labels."""
-
-    features: np.ndarray
-    stage: int
-    institution: str = ""
-    subject_id: str = ""
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=float).ravel()
-        object.__setattr__(self, "features", features)
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features must be finite")
-        if self.stage not in range(N_STAGES):
-            raise ValueError(f"stage must be in 0..{N_STAGES - 1}")
-
-
 def extract_features(
     record,
     *,
     horizon: int = fracdyn.DEFAULT_HORIZON,
     ridge: float = fracdyn.DEFAULT_RIDGE,
     alpha=None,
-) -> LabeledCase:
+) -> np.ndarray:
     """Estimate per-channel orders, fit the coupling matrix, flatten it.
 
-    Channels are z-scored before the coupling fit so feature magnitudes
-    are comparable across subjects.  Pass ``alpha`` to skip the
-    per-channel order estimation.
+    Reads the record's channels and labels and returns the n^2 float64
+    features.  Channels are z-scored before the coupling fit so feature
+    magnitudes are comparable across subjects.  Pass ``alpha`` to skip
+    the per-channel order estimation.  A channel that cannot be
+    z-scored or fitted is named by its label.
     """
-    if record.stage_label is None:
-        raise ValueError("record is unlabeled")
     X = record.channels
     constant = np.flatnonzero(np.ptp(X, axis=1) == 0)
     if constant.size:
         raise ValueError(
-            f"subject {record.subject_id!r}: channel "
-            f"{record.labels[constant[0]]!r} is constant; cannot z-score it"
+            f"channel {record.labels[constant[0]]!r} is constant; cannot z-score it"
         )
     X = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
     if alpha is None:
-        alpha = np.array([fracdyn.estimate_alpha(row).alpha for row in X])
-    A = fracdyn.estimate_coupling(X, alpha, horizon=horizon, ridge=ridge)
-    return LabeledCase(
-        A.ravel(), record.stage_label, record.institution, record.subject_id
-    )
+        alpha = np.empty(X.shape[0])
+        for i, (label, row) in enumerate(zip(record.labels, X)):
+            try:
+                alpha[i] = fracdyn.estimate_alpha(row).alpha
+            except mfdfa.ZeroFluctuationError as exc:
+                raise ValueError(
+                    f"channel {label!r}: zero fluctuation in every window at scale {exc.scale}"
+                ) from None
+    return fracdyn.estimate_coupling(X, alpha, horizon=horizon, ridge=ridge).ravel()
 
 
 class MinMaxScaler:
@@ -361,56 +350,51 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
     return params, history
 
 
-def kfold(cases, k: int = 5, seed: int = 0, *, by_subject: bool = False):
-    """Shuffled disjoint exhaustive k-fold splits as (train, test) index arrays.
+def kfold(n: int, k: int = 5, seed: int = 0):
+    """Shuffled disjoint exhaustive k-fold splits of ``n`` cases.
 
-    ``by_subject`` keeps every subject_id entirely inside one fold.
+    Returns one (train, test) pair of sorted index arrays per fold: the
+    case at position i of a seeded permutation falls in fold i % k.
     """
-    cases = list(cases)
     if k < 2:
         raise ValueError(f"need at least 2 folds, got k={k}")
-    if len(cases) < k:
-        raise ValueError(f"need at least {k} cases, got {len(cases)}")
-    groups = [c.subject_id for c in cases] if by_subject else range(len(cases))
-    names, group_of = np.unique(groups, return_inverse=True)
-    if names.size < k:
-        raise ValueError(f"{names.size} subjects cannot fill {k} folds; need at least {k}")
-    order = np.random.default_rng(seed).permutation(names.size)
-    fold_of_group = np.empty(names.size, dtype=int)
-    fold_of_group[order] = np.arange(names.size) % k  # permutation position i -> fold i % k
-    fold = fold_of_group[group_of]
+    if n < k:
+        raise ValueError(f"need at least {k} cases, got {n}")
+    fold = np.empty(n, dtype=int)
+    fold[np.random.default_rng(seed).permutation(n)] = np.arange(n) % k
     return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
-def holdout(cases, institution: str, seed: int = 0):
+def holdout(institutions, stages, institution: str, seed: int = 0):
     """Hold one institution out as the test set; rebalance the train set.
 
-    Minority stages in the training split are randomly oversampled up to
-    the majority count (seeded).  The test set is left untouched.
+    ``institutions`` and ``stages`` label each case.  Returns (train,
+    test) index arrays: ``train`` holds the other institutions' cases
+    in order, then seeded random repeats that bring each minority stage
+    up to the majority count, one stage after another in sorted order.
+    The test set is left untouched.
     """
-    cases = list(cases)
-    tags = sorted({c.institution for c in cases})
+    institutions = np.asarray(institutions, dtype=str)
+    stages = np.asarray(stages, dtype=int)
+    tags = sorted(set(institutions.tolist()))
     if institution not in tags:
         raise ValueError(
             f"institution {institution!r} not present; available: {tags}"
         )
-    test = [c for c in cases if c.institution == institution]
-    train = [c for c in cases if c.institution != institution]
-    if not train:
+    held = institutions == institution
+    train, test = np.flatnonzero(~held), np.flatnonzero(held)
+    if not train.size:
         raise ValueError(f"holding out institution {institution!r} leaves no training cases")
+    # sorted(set()), not np.unique, which imports numpy.ma on first use
+    pools = [train[stages[train] == s] for s in sorted(set(stages[train].tolist()))]
+    target = max(pool.size for pool in pools)
     rng = np.random.default_rng(seed)
-    by_stage: dict[int, list] = {}
-    for c in train:
-        by_stage.setdefault(c.stage, []).append(c)
-    target = max(len(v) for v in by_stage.values())
-    balanced = list(train)
-    for stage in sorted(by_stage):
-        pool = by_stage[stage]
-        deficit = target - len(pool)
-        if deficit > 0:
-            picks = rng.integers(0, len(pool), size=deficit)
-            balanced.extend(pool[i] for i in picks)
-    return balanced, test
+    repeats = [
+        pool[rng.integers(0, pool.size, size=target - pool.size)]
+        for pool in pools
+        if pool.size < target
+    ]
+    return np.concatenate([train, *repeats]), test
 
 
 @dataclass(frozen=True)

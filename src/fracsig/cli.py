@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -205,23 +204,21 @@ def _cmd_extract(args) -> int:
     entries = records.load_manifest(args.manifest)
     lines = []  # written only once every record has its features
     for entry in entries:
-        record = dataclasses.replace(
-            records.load_record(entry.path),
-            subject_id=entry.subject_id,
-            institution=entry.institution,
-            stage_label=entry.stage,
-        )
+        named = f"{entry.path}: subject {entry.subject_id!r}: "
+        if entry.stage is None:
+            raise ValueError(f"{named}record is unlabeled")
+        record = records.load_record(entry.path)
         try:
-            case = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
+            features = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
         except fracdyn.NumericalError as exc:
-            raise fracdyn.NumericalError(f"{entry.path}: {exc}") from None
+            raise fracdyn.NumericalError(f"{named}{exc}") from None
         except ValueError as exc:
-            raise ValueError(f"{entry.path}: {exc}") from None
+            raise ValueError(f"{named}{exc}") from None
         item = {
-            "subject_id": case.subject_id,
-            "institution": case.institution,
-            "stage": case.stage,
-            "features": [float(v) for v in case.features],
+            "subject_id": entry.subject_id,
+            "institution": entry.institution,
+            "stage": entry.stage,
+            "features": features.tolist(),
         }
         lines.append(json.dumps(item, sort_keys=True) + "\n")
     Path(args.out).write_text("".join(lines), encoding="utf-8")
@@ -229,65 +226,70 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_features(path) -> list[classify.LabeledCase]:
-    cases = []
+def _load_features(path):
+    """Read a feature file as (X, stages, institutions).
+
+    ``X`` is the (m, d) float64 feature matrix, ``stages`` the int stage
+    vector and ``institutions`` the list of site names, one per line.
+    """
+    rows, stages, institutions = [], [], []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 item = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise records.RecordFormatError(
-                    f"{path}: line {lineno}: invalid JSON: {exc}"
-                ) from None
+                raise records.RecordFormatError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(item, dict):
-                raise records.RecordFormatError(f"{path}: line {lineno}: not a JSON object")
+                raise records.RecordFormatError(f"{where}: not a JSON object")
             for key in ("features", "stage"):
                 if key not in item:
-                    raise records.RecordFormatError(
-                        f"{path}: line {lineno}: missing field {key!r}"
-                    )
+                    raise records.RecordFormatError(f"{where}: missing field {key!r}")
             try:
-                case = classify.LabeledCase(
-                    np.asarray(item["features"], dtype=float),
-                    int(item["stage"]),
-                    institution=str(item.get("institution", "")),
-                    subject_id=str(item.get("subject_id", "")),
-                )
+                features = np.asarray(item["features"], dtype=float).ravel()
+                stage = int(item["stage"])
             except (TypeError, ValueError) as exc:
-                raise records.RecordFormatError(f"{path}: line {lineno}: {exc}") from None
-            cases.append(case)
-            if len(cases) == 1:
-                first_line = lineno
-            elif cases[-1].features.size != cases[0].features.size:
+                raise records.RecordFormatError(f"{where}: {exc}") from None
+            if not np.isfinite(features).all():
+                raise records.RecordFormatError(f"{where}: features must be finite")
+            if stage not in range(classify.N_STAGES):
                 raise records.RecordFormatError(
-                    f"{path}: line {lineno}: {cases[-1].features.size} features, "
-                    f"but line {first_line} has {cases[0].features.size}"
+                    f"{where}: stage must be in 0..{classify.N_STAGES - 1}"
                 )
-    if not cases:
+            if not rows:
+                first_line = lineno
+            elif features.size != rows[0].size:
+                raise records.RecordFormatError(
+                    f"{where}: {features.size} features, "
+                    f"but line {first_line} has {rows[0].size}"
+                )
+            rows.append(features)
+            stages.append(stage)
+            institutions.append(str(item.get("institution", "")))
+    if not rows:
         raise records.RecordFormatError(f"{path}: no feature lines")
-    return cases
+    return np.stack(rows), np.array(stages), institutions
 
 
 # ---------------------------------------------------------------- train
 
 
-def _train_splits(args, cases):
-    """Yield (metrics file, curve file, label, train cases, test cases)
+def _train_splits(args, stages, institutions):
+    """Yield (metrics file, curve file, label, train, test) index arrays
     for each k-fold split or held-out institution."""
     if args.mode == "kfold":
-        for fi, (train, test) in enumerate(classify.kfold(cases, args.folds, args.seed)):
-            train, test = [cases[i] for i in train], [cases[i] for i in test]
+        for fi, (train, test) in enumerate(classify.kfold(stages.size, args.folds, args.seed)):
             yield f"fold{fi}.json", f"curve_fold{fi}.csv", f"fold {fi}", train, test
     else:
-        for name in sorted({c.institution for c in cases}):
-            train, test = classify.holdout(cases, name, args.seed)
+        for name in sorted(set(institutions)):
+            train, test = classify.holdout(institutions, stages, name, args.seed)
             yield f"holdout_{name}.json", f"curve_{name}.csv", f"holdout {name}", train, test
 
 
 def _cmd_train(args) -> int:
-    cases = _load_features(args.features)
+    X, y, institutions = _load_features(args.features)
     lr = args.learning_rate  # None keeps each model's own default step size
     cfg = classify.TrainConfig(
         epochs=args.epochs,
@@ -297,11 +299,11 @@ def _cmd_train(args) -> int:
         **({} if lr is None else {"learning_rate": lr}),
     )
     accuracies, texts = [], {}
-    for metrics_name, curve_name, label, train, test in _train_splits(args, cases):
+    for metrics_name, curve_name, label, train, test in _train_splits(args, y, institutions):
         scaler = classify.MinMaxScaler()
-        Xtr = scaler.fit_transform(np.stack([c.features for c in train]))
-        Xte = scaler.transform(np.stack([c.features for c in test]))
-        ytr = np.array([c.stage for c in train])
+        Xtr = scaler.fit_transform(X[train])
+        Xte = scaler.transform(X[test])
+        ytr = y[train]
         if args.model == "mlp":
             params, history = classify.mlp_train(Xtr, ytr, cfg)
         else:
@@ -310,7 +312,7 @@ def _cmd_train(args) -> int:
             )
             history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
         probs = classify.mlp_predict(params, Xte)
-        metrics = classify.evaluate([c.stage for c in test], probs)
+        metrics = classify.evaluate(y[test], probs)
         accuracies.append(metrics.accuracy)
         texts[metrics_name] = _json_text(metrics.to_dict())
         rows = zip(count(), history["loss"], history["accuracy"])
@@ -336,7 +338,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    record = records.load_record(args.record, args.rate)
+    if not 0 < args.rate < np.inf:
+        raise ValueError(f"--rate must be positive and finite, got {args.rate:g}")
+    if not 0 <= args.threshold < np.inf:
+        raise ValueError(f"--threshold must be finite and nonnegative, got {args.threshold:g}")
+    record = records.load_record(args.record)
     if args.alpha is not None:
         alpha = np.asarray(args.alpha)
         if alpha.size != record.n_channels:
@@ -382,7 +388,7 @@ def _cmd_viral(args) -> int:
         record = records.load_record(entry.path)
         cases.append(
             viral.SubjectCase(
-                record.channels, record.labels, record.rate_hz, entry.subject_id,
+                record.channels, record.labels, entry.subject_id,
                 inoculation_index=int(entry.extra["inoculation_index"]),
                 infected=bool(entry.extra["infected"]),
             )
@@ -572,6 +578,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage failures and --help
         return int(exc.code or 0)

@@ -4,9 +4,10 @@ A record is one read-only (n_channels, n_samples) float64 matrix with a
 label per row, plus the subject's labels.  Records exist where files are
 written or read and where labels are attached; the numeric layers take
 and return plain arrays.  CSV layout: one header row with channel
-labels, one column per channel, one row per sample.  Sampling rate is
-supplied out of band (device exports do not carry it), and the subject
-labels come from the manifest.
+labels, one column per channel, one row per sample.  A record carries
+no sampling rate (device exports do not either); the one command that
+needs it, ``convergence``, takes ``--rate``.  The subject labels come
+from the manifest.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class MultichannelRecord:
 
     channels: np.ndarray
     labels: tuple[str, ...] | None = None
-    rate_hz: float = 1.0
     subject_id: str = ""
     institution: str = ""
     stage_label: int | None = None
@@ -66,8 +66,6 @@ class MultichannelRecord:
             raise ValueError(f"need {n} unique channel labels, got {labels}")
         if not np.isfinite(matrix).all():
             raise ValueError("channel values must be finite")
-        if not 0 < self.rate_hz < np.inf:
-            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if self.stage_label is not None and self.stage_label not in range(N_STAGES):
             raise ValueError(f"stage_label must be in 0..{N_STAGES - 1}")
         matrix.flags.writeable = False
@@ -83,7 +81,7 @@ class MultichannelRecord:
         return self.channels.shape[1]
 
 
-def load_record(path, rate_hz: float = 1.0) -> MultichannelRecord:
+def load_record(path) -> MultichannelRecord:
     """Read a record from CSV, without subject labels.
 
     Header row gives channel labels; every following row holds one sample
@@ -136,7 +134,7 @@ def load_record(path, rate_hz: float = 1.0) -> MultichannelRecord:
             f"{path}: row {row + 2}, column {col + 1}: "
             f"non-finite value {float(matrix[col, row])!r}"
         )
-    return MultichannelRecord(matrix, labels, rate_hz)
+    return MultichannelRecord(matrix, labels)
 
 
 _ROWS_PER_WRITE = 1024

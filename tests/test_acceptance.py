@@ -228,8 +228,9 @@ class TestCriterion7CouplingConvergence:
 @pytest.fixture(scope="module")
 def stage_cohort():
     records = synth.synth_stage_cohort(seed=3)
-    cases = [classify.extract_features(r) for r in records]
-    return cases
+    X = np.stack([classify.extract_features(r) for r in records])
+    y = np.array([r.stage_label for r in records])
+    return X, y, [r.institution for r in records]
 
 
 class TestCriterion8Classifier:
@@ -252,13 +253,11 @@ class TestCriterion8Classifier:
         assert report("backprop gradient check", ok, f"max rel err {worst:.2e}")
 
     def test_cohort_accuracies(self, stage_cohort):
-        cases = stage_cohort
-        X = np.stack([c.features for c in cases])
-        y = np.array([c.stage for c in cases])
+        X, y, institutions = stage_cohort
         cfg = classify.TrainConfig(epochs=500, seed=0)
 
         mlp_accs, logistic_accs = [], []
-        for train, test in classify.kfold(cases, 5, seed=0):
+        for train, test in classify.kfold(len(y), 5, seed=0):
             scaler = classify.MinMaxScaler()
             Xtr, Xte = scaler.fit_transform(X[train]), scaler.transform(X[test])
             params, _ = classify.mlp_train(Xtr, y[train], cfg)
@@ -271,16 +270,13 @@ class TestCriterion8Classifier:
             )
 
         holdout_accs = []
-        for institution in sorted({c.institution for c in cases}):
-            train, test = classify.holdout(cases, institution, seed=0)
-            Xtr = np.stack([c.features for c in train])
-            ytr = np.array([c.stage for c in train])
-            Xte = np.stack([c.features for c in test])
-            yte = np.array([c.stage for c in test])
+        for institution in sorted(set(institutions)):
+            train, test = classify.holdout(institutions, y, institution, seed=0)
             scaler = classify.MinMaxScaler()
-            params, _ = classify.mlp_train(scaler.fit_transform(Xtr), ytr, cfg)
+            Xtr, Xte = scaler.fit_transform(X[train]), scaler.transform(X[test])
+            params, _ = classify.mlp_train(Xtr, y[train], cfg)
             holdout_accs.append(
-                np.mean(classify.mlp_predict(params, scaler.transform(Xte)).argmax(1) == yte)
+                np.mean(classify.mlp_predict(params, Xte).argmax(1) == y[test])
             )
 
         kfold_acc = float(np.mean(mlp_accs))

@@ -9,59 +9,29 @@ from hypothesis.extra import numpy as hnp
 from fracsig import classify, fracdyn, records, synth
 
 
-def _toy_cases(n=40, d=6, seed=0, n_institutions=4):
-    rng = np.random.default_rng(seed)
-    cases = []
-    for i in range(n):
-        cases.append(
-            classify.LabeledCase(
-                rng.standard_normal(d),
-                stage=i % classify.N_STAGES,
-                institution=f"inst-{i % n_institutions}",
-                subject_id=f"s{i:02d}",
-            )
-        )
-    return cases
-
-
-class TestLabeledCase:
-    def test_flattens(self):
-        case = classify.LabeledCase(np.ones((3, 3)), 0)
-        assert case.features.shape == (9,)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            classify.LabeledCase([np.nan], 0)
-
-    def test_rejects_bad_stage(self):
-        with pytest.raises(ValueError, match="stage"):
-            classify.LabeledCase([1.0], 7)
+def _toy_labels(n=40, n_institutions=4):
+    """Institution names and stages of ``n`` cases, both cycling."""
+    institutions = [f"inst-{i % n_institutions}" for i in range(n)]
+    return institutions, np.arange(n) % classify.N_STAGES
 
 
 class TestExtractFeatures:
     def test_feature_count_is_channels_squared(self):
         model = synth.random_stable_model(4, 0, noise_scale=1.0)
-        record = records.MultichannelRecord(fracdyn.simulate(model, 1500, seed=0), stage_label=2)
-        case = classify.extract_features(record)
-        assert case.features.shape == (16,)
-        assert case.stage == 2
-
-    def test_unlabeled_rejected(self):
-        model = synth.random_stable_model(3, 0, noise_scale=1.0)
         record = records.MultichannelRecord(fracdyn.simulate(model, 1500, seed=0))
-        with pytest.raises(ValueError, match="unlabeled"):
-            classify.extract_features(record)
-
+        features = classify.extract_features(record)
+        assert features.shape == (16,)
+        assert features.dtype == np.float64
 
     def test_constant_channel_named_before_dividing(self):
         model = synth.random_stable_model(3, 0, noise_scale=1.0)
         channels = fracdyn.simulate(model, 1500, seed=0)
         channels[1] = 3.0
-        record = records.MultichannelRecord(channels, subject_id="s7", stage_label=2)
+        record = records.MultichannelRecord(channels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
-                ValueError, match=rf"subject 's7': channel '{record.labels[1]}' is constant"
+                ValueError, match=rf"channel '{record.labels[1]}' is constant"
             ):
                 classify.extract_features(record)
 
@@ -262,8 +232,7 @@ class TestKfold:
         seed=st.integers(0, 1000),
     )
     def test_partition_properties(self, n, k, seed):
-        cases = _toy_cases(n)
-        splits = classify.kfold(cases, k, seed)
+        splits = classify.kfold(n, k, seed)
         assert len(splits) == k
         all_test = np.concatenate([test for _, test in splits])
         assert sorted(all_test) == list(range(n))  # disjoint and exhaustive
@@ -271,65 +240,22 @@ class TestKfold:
             assert np.intersect1d(train, test).size == 0
             assert len(train) + len(test) == n
 
-    def test_by_subject_keeps_subjects_whole(self):
-        cases = _toy_cases(30)
-        # two records per subject
-        doubled = cases + [
-            classify.LabeledCase(c.features + 1, c.stage, c.institution, c.subject_id)
-            for c in cases
-        ]
-        splits = classify.kfold(doubled, 3, 0, by_subject=True)
-        for _, test in splits:
-            test_subjects = {doubled[i].subject_id for i in test}
-            outside = {
-                doubled[i].subject_id
-                for i in range(len(doubled))
-                if i not in set(test)
-            }
-            assert not (test_subjects & outside)
-
-    def test_by_subject_needs_a_subject_per_fold(self):
-        cases = [
-            classify.LabeledCase([float(i)], i % 5, subject_id=f"s{i % 3}")
-            for i in range(12)
-        ]
-        with pytest.raises(ValueError, match="3 subjects cannot fill 5 folds"):
-            classify.kfold(cases, 5, by_subject=True)
-
     def test_too_few_cases(self):
         with pytest.raises(ValueError, match="at least"):
-            classify.kfold(_toy_cases(3), 5)
+            classify.kfold(3, 5)
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_fewer_than_two_folds(self, k):
         with pytest.raises(ValueError, match=f"need at least 2 folds, got k={k}"):
-            classify.kfold(_toy_cases(10), k)
+            classify.kfold(10, k)
 
     @staticmethod
-    def _reference_kfold(cases, k, seed, by_subject):
-        """Reference: separate per-case and per-subject fold builders."""
-        n = len(cases)
+    def _reference_kfold(n, k, seed):
+        """Reference: fold f holds every k-th case of one seeded permutation."""
         if n < k:
             raise ValueError(f"need at least {k} cases, got {n}")
-        rng = np.random.default_rng(seed)
-        if by_subject:
-            subjects = sorted({c.subject_id for c in cases})
-            if len(subjects) < k:
-                raise ValueError(
-                    f"{len(subjects)} subjects cannot fill {k} folds; need at least {k}"
-                )
-            order = rng.permutation(len(subjects))
-            fold_of_subject = {subjects[si]: fi % k for fi, si in enumerate(order)}
-            folds = [
-                np.array(
-                    [i for i, c in enumerate(cases) if fold_of_subject[c.subject_id] == f],
-                    dtype=int,
-                )
-                for f in range(k)
-            ]
-        else:
-            order = rng.permutation(n)
-            folds = [order[f::k] for f in range(k)]
+        order = np.random.default_rng(seed).permutation(n)
+        folds = [order[f::k] for f in range(k)]
         return [
             (
                 np.sort(np.concatenate([folds[g] for g in range(k) if g != f])),
@@ -340,24 +266,19 @@ class TestKfold:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        subjects=st.lists(st.integers(0, 11), min_size=1, max_size=40),
+        n=st.integers(1, 40),
         k=st.integers(2, 8),
         seed=st.integers(0, 2**32 - 1),
-        by_subject=st.booleans(),
     )
-    def test_matches_reference_builders(self, subjects, k, seed, by_subject):
-        cases = [
-            classify.LabeledCase([float(i)], i % classify.N_STAGES, subject_id=f"s{s}")
-            for i, s in enumerate(subjects)
-        ]
+    def test_matches_reference_builders(self, n, k, seed):
         try:
-            expected = self._reference_kfold(cases, k, seed, by_subject)
+            expected = self._reference_kfold(n, k, seed)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                classify.kfold(cases, k, seed, by_subject=by_subject)
+                classify.kfold(n, k, seed)
             assert str(got.value) == str(exc)
             return
-        splits = classify.kfold(cases, k, seed, by_subject=by_subject)
+        splits = classify.kfold(n, k, seed)
         assert len(splits) == len(expected)
         for (train, test), (ref_train, ref_test) in zip(splits, expected):
             assert np.array_equal(train, ref_train)
@@ -366,26 +287,75 @@ class TestKfold:
 
 class TestHoldout:
     def test_test_set_is_pure_and_untouched(self):
-        cases = _toy_cases(40)
-        train, test = classify.holdout(cases, "inst-2")
-        assert all(c.institution == "inst-2" for c in test)
-        assert all(c.institution != "inst-2" for c in train)
+        institutions, stages = _toy_labels(40)
+        train, test = classify.holdout(institutions, stages, "inst-2")
+        assert all(institutions[i] == "inst-2" for i in test)
+        assert all(institutions[i] != "inst-2" for i in train)
         assert len(test) == 10
 
     def test_train_set_rebalanced(self):
-        cases = _toy_cases(41)  # stage counts now unequal
-        train, _ = classify.holdout(cases, "inst-0")
-        counts = np.bincount([c.stage for c in train], minlength=5)
+        institutions, stages = _toy_labels(41)  # stage counts now unequal
+        train, _ = classify.holdout(institutions, stages, "inst-0")
+        counts = np.bincount(stages[train], minlength=5)
         assert counts.min() == counts.max()
 
     def test_no_training_cases_left(self):
-        cases = _toy_cases(10, n_institutions=1)
+        institutions, stages = _toy_labels(10, n_institutions=1)
         with pytest.raises(ValueError, match="'inst-0' leaves no training cases"):
-            classify.holdout(cases, "inst-0")
+            classify.holdout(institutions, stages, "inst-0")
 
     def test_unknown_institution_lists_available(self):
         with pytest.raises(ValueError, match="inst-0"):
-            classify.holdout(_toy_cases(10), "nope")
+            classify.holdout(*_toy_labels(10), "nope")
+
+    @staticmethod
+    def _reference_holdout(cases, institution, seed):
+        """Reference: the case-list builder, on (index, institution, stage) cases."""
+        tags = sorted({c[1] for c in cases})
+        if institution not in tags:
+            raise ValueError(f"institution {institution!r} not present; available: {tags}")
+        test = [c for c in cases if c[1] == institution]
+        train = [c for c in cases if c[1] != institution]
+        if not train:
+            raise ValueError(f"holding out institution {institution!r} leaves no training cases")
+        rng = np.random.default_rng(seed)
+        by_stage = {}
+        for c in train:
+            by_stage.setdefault(c[2], []).append(c)
+        target = max(len(v) for v in by_stage.values())
+        balanced = list(train)
+        for stage in sorted(by_stage):
+            pool = by_stage[stage]
+            deficit = target - len(pool)
+            if deficit > 0:
+                picks = rng.integers(0, len(pool), size=deficit)
+                balanced.extend(pool[i] for i in picks)
+        return [c[0] for c in balanced], [c[0] for c in test]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.lists(
+            st.tuples(st.sampled_from(["VB", "MD1", "MD2", "CP"]),
+                      st.integers(0, classify.N_STAGES - 1)),
+            min_size=1, max_size=40,
+        ),
+        institution=st.sampled_from(["VB", "MD1", "MD2", "CP"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_builder(self, labels, institution, seed):
+        cases = [(i, site, stage) for i, (site, stage) in enumerate(labels)]
+        institutions = [site for site, _ in labels]
+        stages = np.array([stage for _, stage in labels])
+        try:
+            ref_train, ref_test = self._reference_holdout(cases, institution, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                classify.holdout(institutions, stages, institution, seed)
+            assert str(got.value) == str(exc)
+            return
+        train, test = classify.holdout(institutions, stages, institution, seed)
+        assert train.tolist() == ref_train  # repeats included, in order
+        assert test.tolist() == ref_test
 
 
 class TestMetrics:

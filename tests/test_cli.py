@@ -70,6 +70,25 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "fgn", "--hurst", "0.5", "--n", "1024", "--out", "x.csv"],
+            ["synth", "cascade", "--p", "0.7", "--depth", "10", "--out", "x.csv"],
+            ["synth", "system", "--channels", "2", "--n", "100", "--out", "x.csv"],
+            ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "100",
+             "--out-dir", "c"],
+            ["synth", "viral", "--subjects", "2", "--infected", "1", "--out-dir", "c"],
+            ["train", "f.jsonl", "--out-dir", "c"],
+        ],
+        ids=["fgn", "cascade", "system", "cohort", "viral", "train"],
+    )
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a in ("c", "x.csv", "f.jsonl") else a for a in argv]
+        assert run(*argv, "--seed", "-1") == cli.EXIT_DATA
+        assert "fracsig: error: --seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSynthSystem:
     def test_files_match_the_library(self, tmp_path, capsys):
@@ -84,7 +103,7 @@ class TestSynthSystem:
         np.testing.assert_array_equal(alpha, model.alpha)
         np.testing.assert_array_equal(A, model.A)
         expected = fracdyn.simulate(model, 600, seed=2)
-        loaded = records.load_record(rec, 2.0)
+        loaded = records.load_record(rec)
         np.testing.assert_array_equal(loaded.channels, expected)
         assert loaded.labels == ("ch00", "ch01", "ch02", "ch03")
 
@@ -215,7 +234,8 @@ class TestPipelineCommands:
         code = run("extract", str(cohort / "manifest.json"), "--out", str(out))
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert f"{cohort / 'rec000.csv'}: need at least 1024 samples, got 40" in err
+        assert (f"{cohort / 'rec000.csv'}: subject 'rec000': "
+                "need at least 1024 samples, got 40") in err
         assert not out.exists()
 
     def test_extract_names_a_record_with_zero_fluctuation(self, tmp_path, capsys):
@@ -232,7 +252,26 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'held.csv'}: " in err
         assert "zero fluctuation in every window at scale 16" in err
+        assert "channel 'ch01': zero fluctuation" in err
+        assert "row 0" not in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_extract_unlabeled_record_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for name in ("s1", "s2"):
+            records.write_record(records.MultichannelRecord(rng.standard_normal((2, 1200))),
+                                 tmp_path / f"{name}.csv")
+        records.write_manifest(
+            [records.ManifestEntry("s1.csv", "s1", "site-a", stage=1),
+             records.ManifestEntry("s2.csv", "s2", "site-a")],
+            tmp_path / "manifest.json",
+        )
+        out = tmp_path / "features.jsonl"
+        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 's2.csv'}: subject 's2': record is unlabeled" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -247,11 +286,25 @@ class TestPipelineCommands:
             (["convergence", "SYSTEM", "--step-seconds", "inf"],
              "step of inf s at 1 Hz is inf samples; need a finite step"),
             (["convergence", "SYSTEM", "--rate", "inf"],
-             "rate_hz must be positive and finite, got inf"),
+             "--rate must be positive and finite, got inf"),
+            (["convergence", "SYSTEM", "--rate", "0"], "--rate must be positive and finite, got 0"),
+            (["convergence", "SYSTEM", "--rate", "-1"],
+             "--rate must be positive and finite, got -1"),
+            (["convergence", "SYSTEM", "--rate", "nan"],
+             "--rate must be positive and finite, got nan"),
+            (["convergence", "SYSTEM", "--threshold", "nan"],
+             "--threshold must be finite and nonnegative, got nan"),
+            (["convergence", "SYSTEM", "--threshold", "inf"],
+             "--threshold must be finite and nonnegative, got inf"),
+            (["convergence", "SYSTEM", "--threshold", "-1"],
+             "--threshold must be finite and nonnegative, got -1"),
         ],
         ids=["extract-negative-ridge", "extract-negative-horizon",
              "convergence-negative-horizon", "convergence-step-below-one-sample",
-             "convergence-infinite-step", "convergence-infinite-rate"],
+             "convergence-infinite-step", "convergence-infinite-rate",
+             "convergence-zero-rate", "convergence-negative-rate", "convergence-nan-rate",
+             "convergence-nan-threshold", "convergence-infinite-threshold",
+             "convergence-negative-threshold"],
     )
     def test_bad_coupling_fit_parameter_is_data_error(self, cohort_dir, tmp_path, capsys,
                                                       argv, named):
@@ -525,9 +578,11 @@ class TestTrainCommand:
             (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": 9}\n', [],
              "features.jsonl: line 11: stage must be in 0..4"),
             (_feature_lines() + "5\n", [], "features.jsonl: line 11: not a JSON object"),
+            (_feature_lines() + '{"features": [0.1, NaN, 0.3], "stage": 1}\n', [],
+             "features.jsonl: line 11: features must be finite"),
         ],
         ids=["one-fold", "zero-folds", "one-institution", "ragged-features",
-             "non-numeric-feature", "stage-out-of-range", "not-an-object"],
+             "non-numeric-feature", "stage-out-of-range", "not-an-object", "nan-feature"],
     )
     def test_bad_training_input_fails_fast(self, tmp_path, capsys, text, argv, named):
         feats = tmp_path / "features.jsonl"

@@ -65,11 +65,6 @@ class TestMultichannelRecord:
         with pytest.raises(ValueError, match="nonempty"):
             MultichannelRecord(np.zeros(shape))
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
-    def test_rejects_nonpositive_rate(self, rate):
-        with pytest.raises(ValueError, match="rate_hz"):
-            self._record(rate_hz=rate)
-
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):
             MultichannelRecord([[1.0], [2.0]], ("a", "a"))
@@ -87,11 +82,11 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(0)
         labels = tuple(f"ch{i}" for i in range(3))
         rec = MultichannelRecord(
-            rng.standard_normal((3, 37)), labels, 8.0, subject_id="s1", stage_label=2
+            rng.standard_normal((3, 37)), labels, subject_id="s1", stage_label=2
         )
         path = tmp_path / "rec.csv"
         write_record(rec, path)
-        back = load_record(path, 8.0)
+        back = load_record(path)
         assert back.labels == rec.labels
         np.testing.assert_array_equal(back.channels, rec.channels)
         assert not back.channels.flags.writeable
@@ -100,7 +95,7 @@ class TestCsvRoundTrip:
         case = synth.synth_viral_cohort(1, 1, seed=4, side_samples=300)[0]
         path = tmp_path / "case.csv"
         write_record(case, path)
-        back = load_record(path, 1.0)
+        back = load_record(path)
         assert back.labels == case.labels == ("ch00", "ch01", "ch02")
         np.testing.assert_array_equal(back.channels, case.channels)
 
@@ -116,7 +111,7 @@ class TestCsvRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "rec.csv"
         rec = MultichannelRecord([values], ("x",))
         write_record(rec, path)
-        back = load_record(path, 1.0)
+        back = load_record(path)
         np.testing.assert_array_equal(back.channels, rec.channels)
 
     def test_bytes_match_csv_writer(self, tmp_path):
@@ -138,7 +133,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
         with pytest.raises(RecordFormatError, match=r"row 3, column 2"):
-            load_record(path, 1.0)
+            load_record(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
@@ -148,7 +143,7 @@ class TestCsvRoundTrip:
         with pytest.raises(
             RecordFormatError, match=r"bad\.csv: row 3, column 2: non-finite"
         ):
-            load_record(path, 1.0)
+            load_record(path)
 
     def test_repeated_header_label_names_both_columns(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -157,25 +152,25 @@ class TestCsvRoundTrip:
             RecordFormatError,
             match=r"dup\.csv: row 1: channel label 'a' repeated in columns 1 and 3",
         ):
-            load_record(path, 1.0)
+            load_record(path)
 
     def test_error_on_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0\n")
         with pytest.raises(RecordFormatError, match=r"row 2"):
-            load_record(path, 1.0)
+            load_record(path)
 
     def test_error_on_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(RecordFormatError, match="empty"):
-            load_record(path, 1.0)
+            load_record(path)
 
     def test_error_on_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b\n")
         with pytest.raises(RecordFormatError, match="no data rows"):
-            load_record(path, 1.0)
+            load_record(path)
 
 
 class TestManifest:
