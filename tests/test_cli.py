@@ -301,8 +301,8 @@ class TestPipelineCommands:
         ],
         ids=["extract-negative-ridge", "extract-negative-horizon",
              "convergence-negative-horizon", "convergence-step-below-one-sample",
-             "convergence-infinite-step", "convergence-infinite-rate",
-             "convergence-zero-rate", "convergence-negative-rate", "convergence-nan-rate",
+             "convergence-infinite-step", "convergence-inf-rate",
+             "convergence-zero-rate", "convergence-neg-rate", "convergence-nan-rate",
              "convergence-nan-threshold", "convergence-infinite-threshold",
              "convergence-negative-threshold"],
     )
