@@ -11,7 +11,10 @@ are centred and projected onto a cached orthonormal polynomial basis Q,
 and the residual is formed as y - (yQ)Q^T, not as |y|^2 - |Q^T y|^2,
 which cancels.  :func:`fluctuation` is its one-scale case,
 :func:`scaling_function` and :func:`dfa_exponents` iterate it once.
-Every log-log slope is one OLS helper, ``_loglog_fit``.
+Every log-log slope is one closed-form OLS helper, ``_loglog_fit``.
+Both work row by row (one projection product per row, row reductions for
+the fit), so rows are batch-invariant: a row's result is bit-identical
+whatever other rows share its call.
 """
 
 from __future__ import annotations
@@ -234,17 +237,16 @@ def _window_f2(profiles: np.ndarray, scales, order: int, both_ends: bool):
             mean = head.sum(axis=2) / s
             segs = centred[: mean.size * s].reshape(rows, nw, s)
             np.subtract(head, mean[..., None], out=segs)
-        segs = segs.reshape(-1, s)
-        mean = mean.reshape(-1)
         q = _detrend_basis(s, order)
-        r = resid[: segs.size].reshape(-1, s)
+        r = resid[: segs.size].reshape(segs.shape)
+        # stacked products run one GEMM per row, so no row sees the batch size
         np.matmul(segs @ q, q.T, out=r)
         np.subtract(segs, r, out=r)
-        f2 = np.einsum("ij,ij->i", r, r) / s
+        f2 = np.einsum("rij,rij->ri", r, r) / s
         # rounding bounds the computed residual by ~(order + 1) s eps times the window's rms
-        level = np.einsum("ij,ij->i", segs, segs) / s + mean**2
+        level = np.einsum("rij,rij->ri", segs, segs) / s + mean**2
         f2[f2 <= ((order + 1) * s * _EPS) ** 2 * level] = 0.0
-        yield f2.reshape(rows, -1)
+        yield f2
 
 
 def _one_profile(y) -> np.ndarray:
@@ -309,16 +311,21 @@ def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFu
 
 
 def _loglog_fit(scales, logv: np.ndarray):
-    """OLS line of each row of ``logv`` on log2 ``scales``: (slopes, intercepts, mse)."""
+    """OLS line of each row of ``logv`` on log2 ``scales``: (slopes, intercepts, mse).
+
+    The slope is sum(logv * w) with w = (x - mean x) / sum((x - mean x)^2).
+    """
     logs = np.log2(np.asarray(scales, dtype=float))
     if logs.size < 3:
         raise ValueError("need at least 3 scales for a slope fit")
     if np.ptp(logs) == 0:
         raise ValueError("degenerate scale grid")
-    design = np.stack([logs, np.ones_like(logs)], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, logv.T, rcond=None)
-    mse = np.mean((logv.T - design @ coeffs) ** 2, axis=0)
-    return coeffs[0], coeffs[1], mse
+    centred = logs - logs.mean()
+    # closed-form OLS as row reductions: each row's line is its own arithmetic
+    slopes = (logv * (centred / (centred @ centred))).sum(axis=1)
+    intercepts = logv.mean(axis=1) - slopes * logs.mean()
+    mse = ((logv - slopes[:, None] * logs - intercepts[:, None]) ** 2).mean(axis=1)
+    return slopes, intercepts, mse
 
 
 def dfa_exponents(X, scales=None, order: int = 1):
@@ -330,6 +337,8 @@ def dfa_exponents(X, scales=None, order: int = 1):
     Matches the q=2 column of :func:`scaling_function` on the same grid.
     A row with zero fluctuation in every window at some scale raises
     :class:`ZeroFluctuationError`, which names the row and the scale.
+    Rows are batch-invariant: any subset of the rows, in any order, gets
+    bit-identical results to the same rows of one call over all of them.
     """
     profiles = profile(np.atleast_2d(X))
     if scales is None:

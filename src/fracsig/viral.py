@@ -4,7 +4,9 @@ Three physiological channels per subject are cut at an assumed
 inoculation point; per-window fractional orders are estimated on each
 side, their distributions compared by KL divergence, and subjects
 classified by leave-one-out thresholding of that single feature.  A
-shift sweep probes sensitivity to a misplaced inoculation point.
+shift sweep probes sensitivity to a misplaced inoculation point; each
+distinct window of a subject is fitted once, whatever the number of
+shifts that ask for it, and its orders are sliced out per shift and side.
 """
 
 from __future__ import annotations
@@ -62,50 +64,84 @@ class SubjectCase(MultichannelRecord):
 MIN_WINDOWS_PER_SIDE = 5
 
 
-def _side_alphas(case: SubjectCase, lo: int, hi: int, side: str, spec: WindowSpec) -> np.ndarray:
-    """Per-window, per-channel orders of samples [lo, hi) (DFA re-centres every window).
+def _split_starts(case: SubjectCase, spec: WindowSpec, split: int):
+    """First samples of the windows before and after ``split``, in the record.
 
-    A window that cannot be fitted raises naming the subject, the
-    channel, the side and the window's first sample in the record.
+    Raises when either side yields fewer than ``MIN_WINDOWS_PER_SIDE``
+    windows.
     """
-    X = case.channels[:, lo:hi]
-    starts = np.arange(spec.count(hi - lo)) * spec.stride
-    # one (n_windows * n_channels, window_len) batch keeps the DFA fits vectorized
-    windows = np.concatenate(
-        [X[:, s : s + spec.window_len] for s in starts], axis=0
-    )
-    try:
-        return fracdyn.estimate_alphas(windows)
-    except mfdfa.ZeroFluctuationError as exc:
-        window, channel = divmod(exc.row, case.n_channels)
-        raise ValueError(
-            f"subject {case.subject_id!r}: channel {case.labels[channel]!r}: "
-            f"{side} window starting at sample {lo + starts[window]} has zero "
-            f"fluctuation in every DFA window at scale {exc.scale}"
-        ) from None
-
-
-def window_alphas(case: SubjectCase, spec: WindowSpec | None = None, split_index: int | None = None):
-    """Fractional orders of the sliding windows before and after the split.
-
-    Returns (pre, post) sample arrays with one alpha per window per
-    channel.  Raises when either side yields fewer than
-    ``MIN_WINDOWS_PER_SIDE`` windows.
-    """
-    spec = spec or WindowSpec()
-    split = case.inoculation_index if split_index is None else int(split_index)
-    n = case.n_samples
     n_pre = spec.count(split)
-    n_post = spec.count(n - split)
+    n_post = spec.count(case.n_samples - split)
     if n_pre < MIN_WINDOWS_PER_SIDE or n_post < MIN_WINDOWS_PER_SIDE:
         raise ValueError(
             f"need >= {MIN_WINDOWS_PER_SIDE} windows per side, got "
             f"{n_pre} pre and {n_post} post at split {split}"
         )
     return (
-        _side_alphas(case, 0, split, "pre", spec),
-        _side_alphas(case, split, n, "post", spec),
+        range(0, n_pre * spec.stride, spec.stride),
+        range(split, split + n_post * spec.stride, spec.stride),
     )
+
+
+def _alpha_table(case: SubjectCase, spec: WindowSpec, starts, sides, batch: int) -> np.ndarray:
+    """Per-channel orders of the windows at ``starts``: a (windows, channels) table.
+
+    Windows are fitted in batches of at most ``batch``; a row's DFA
+    exponent does not depend on its batch, so the split cannot change an
+    order.  A window that cannot be fitted raises naming the subject, the
+    channel, ``sides[i]`` and the window's first sample.
+    """
+    table = np.empty((len(starts), case.n_channels))
+    for lo in range(0, len(starts), batch):
+        chunk = starts[lo : lo + batch]
+        # window-major rows: window i, channel c is row i * n_channels + c
+        windows = np.concatenate(
+            [case.channels[:, s : s + spec.window_len] for s in chunk], axis=0
+        )
+        try:
+            table[lo : lo + len(chunk)] = fracdyn.estimate_alphas(windows).reshape(len(chunk), -1)
+        except mfdfa.ZeroFluctuationError as exc:
+            window, channel = divmod(exc.row, case.n_channels)
+            raise ValueError(
+                f"subject {case.subject_id!r}: channel {case.labels[channel]!r}: "
+                f"{sides[lo + window]} window starting at sample {chunk[window]} has zero "
+                f"fluctuation in every DFA window at scale {exc.scale}"
+            ) from None
+    return table
+
+
+def _split_alphas(case: SubjectCase, spec: WindowSpec, split_starts) -> list:
+    """(pre, post) orders for each (pre starts, post starts) pair of one subject.
+
+    Each distinct window is fitted once, in batches no larger than the
+    longest side; a window's side in error messages is that of the first
+    pair and side that asks for it.
+    """
+    side_of = {}
+    for pair in split_starts:
+        for side, starts in zip(("pre", "post"), pair):
+            for s in starts:
+                side_of.setdefault(s, side)
+    starts = list(side_of)
+    batch = max((len(side) for pair in split_starts for side in pair), default=1)
+    table = _alpha_table(case, spec, starts, [side_of[s] for s in starts], batch)
+    row = {s: i for i, s in enumerate(starts)}
+    return [
+        tuple(table[[row[s] for s in side]].ravel() for side in pair)
+        for pair in split_starts
+    ]
+
+
+def window_alphas(case: SubjectCase, spec: WindowSpec | None = None, split_index: int | None = None):
+    """Fractional orders of the sliding windows before and after the split.
+
+    Returns (pre, post) sample arrays with one alpha per window per
+    channel, window-major.  Raises when either side yields fewer than
+    ``MIN_WINDOWS_PER_SIDE`` windows.
+    """
+    spec = spec or WindowSpec()
+    split = case.inoculation_index if split_index is None else int(split_index)
+    return _split_alphas(case, spec, [_split_starts(case, spec, split)])[0]
 
 
 def _kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -174,6 +210,31 @@ def _loo_from_features(features: np.ndarray, labels: np.ndarray, subject_ids) ->
     return LooResult(tuple(subject_ids), features, preds, type_one, type_two)
 
 
+def _sweep(cases, shifts, spec: WindowSpec | None) -> list[LooResult]:
+    """One leave-one-out result per shift; each distinct window is fitted once.
+
+    Every subject's window counts are checked at every shift before any
+    DFA runs.
+    """
+    cases = list(cases)
+    if len(cases) < 3:
+        raise ValueError("need at least 3 cases")
+    spec = spec or WindowSpec()
+    starts = [
+        [_split_starts(case, spec, case.inoculation_index + shift) for shift in shifts]
+        for case in cases
+    ]
+    sides = [_split_alphas(case, spec, pairs) for case, pairs in zip(cases, starts)]
+    labels = np.array([c.infected for c in cases], dtype=bool)
+    ids = [c.subject_id for c in cases]
+    return [
+        _loo_from_features(
+            np.asarray([kl_feature(*per_case[k]) for per_case in sides]), labels, ids
+        )
+        for k in range(len(shifts))
+    ]
+
+
 def classify_loo(cases, spec: WindowSpec | None = None, *, shift: int = 0) -> LooResult:
     """Leave-one-out classification on the KL feature.
 
@@ -181,27 +242,16 @@ def classify_loo(cases, spec: WindowSpec | None = None, *, shift: int = 0) -> Lo
     mean features computed from the rest.  ``shift`` offsets the assumed
     inoculation point of every subject.
     """
-    cases = list(cases)
-    if len(cases) < 3:
-        raise ValueError("need at least 3 cases")
-    spec = spec or WindowSpec()
-    features = []
-    for case in cases:
-        pre, post = window_alphas(case, spec, case.inoculation_index + shift)
-        features.append(kl_feature(pre, post))
-    labels = np.array([c.infected for c in cases], dtype=bool)
-    return _loo_from_features(
-        np.asarray(features), labels, [c.subject_id for c in cases]
-    )
+    return _sweep(cases, [int(shift)], spec)[0]
 
 
 def shift_sweep(cases, shifts, spec: WindowSpec | None = None):
     """Leave-one-out error counts as the assumed inoculation point moves.
 
     Returns a list of (shift, type_one, type_two) rows, one per shift.
+    Each subject's distinct windows, over the union of every shift's
+    splits, are fitted once and sliced per shift.
     """
-    rows = []
-    for shift in shifts:
-        result = classify_loo(cases, spec, shift=int(shift))
-        rows.append((int(shift), result.type_one, result.type_two))
-    return rows
+    shifts = [int(shift) for shift in shifts]
+    results = _sweep(cases, shifts, spec)
+    return [(shift, r.type_one, r.type_two) for shift, r in zip(shifts, results)]

@@ -196,10 +196,12 @@ class TestDfaFailFast:
         )
 
 
-def per_scale_window_f2(profiles, s, order, both_ends):
+def per_scale_window_f2(profiles, s, order, both_ends, *, flat=False):
     """The per-scale allocating kernel the workspace loop replaced, kept as
     its bit-identity reference: windows are copied, centred and projected
-    in fresh arrays at every scale."""
+    in fresh arrays at every scale, one row's windows at a time.  With
+    ``flat`` every window of every row is projected in one 2-D product,
+    as before the kernel was made batch-invariant."""
     rows, n = profiles.shape
     if s < order + 2:
         raise ValueError(f"scale {s} too small for detrend order {order}")
@@ -210,20 +212,38 @@ def per_scale_window_f2(profiles, s, order, both_ends):
     if both_ends:
         tail = profiles[:, n - nw * s :].reshape(rows, nw, s)
         segs = np.concatenate([segs, tail], axis=1)
-    segs = segs.reshape(-1, s)
-    mean = segs.sum(axis=1) / s
-    segs = segs - mean[:, None]
+    mean = segs.sum(axis=2) / s
+    segs = segs - mean[..., None]
     q = mfdfa._detrend_basis(s, order)
-    resid = segs - (segs @ q) @ q.T
-    f2 = np.einsum("ij,ij->i", resid, resid) / s
-    level = np.einsum("ij,ij->i", segs, segs) / s + mean**2
+    if flat:
+        proj = ((segs.reshape(-1, s) @ q) @ q.T).reshape(segs.shape)
+    else:
+        proj = np.stack([(row @ q) @ q.T for row in segs])
+    resid = segs - proj
+    f2 = np.einsum("rij,rij->ri", resid, resid) / s
+    level = np.einsum("rij,rij->ri", segs, segs) / s + mean**2
     f2[f2 <= ((order + 1) * s * np.finfo(float).eps) ** 2 * level] = 0.0
-    return f2.reshape(rows, -1)
+    return f2
 
 
-def per_scale_kernel(profiles, scales, order, both_ends):
+def per_scale_kernel(profiles, scales, order, both_ends, *, flat=False):
     for s in scales:
-        yield per_scale_window_f2(profiles, int(s), order, both_ends)
+        yield per_scale_window_f2(profiles, int(s), order, both_ends, flat=flat)
+
+
+def flat_kernel(profiles, scales, order, both_ends):
+    return per_scale_kernel(profiles, scales, order, both_ends, flat=True)
+
+
+def lstsq_loglog_fit(scales, logv):
+    """The least-squares log-log fit the closed-form row reductions replaced."""
+    logs = np.log2(np.asarray(scales, dtype=float))
+    if logs.size < 3:
+        raise ValueError("need at least 3 scales for a slope fit")
+    design = np.stack([logs, np.ones_like(logs)], axis=1)
+    coeffs, *_ = np.linalg.lstsq(design, logv.T, rcond=None)
+    mse = np.mean((logv.T - design @ coeffs) ** 2, axis=0)
+    return coeffs[0], coeffs[1], mse
 
 
 def outcome(fn):
@@ -235,30 +255,39 @@ def outcome(fn):
     return ("ok", *result) if isinstance(result, tuple) else ("ok", result)
 
 
+kernel_cases = given(
+    rows=st.integers(1, 12),
+    n=st.integers(64, 900),
+    order=st.integers(0, 3),
+    both_ends=st.booleans(),
+    log_amp=st.floats(-3.0, 6.0),
+    constant=st.sampled_from([None, "half", "row"]),
+    seed=st.integers(0, 2**31),
+)
+
+
+def kernel_inputs(rows, n, order, log_amp, constant, seed):
+    """A batch with one row possibly constant in part or whole, the index of
+    that row, and up to 6 scales."""
+    rng = np.random.default_rng(seed)
+    X = 10.0**log_amp * (rng.standard_normal((rows, n)) + rng.uniform(-20, 20))
+    bad = int(rng.integers(rows))
+    if constant == "half":
+        X[bad, : n // 2] = 0.1
+    elif constant == "row":
+        X[bad] = 3.0
+    return X, bad, np.unique(rng.integers(order + 2, n // 4 + 1, size=6))
+
+
 class TestWorkspaceKernelBitIdentity:
     """The reused-workspace kernel reproduces the per-scale reference bit for bit."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        rows=st.integers(1, 12),
-        n=st.integers(64, 900),
-        order=st.integers(0, 3),
-        both_ends=st.booleans(),
-        log_amp=st.floats(-3.0, 6.0),
-        constant=st.sampled_from([None, "half", "row"]),
-        seed=st.integers(0, 2**31),
-    )
+    @kernel_cases
     def test_matches_per_scale_reference(
         self, rows, n, order, both_ends, log_amp, constant, seed
     ):
-        rng = np.random.default_rng(seed)
-        X = 10.0**log_amp * (rng.standard_normal((rows, n)) + rng.uniform(-20, 20))
-        bad = int(rng.integers(rows))
-        if constant == "half":
-            X[bad, : n // 2] = 0.1
-        elif constant == "row":
-            X[bad] = 3.0
-        scales = np.unique(rng.integers(order + 2, n // 4 + 1, size=6))
+        X, bad, scales = kernel_inputs(rows, n, order, log_amp, constant, seed)
         y = mfdfa.profile(X[bad])
         grid = tuple(map(int, scales))
         configs = [
@@ -282,6 +311,53 @@ class TestWorkspaceKernelBitIdentity:
                 assert a == b
             else:
                 assert all(np.array_equal(u, v) for u, v in zip(a[1:], b[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @kernel_cases
+    def test_drift_from_flat_gemm_reference(
+        self, rows, n, order, both_ends, log_amp, constant, seed
+    ):
+        # the one-time change of making rows batch-invariant: F^2 stays within
+        # a relative 1e-12 of one 2-D product, and h, an O(1) slope that may
+        # sit near 0, within 1e-12 of that product and an lstsq fit
+        X, _, scales = kernel_inputs(rows, n, order, log_amp, constant, seed)
+        profiles = mfdfa.profile(X)
+        new = mfdfa._window_f2(profiles, scales, order, both_ends)
+        old = flat_kernel(profiles, scales, order, both_ends)
+        for a, b in zip(new, old):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        h_new = outcome(lambda: mfdfa.dfa_exponents(X, scales, order)[0])
+        with mock.patch.object(mfdfa, "_window_f2", flat_kernel), mock.patch.object(
+            mfdfa, "_loglog_fit", lstsq_loglog_fit
+        ):
+            h_old = outcome(lambda: mfdfa.dfa_exponents(X, scales, order)[0])
+        if h_new[0] == "raised":
+            assert h_new == h_old
+        else:
+            np.testing.assert_allclose(h_new[1], h_old[1], rtol=1e-12, atol=1e-12)
+
+
+class TestBatchInvariance:
+    """A row's exponent and fit MSE do not depend on the rows sharing its call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 60),
+        n=st.sampled_from([1024, 1500, 2000, 3000]),
+        order=st.integers(0, 3),
+        seed=st.integers(0, 2**31),
+        data=st.data(),
+    )
+    def test_any_subset_in_any_order_equals_full_call(self, rows, n, order, seed, data):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, n)) * rng.uniform(0.01, 100.0, size=(rows, 1))
+        walks = rng.random(rows) < 0.5
+        X[walks] = np.cumsum(X[walks], axis=1)  # exponents near 0.5 and 1.5
+        h, mse = mfdfa.dfa_exponents(X, order=order)
+        pick = data.draw(st.permutations(range(rows)))[: data.draw(st.integers(1, rows))]
+        h_sub, mse_sub = mfdfa.dfa_exponents(X[pick], order=order)
+        assert np.array_equal(h_sub, h[pick])
+        assert np.array_equal(mse_sub, mse[pick])
 
 
 class TestScaleGrids:

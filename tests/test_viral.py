@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from fracsig import synth, viral
+from fracsig import fracdyn, synth, viral
 
 
 class TestWindowSpec:
@@ -164,3 +166,91 @@ class TestPipeline:
         rows = viral.shift_sweep(cases, [-300, 0, 300], spec)
         assert len(rows) == 3
         assert [r[0] for r in rows] == [-300, 0, 300]
+
+
+def side_alphas(case, lo, hi, spec):
+    """Orders of the windows of samples [lo, hi), fitted in one batch of their own."""
+    starts = range(lo, hi - spec.window_len + 1, spec.stride)
+    windows = np.concatenate([case.channels[:, s : s + spec.window_len] for s in starts])
+    return fracdyn.estimate_alphas(windows)
+
+
+class TestShiftSweepWindowCache:
+    """Each distinct window is fitted once, and slicing changes no order."""
+
+    SPEC = viral.WindowSpec(1024, 100)
+    SHIFTS = [-150, -100, 0, 37, 100]  # on and off the stride grid
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return synth.synth_viral_cohort(4, 2, seed=3, side_samples=2000, alpha_shift=0.3)
+
+    def test_sides_equal_own_batch_fits_and_rows(self, cases):
+        with mock.patch.object(viral, "kl_feature", wraps=viral.kl_feature) as kl:
+            rows = viral.shift_sweep(cases, self.SHIFTS, self.SPEC)
+        sides = iter(call.args for call in kl.call_args_list)
+        labels = np.array([c.infected for c in cases])
+        expected = []
+        for shift in self.SHIFTS:
+            features = []
+            for case in cases:
+                split = case.inoculation_index + shift
+                pre, post = next(sides)
+                direct = viral.window_alphas(case, self.SPEC, split)
+                reference = (
+                    side_alphas(case, 0, split, self.SPEC),
+                    side_alphas(case, split, case.n_samples, self.SPEC),
+                )
+                for got, want, own in zip((pre, post), direct, reference):
+                    assert np.array_equal(got, want) and np.array_equal(got, own)
+                features.append(viral.kl_feature(*reference))
+            loo = viral._loo_from_features(np.array(features), labels, range(len(cases)))
+            expected.append((shift, loo.type_one, loo.type_two))
+        assert rows == expected
+
+    def test_each_distinct_window_fitted_once_in_bounded_batches(self, cases):
+        spec = self.SPEC
+        with mock.patch.object(
+            fracdyn, "estimate_alphas", wraps=fracdyn.estimate_alphas
+        ) as fit:
+            viral.shift_sweep(cases, self.SHIFTS, spec)
+        distinct, longest = 0, 0
+        for case in cases:
+            starts = set()
+            for shift in self.SHIFTS:
+                split = case.inoculation_index + shift
+                for lo, hi in ((0, split), (split, case.n_samples)):
+                    side = range(lo, hi - spec.window_len + 1, spec.stride)
+                    starts.update(side)
+                    longest = max(longest, len(side))
+            distinct += len(starts)
+        batches = [call.args[0].shape[0] // cases[0].n_channels for call in fit.call_args_list]
+        assert sum(batches) == distinct
+        assert max(batches) <= longest
+
+    def test_short_side_raises_before_any_fit(self, cases):
+        with mock.patch.object(fracdyn, "estimate_alphas") as fit:
+            with pytest.raises(ValueError, match="got 16 pre and 4 post at split 2600"):
+                viral.shift_sweep(cases, [0, 600], self.SPEC)
+        fit.assert_not_called()
+
+    def test_window_only_a_later_shift_asks_for_names_its_first_side(self, cases):
+        # ch02 of the last subject is constant over [3584, 4608): the window
+        # at 3584 is first asked for by shift 512 (pre), later by -512 (post)
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((3, 8192))
+        X[2, 3584:4608] = 0.25
+        cases = [
+            viral.SubjectCase(rng.standard_normal((3, 8192)), subject_id=f"S0{i}",
+                              inoculation_index=4096, infected=i % 2 == 0)
+            for i in range(3)
+        ]
+        cases.append(viral.SubjectCase(X, subject_id="S07", inoculation_index=4096, infected=False))
+        spec = viral.WindowSpec(1024, 256)
+        message = (
+            "subject 'S07': channel 'ch02': pre window starting at sample 3584 "
+            "has zero fluctuation in every DFA window at scale 16"
+        )
+        viral.shift_sweep(cases, [0], spec)  # no fitted window is constant
+        with pytest.raises(ValueError, match=message):
+            viral.shift_sweep(cases, [0, 512, -512], spec)
