@@ -5,6 +5,9 @@ classifier is a from-scratch feedforward network (two ReLU hidden
 layers of 300 and 100 units, softmax output, inverted dropout, rmsprop)
 with a multinomial logistic-regression baseline, k-fold and
 institution hold-out harnesses, and a confusion-matrix metrics suite.
+A training step adds biases, applies ReLU and dropout and writes its
+gradients in place, in the same operations and order as allocating
+code, so trained parameters do not depend on the buffering.
 
 A cohort is one (m, d) feature matrix, one stage vector and one list
 of institution names.  Both split builders return (train, test) index
@@ -53,8 +56,9 @@ def extract_features(
 
     Reads the record's channels and labels and returns the n^2 float64
     features.  Channels are z-scored before the coupling fit so feature
-    magnitudes are comparable across subjects.  Pass ``alpha`` to skip
-    the per-channel order estimation.  A channel that cannot be
+    magnitudes are comparable across subjects.  The per-channel orders
+    come from one :func:`fracsig.fracdyn.estimate_alphas` call over every
+    channel; pass ``alpha`` to skip it.  A channel that cannot be
     z-scored or fitted is named by its label.
     """
     X = record.channels
@@ -65,14 +69,13 @@ def extract_features(
         )
     X = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
     if alpha is None:
-        alpha = np.empty(X.shape[0])
-        for i, (label, row) in enumerate(zip(record.labels, X)):
-            try:
-                alpha[i] = fracdyn.estimate_alpha(row).alpha
-            except mfdfa.ZeroFluctuationError as exc:
-                raise ValueError(
-                    f"channel {label!r}: zero fluctuation in every window at scale {exc.scale}"
-                ) from None
+        try:
+            alpha = fracdyn.estimate_alphas(X)
+        except mfdfa.ZeroFluctuationError as exc:
+            raise ValueError(
+                f"channel {record.labels[exc.row]!r}: zero fluctuation in every window "
+                f"at scale {exc.scale}"
+            ) from None
     return fracdyn.estimate_coupling(X, alpha, horizon=horizon, ridge=ridge).ravel()
 
 
@@ -200,12 +203,13 @@ def _forward(params, X, dropout_rate=0.0, rng=None):
     h = X
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         if i < n_layers - 1:
-            h = np.maximum(z, 0.0)
+            h = np.maximum(z, 0.0, out=z)
             if dropout_rate > 0.0 and rng is not None:
                 mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
-                h = h * mask
+                h *= mask
                 masks.append(mask)
             else:
                 masks.append(None)
@@ -247,16 +251,16 @@ def mlp_gradients(params, X, y, dropout_rate=0.0, rng=None):
     onehot = _one_hot(y, params.sizes[-1])
     acts, masks = _forward(params, X, dropout_rate, rng)
     probs = acts[-1]
-    grad = MLPParams(params.sizes)
+    grad = MLPParams(params.sizes, np.empty(params.flat.size))  # every entry written below
     delta = (probs - onehot) / n  # softmax + cross-entropy shortcut
     for i in reversed(range(len(params.weights))):
-        grad.weights[i][...] = acts[i].T @ delta
-        grad.biases[i][...] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grad.weights[i])
+        np.sum(delta, axis=0, out=grad.biases[i])
         if i > 0:
             delta = delta @ params.weights[i].T
             if masks[i - 1] is not None:
-                delta = delta * masks[i - 1]
-            delta = delta * (acts[i] > 0)
+                delta *= masks[i - 1]
+            delta *= acts[i] > 0
     return _loss(probs, onehot), grad
 
 

@@ -7,17 +7,23 @@ The model couples n channels through
 where ``frac_diff`` is the Grünwald–Letnikov fractional difference of
 order alpha_i, truncated to a finite memory horizon.  This module builds
 the GL weight tables, simulates trajectories, estimates per-channel
-orders and the coupling matrix (optionally with unknown low-rank
-inputs), and tracks coupling convergence over growing prefixes.  Every
-function takes and returns plain arrays, (n_channels, n_samples) for a
-multichannel signal, and counts time in samples.
+orders (every row of a matrix in one DFA call) and the coupling matrix
+(optionally with unknown low-rank inputs), and tracks coupling
+convergence over growing prefixes.  Every function takes and returns
+plain arrays, (n_channels, n_samples) for a multichannel signal, and
+counts time in samples.
 
 The simulated recursion has one memory horizon, ``DEFAULT_HORIZON``:
 :func:`simulate` and the stability checks in :mod:`fracsig.synth` all
-truncate at it, so a model certified stable is the model that runs.  The
-coupling fits take their own ``horizon`` (the ``--horizon`` flag of the
-``extract`` and ``convergence`` commands), since they fit recorded data;
-a horizon below 1 or a negative ridge is rejected where a fit starts.
+truncate at it, so a model certified stable is the model that runs.
+One private loop over the steps simulates any number of models of the
+same size at once; :func:`simulate` is its one-model case, and a
+model's trajectory is bit-identical whichever models share the loop.
+
+The coupling fits take their own ``horizon`` (the ``--horizon`` flag of
+the ``extract`` and ``convergence`` commands), since they fit recorded
+data; a horizon below 1 or a negative ridge is rejected where a fit
+starts.
 """
 
 from __future__ import annotations
@@ -32,13 +38,11 @@ from .mfdfa import dfa_exponents, wasserstein_1d
 
 __all__ = [
     "FractionalModel",
-    "AlphaEstimate",
     "EstimationReport",
     "NumericalError",
     "gl_coefficients",
     "frac_difference",
     "simulate",
-    "estimate_alpha",
     "estimate_alphas",
     "estimate_coupling",
     "estimate_with_unknown_input",
@@ -137,6 +141,88 @@ class FractionalModel:
 
 
 _OVERFLOW_GUARD = 1e12
+# steps per block: noise is drawn and finished steps are copied out once a block
+_STEP_BLOCK = 32
+
+
+class _RowDiverged(NumericalError):
+    """A row of a batched simulation left the overflow guard.
+
+    ``row`` is the lowest such row: the rows below it ran every step, it
+    and the rows above it were dropped.
+    """
+
+    def __init__(self, row: int, step: int):
+        super().__init__(f"row {row}: trajectory diverged at step {step}")
+        self.row = row
+
+
+def _trajectories(R: int, n: int, T: int) -> list[np.ndarray]:
+    """R zero (n, T) trajectories for :func:`_simulate_rows`; T below 1 is rejected."""
+    if T < 1:
+        raise ValueError(f"need at least one step, got T={T}")
+    return [np.zeros((n, T)) for _ in range(R)]
+
+
+def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> None:
+    """Forward-simulate R models in one loop over the steps.
+
+    ``xs`` holds each model's (n, T) trajectory, start state in column 0;
+    columns 1..T-1 are written.  ``psi`` is the (R, n, J+1) GL weight
+    table, ``A`` the (R, n, n) couplings, ``noise_scale`` and ``seeds``
+    one value per model; ``B`` (R, n, p) with ``u`` (R, >= T-1, p) is
+    optional.  Row r is bit-identical to the same model simulated alone:
+    every row runs the operations of :func:`simulate` in the same order,
+    and its noise comes from its own seeded generator, drawn in blocks of
+    steps (a generator's draws do not depend on how they are split).
+
+    The loop works in one (R, n, J + 1 + block) state holding the last J
+    steps and the current block, and copies each finished block into the
+    trajectories, which stay separate arrays.  A row that leaves the
+    overflow guard is dropped with every row above it, and the rows below
+    it run on; the loop then raises :class:`_RowDiverged` naming the
+    lowest dropped row and its step.
+    """
+    R = len(xs)
+    n, T = xs[0].shape
+    J = psi.shape[2] - 1
+    memory_psi = psi[:, :, 1:]  # weight of x[k+1-j] at j = 1..J
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    scale = np.asarray(noise_scale, dtype=float).reshape(R)
+    noise = np.empty((R, _STEP_BLOCK, n))
+    state = np.empty((R, n, J + 1 + _STEP_BLOCK))  # column J + c holds step k0 + c
+    state[:, :, J] = [x[:, 0] for x in xs]
+    rows, diverged = R, None  # rows 0..rows-1 are still running
+    for k0 in range(0, T - 1, _STEP_BLOCK):
+        m = min(_STEP_BLOCK, T - 1 - k0)
+        if k0:
+            state[:rows, :, : J + 1] = state[:rows, :, _STEP_BLOCK:]
+        for r in range(rows):
+            gens[r].standard_normal(out=noise[r, :m])
+        noise[:rows, :m] *= scale[:rows, None, None]
+        for i in range(m):
+            k, c = k0 + i, J + i
+            s = state[:rows]
+            depth = min(k + 1, J)
+            # memory terms x[k+1-j] for j = 1..depth, newest first
+            window = s[:, :, c + 1 - depth : c + 1][..., ::-1]
+            memory = np.einsum("rnj,rnj->rn", memory_psi[:rows, :, :depth], window)
+            nxt = (A[:rows] @ s[:, :, c, None])[..., 0] + noise[:rows, i] - memory
+            if u is not None:
+                nxt = nxt + (B[:rows] @ u[:rows, k, :, None])[..., 0]
+            bounded = (np.abs(nxt) < _OVERFLOW_GUARD).all(axis=1)
+            if not bounded.all():
+                rows = int(np.argmin(bounded))
+                diverged = (rows, k + 1)
+                if rows == 0:
+                    break
+            s[:rows, :, c + 1] = nxt[:rows]
+        for r in range(rows):
+            xs[r][:, k0 + 1 : k0 + 1 + m] = state[r, :, J + 1 : J + 1 + m]
+        if rows == 0:
+            break
+    if diverged is not None:
+        raise _RowDiverged(*diverged)
 
 
 def simulate(
@@ -158,80 +244,38 @@ def simulate(
                  - sum_{j=1..min(k+1, J)} psi(alpha, j) x[k+1-j]
 
     with J = ``DEFAULT_HORIZON`` and w ~ N(0, noise_scale^2), drawn from
-    a seeded generator.
+    a seeded generator.  This is the one-model case of the batched loop
+    :mod:`fracsig.synth` runs over a cohort.
     """
-    if T < 1:
-        raise ValueError(f"need at least one step, got T={T}")
-    n = model.n
-    rng = np.random.default_rng(seed)
-    psi = gl_coefficients(model.alpha, DEFAULT_HORIZON)  # (n, J+1)
-    x = np.zeros((T, n))
-    x[0] = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    (x,) = _trajectories(1, model.n, T)
+    if x0 is not None:
+        x[:, 0] = np.asarray(x0, dtype=float)
     if u is not None:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[0] < T - 1:
             raise ValueError("input sequence shorter than simulation")
         if model.B is None:
             raise ValueError("model has no input matrix B")
-    noise = rng.standard_normal((T, n)) * model.noise_scale
-    for k in range(T - 1):
-        j_max = min(k + 1, DEFAULT_HORIZON)
-        # memory window x[k+1-j] for j=1..j_max, newest first
-        window = x[k + 1 - j_max : k + 1][::-1]  # (j_max, n)
-        memory = np.einsum("nj,jn->n", psi[:, 1 : j_max + 1], window)
-        nxt = model.A @ x[k] + noise[k] - memory
-        if u is not None:
-            nxt = nxt + model.B @ u[k]
-        if not np.all(np.abs(nxt) < _OVERFLOW_GUARD):
-            raise NumericalError(f"trajectory diverged at step {k + 1}")
-        x[k + 1] = nxt
-    return np.ascontiguousarray(x.T)
-
-
-@dataclass(frozen=True)
-class AlphaEstimate:
-    """Fractional order estimated from the q=2 DFA scaling exponent."""
-
-    alpha: float
-    fit_mse: float
-    low_confidence: bool
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
-# log-log fits noisier than this get flagged, not rejected
-_ALPHA_MSE_THRESHOLD = 0.05
-
-
-def _dfa_alphas(X):
-    """Orders and log-log fit MSEs of the rows of ``X``: one DFA call."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] < MIN_DFA_SAMPLES:
-        raise ValueError(f"need at least {MIN_DFA_SAMPLES} samples, got {X.shape[1]}")
-    h, mse = dfa_exponents(X)
-    return h - 0.5, mse
-
-
-def estimate_alpha(x) -> AlphaEstimate:
-    """Per-channel order via the DFA route: alpha = H_DFA - 0.5.
-
-    Valid for alpha in (-0.5, 1.5) by construction of the DFA exponent.
-    A poor log-log fit sets ``low_confidence`` instead of raising.  The
-    one-row case of :func:`estimate_alphas`.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected one series, got an array of shape {x.shape}")
-    alpha, mse = _dfa_alphas(x[None, :])
-    return AlphaEstimate(
-        float(alpha[0]), float(mse[0]), float(mse[0]) > _ALPHA_MSE_THRESHOLD
-    )
+        u = u[None]
+    psi = gl_coefficients(model.alpha, DEFAULT_HORIZON)
+    _simulate_rows(psi[None], model.A[None], model.noise_scale, [seed], [x],
+                   B=None if u is None else model.B[None], u=u)
+    return x
 
 
 def estimate_alphas(X) -> np.ndarray:
-    """Vectorized :func:`estimate_alpha` over the rows of a matrix."""
-    return _dfa_alphas(X)[0]
+    """Per-row order via the DFA route: alpha = H_DFA - 0.5, one DFA call.
+
+    Valid for alpha in (-0.5, 1.5) by construction of the DFA exponent.
+    A row's order does not depend on the other rows of ``X``.  Rows
+    shorter than ``MIN_DFA_SAMPLES`` are rejected; a row with zero
+    fluctuation raises :class:`fracsig.mfdfa.ZeroFluctuationError`
+    naming the row.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] < MIN_DFA_SAMPLES:
+        raise ValueError(f"need at least {MIN_DFA_SAMPLES} samples, got {X.shape[1]}")
+    return dfa_exponents(X)[0] - 0.5
 
 
 def _min_fit_length(n: int, horizon: int) -> int:

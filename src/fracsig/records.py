@@ -4,7 +4,9 @@ A record is one read-only (n_channels, n_samples) float64 matrix with a
 label per row, plus the subject's labels.  Records exist where files are
 written or read and where labels are attached; the numeric layers take
 and return plain arrays.  CSV layout: one header row with channel
-labels, one column per channel, one row per sample.  A record carries
+labels, one column per channel, one row per sample, CRLF line ends.
+The reader converts blocks of such lines in one pass and walks any
+other input cell by cell, to the same matrix or error.  A record carries
 no sampling rate (device exports do not either); the one command that
 needs it, ``convergence``, takes ``--rate``.  The subject labels come
 from the manifest.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +84,34 @@ class MultichannelRecord:
         return self.channels.shape[1]
 
 
+# characters of body lines read per block: bounds the text held at once
+_READ_BLOCK = 1 << 16
+
+
+def _parse_block(lines: list[str], ncol: int) -> np.ndarray | None:
+    """Row-major finite values of a block of plain CSV lines, or None.
+
+    A block is plain when every line ends in CRLF, holds no quote and has
+    exactly ``ncol - 1`` commas, and every cell converts with ``float()``
+    to a finite value; its cells are then the cells a CSV reader gives.
+    """
+    # a line's last cell keeps its line end, which float() strips as whitespace
+    joined = ",".join(lines)
+    if '"' in joined:
+        return None
+    cells = joined.split(",")
+    # a line holds at most one CRLF, at its end, so len(lines) CRLFs in the
+    # cells at ncol - 1, 2 ncol - 1, ... end every line after ncol cells
+    last = "".join(cells[ncol - 1 :: ncol])
+    if len(cells) != ncol * len(lines) or last.count("\r\n") != len(lines):
+        return None
+    try:
+        values = np.array(list(map(float, cells)))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def load_record(path) -> MultichannelRecord:
     """Read a record from CSV, without subject labels.
 
@@ -89,6 +120,12 @@ def load_record(path) -> MultichannelRecord:
     and non-finite values (``nan``, ``inf``) raise
     :class:`RecordFormatError` naming the first offending row/column
     (1-based, header is row 1).
+
+    The body is read in blocks of lines.  A block of plain lines (CRLF
+    endings, no quotes, one cell per channel, finite numbers: what
+    :func:`write_record` writes) converts in one pass; from the first
+    other block on, a CSV reader walks the cells one by one, and that
+    walk alone reports errors.  Both convert each cell with ``float()``.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -108,8 +145,17 @@ def load_record(path) -> MultichannelRecord:
                     f"columns {first + 1} and {col + 1}"
                 )
         ncol = len(labels)
-        columns: list[list[float]] = [[] for _ in labels]
-        for rownum, row in enumerate(reader, start=2):
+        blocks: list[np.ndarray] = []
+        rows, walk = 0, ()
+        while lines := fh.readlines(_READ_BLOCK):
+            block = _parse_block(lines, ncol)
+            if block is None:
+                walk = csv.reader(chain(lines, fh))
+                break
+            blocks.append(block)
+            rows += len(lines)
+        values: list[float] = []
+        for rownum, row in enumerate(walk, start=rows + 2):
             if len(row) != ncol:
                 raise RecordFormatError(
                     f"{path}: row {rownum}: expected {ncol} columns, got {len(row)}"
@@ -122,10 +168,11 @@ def load_record(path) -> MultichannelRecord:
                         f"{path}: row {rownum}, column {colnum}: "
                         f"non-numeric value {cell!r}"
                     ) from None
-                columns[colnum - 1].append(value)
-        if not columns[0]:
-            raise RecordFormatError(f"{path}: no data rows after header")
-    matrix = np.array(columns)
+                values.append(value)
+        blocks.append(np.array(values))
+    matrix = np.concatenate(blocks).reshape(-1, ncol).T.copy()
+    if not matrix.size:
+        raise RecordFormatError(f"{path}: no data rows after header")
     bad = ~np.isfinite(matrix)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))

@@ -11,7 +11,8 @@ Every stable system comes from one draw: a random R rescaled to a target
 spectral radius, per-channel orders, then R shrunk by 0.8 until each
 signed coupling s * R - diag_shift * I has companion spectral radius
 below a limit.  :func:`random_stable_model` returns one such model;
-:func:`synth_stage_cohort` simulates jittered records of one per stage.
+:func:`synth_stage_cohort` simulates jittered records of one per stage,
+every record in one batched loop of the steps.
 Every stability check truncates the recursion at
 ``fracdyn.DEFAULT_HORIZON``, the one memory horizon
 :func:`fracsig.fracdyn.simulate` runs.
@@ -280,7 +281,12 @@ def synth_stage_cohort(
     linearly separable even though each is a tight pair of clusters.
     Each simulated matrix becomes a record labelled ``recNNN`` with its
     stage and site; stages and the four institutions are assigned round
-    robin.
+    robin.  Every record's sign, jitter and simulation seed are drawn
+    first, then all records run in one batched simulation.  A record whose
+    jittered recursion diverges redraws its jitter and seed (at most 20
+    tries) from the generator state it started from, and the records
+    after it are drawn and simulated again, in one batch: the records are
+    those of drawing and simulating one record at a time.
     """
     if n_records < 1:
         raise ValueError(f"need at least one record, got n_records={n_records}")
@@ -293,27 +299,59 @@ def synth_stage_cohort(
         for _ in range(N_STAGES)
     ]
     shift = _COHORT_DIAG_SHIFT * np.eye(n)
-    records = []
-    for r in range(n_records):
-        stage = r % N_STAGES
-        base, alpha = draws[stage]
-        site = _COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)]
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        for _ in range(20):
-            R = sign * base + _COHORT_JITTER * rng.standard_normal((n, n)) / np.sqrt(n)
-            model = fracdyn.FractionalModel(alpha, R - shift, noise_scale=1.0)
-            try:
-                sim_seed = int(rng.integers(1 << 31))
-                X = fracdyn.simulate(model, n_samples, seed=sim_seed)
-                break
-            except fracdyn.NumericalError:
-                continue  # rare: jitter pushed the recursion unstable, redraw
-        else:
-            raise fracdyn.NumericalError("could not draw a stable jittered model")
-        records.append(
-            MultichannelRecord(X, subject_id=f"rec{r:03d}", institution=site, stage_label=stage)
+    stages = [r % N_STAGES for r in range(n_records)]
+    tables = [fracdyn.gl_coefficients(alpha, fracdyn.DEFAULT_HORIZON) for _, alpha in draws]
+    psi = np.stack([tables[stage] for stage in stages])
+    X = fracdyn._trajectories(n_records, n, n_samples)
+    done = 0  # records 0..done-1 are simulated
+    while done < n_records:
+        states, couplings, seeds = [], [], []
+        for stage in stages[done:]:
+            states.append(rng.bit_generator.state)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            couplings.append(_jittered_coupling(rng, draws[stage][0], sign, shift))
+            seeds.append(int(rng.integers(1 << 31)))
+        try:
+            fracdyn._simulate_rows(
+                psi[done:], np.stack(couplings), np.ones(len(seeds)), seeds, X[done:]
+            )
+            done = n_records
+        except fracdyn._RowDiverged as exc:
+            # jitter pushed record r's recursion unstable: the records before
+            # it stand, r redraws from its own first draw, the rest draw anew
+            r = done + exc.row
+            rng.bit_generator.state = states[exc.row]
+            X[r] = _simulate_with_redraws(rng, *draws[stages[r]], shift, n_samples)
+            done = r + 1
+    return [
+        MultichannelRecord(
+            X[r], subject_id=f"rec{r:03d}",
+            institution=_COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)],
+            stage_label=stages[r],
         )
-    return records
+        for r in range(n_records)
+    ]
+
+
+def _jittered_coupling(rng, base, sign, shift):
+    """A record's coupling: its stage's base pattern, signed, plus fresh jitter."""
+    n = base.shape[0]
+    return sign * base + _COHORT_JITTER * rng.standard_normal((n, n)) / np.sqrt(n) - shift
+
+
+def _simulate_with_redraws(rng, base, alpha, shift, n_samples):
+    """One cohort record: draw sign, jitter and seed, redrawing the jitter
+    and seed (at most 20 tries) while the recursion diverges."""
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    for _ in range(20):
+        model = fracdyn.FractionalModel(
+            alpha, _jittered_coupling(rng, base, sign, shift), noise_scale=1.0
+        )
+        try:
+            return fracdyn.simulate(model, n_samples, seed=int(rng.integers(1 << 31)))
+        except fracdyn.NumericalError:
+            continue  # jitter pushed the recursion unstable, redraw
+    raise fracdyn.NumericalError("could not draw a stable jittered model")
 
 
 def synth_viral_cohort(

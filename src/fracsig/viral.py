@@ -64,16 +64,19 @@ class SubjectCase(MultichannelRecord):
 MIN_WINDOWS_PER_SIDE = 5
 
 
-def _split_starts(case: SubjectCase, spec: WindowSpec, split: int):
-    """First samples of the windows before and after ``split``, in the record.
+def _split_starts(case: SubjectCase, spec: WindowSpec, shift: int):
+    """First samples of the windows before and after the split ``shift``
+    samples past the inoculation index, in the record.
 
-    Raises when either side yields fewer than ``MIN_WINDOWS_PER_SIDE``
-    windows.
+    Raises, naming the subject and the shift, when either side yields
+    fewer than ``MIN_WINDOWS_PER_SIDE`` windows.
     """
+    split = case.inoculation_index + shift
     n_pre = spec.count(split)
     n_post = spec.count(case.n_samples - split)
     if n_pre < MIN_WINDOWS_PER_SIDE or n_post < MIN_WINDOWS_PER_SIDE:
         raise ValueError(
+            f"subject {case.subject_id!r}: shift {shift}: "
             f"need >= {MIN_WINDOWS_PER_SIDE} windows per side, got "
             f"{n_pre} pre and {n_post} post at split {split}"
         )
@@ -140,8 +143,8 @@ def window_alphas(case: SubjectCase, spec: WindowSpec | None = None, split_index
     ``MIN_WINDOWS_PER_SIDE`` windows.
     """
     spec = spec or WindowSpec()
-    split = case.inoculation_index if split_index is None else int(split_index)
-    return _split_alphas(case, spec, [_split_starts(case, spec, split)])[0]
+    shift = 0 if split_index is None else int(split_index) - case.inoculation_index
+    return _split_alphas(case, spec, [_split_starts(case, spec, shift)])[0]
 
 
 def _kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -221,7 +224,7 @@ def _sweep(cases, shifts, spec: WindowSpec | None) -> list[LooResult]:
         raise ValueError("need at least 3 cases")
     spec = spec or WindowSpec()
     starts = [
-        [_split_starts(case, spec, case.inoculation_index + shift) for shift in shifts]
+        [_split_starts(case, spec, shift) for shift in shifts]
         for case in cases
     ]
     sides = [_split_alphas(case, spec, pairs) for case, pairs in zip(cases, starts)]

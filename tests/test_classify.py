@@ -23,6 +23,19 @@ class TestExtractFeatures:
         assert features.shape == (16,)
         assert features.dtype == np.float64
 
+    def test_one_order_estimate_per_record(self, monkeypatch):
+        model = synth.random_stable_model(5, 1, noise_scale=1.0)
+        record = records.MultichannelRecord(fracdyn.simulate(model, 1500, seed=1))
+        X = record.channels
+        Z = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
+        per_channel = np.array([fracdyn.estimate_alphas(row)[0] for row in Z])
+        expected = fracdyn.estimate_coupling(Z, per_channel).ravel()
+        calls = []
+        original = fracdyn.estimate_alphas
+        monkeypatch.setattr(fracdyn, "estimate_alphas", lambda X: calls.append(X) or original(X))
+        np.testing.assert_array_equal(classify.extract_features(record), expected)
+        assert [c.shape for c in calls] == [(5, 1500)]
+
     def test_constant_channel_named_before_dividing(self):
         model = synth.random_stable_model(3, 0, noise_scale=1.0)
         channels = fracdyn.simulate(model, 1500, seed=0)
@@ -116,6 +129,44 @@ class TestSoftmaxProperties:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_matches_allocating_backprop(self, dropout):
+        # reference: forward and backward passes that allocate every step
+        rng = np.random.default_rng(3)
+        params = classify.init_mlp(7, hidden=(9, 6), n_classes=4, seed=1)
+        X = rng.standard_normal((11, 7))
+        y = rng.integers(0, 4, size=11)
+        loss, grad = classify.mlp_gradients(params, X, y, dropout, np.random.default_rng(5))
+
+        drop_rng = np.random.default_rng(5)
+        acts, masks, h = [X], [], X
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            z = h @ w + b
+            if i < len(params.weights) - 1:
+                h = np.maximum(z, 0.0)
+                mask = None
+                if dropout > 0.0:
+                    mask = (drop_rng.random(h.shape) >= dropout) / (1.0 - dropout)
+                    h = h * mask
+                masks.append(mask)
+            else:
+                e = np.exp(z - z.max(axis=1, keepdims=True))
+                h = e / e.sum(axis=1, keepdims=True)
+            acts.append(h)
+        onehot = np.eye(4)[y]
+        delta = (acts[-1] - onehot) / len(y)
+        expected = classify.MLPParams(params.sizes)
+        for i in reversed(range(len(params.weights))):
+            expected.weights[i][...] = acts[i].T @ delta
+            expected.biases[i][...] = delta.sum(axis=0)
+            if i > 0:
+                delta = delta @ params.weights[i].T
+                if masks[i - 1] is not None:
+                    delta = delta * masks[i - 1]
+                delta = delta * (acts[i] > 0)
+        np.testing.assert_array_equal(grad.flat, expected.flat)
+        assert loss == -np.mean(np.sum(onehot * np.log(acts[-1] + 1e-30), axis=1))
+
     def test_analytic_matches_numerical(self):
         rng = np.random.default_rng(0)
         params = classify.init_mlp(4, hidden=(5,), n_classes=3, seed=0)

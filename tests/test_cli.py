@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fracsig import cli, fracdyn, records, synth
+from fracsig import classify, cli, fracdyn, records, synth
 
 
 def run(*argv):
@@ -473,6 +473,20 @@ class TestViralCommand:
         assert code == cli.EXIT_DATA
         assert "infected" in capsys.readouterr().err
 
+    def test_short_side_names_subject_and_shift(self, tmp_path, capsys):
+        out = tmp_path / "vir"
+        assert run(
+            "synth", "viral", "--subjects", "3", "--infected", "1", "--out-dir", str(out),
+        ) == 0
+        sweep = tmp_path / "sweep.csv"
+        code = run("viral", str(out / "manifest.json"), "--shifts=0,1500", "--out", str(sweep))
+        assert code == cli.EXIT_DATA
+        assert (
+            "subject 'subj00': shift 1500: need >= 5 windows per side, "
+            "got 28 pre and 0 post at split 5700"
+        ) in capsys.readouterr().err
+        assert not sweep.exists()
+
     def test_unfittable_window_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         entries = []
@@ -561,6 +575,51 @@ def _feature_lines(institutions=("site-a", "site-b"), widths=(3,) * 10):
         }) + "\n"
         for i, w in enumerate(widths)
     )
+
+
+class TestNoLeakageFromTestRows:
+    """Training sees only the training rows, scaler included: scaling the
+    features of a split's test rows leaves that split's curve unchanged."""
+
+    SITES = ("site-a", "site-b", "site-c", "site-d")
+
+    def _features(self, path, scale_rows=()):
+        rng = np.random.default_rng(4)
+        lines = []
+        for i in range(20):
+            features = rng.standard_normal(6) + i % 5
+            if i in scale_rows:
+                features = features * 1e3
+            lines.append(json.dumps({
+                "features": features.tolist(), "stage": i % 5,
+                "institution": self.SITES[i % 4], "subject_id": f"s{i}",
+            }) + "\n")
+        path.write_text("".join(lines))
+        return path
+
+    def _train(self, feats, out, *mode):
+        argv = ["train", str(feats), *mode, "--epochs", "3", "--seed", "0", "--out-dir", str(out)]
+        assert run(*argv) == 0
+        return out
+
+    def test_kfold_curve_ignores_its_test_rows(self, tmp_path, capsys):
+        base = self._train(self._features(tmp_path / "f.jsonl"), tmp_path / "base",
+                           "--folds", "4")
+        for f, (_, test) in enumerate(classify.kfold(20, 4, 0)):
+            feats = self._features(tmp_path / f"f{f}.jsonl", set(test.tolist()))
+            out = self._train(feats, tmp_path / f"run{f}", "--folds", "4")
+            name = f"curve_fold{f}.csv"
+            assert (out / name).read_bytes() == (base / name).read_bytes(), name
+
+    def test_holdout_curve_ignores_the_held_out_site(self, tmp_path, capsys):
+        base = self._train(self._features(tmp_path / "f.jsonl"), tmp_path / "base",
+                           "--mode", "holdout")
+        held = [i for i in range(20) if self.SITES[i % 4] == "site-b"]
+        feats = self._features(tmp_path / "scaled.jsonl", set(held))
+        out = self._train(feats, tmp_path / "run", "--mode", "holdout")
+        assert (out / "curve_site-b.csv").read_bytes() == (base / "curve_site-b.csv").read_bytes()
+        # the other sites train on site-b's rows, so their curves do move
+        assert (out / "curve_site-a.csv").read_bytes() != (base / "curve_site-a.csv").read_bytes()
 
 
 class TestTrainCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,35 +173,102 @@ class TestSimulate:
         with pytest.raises(fracdyn.NumericalError, match="step"):
             fracdyn.simulate(model, 200, x0=np.ones(2), seed=0)
 
+    @pytest.mark.parametrize("n, p", [(1, 0), (3, 1), (4, 2), (12, 0)])
+    def test_matches_step_by_step_reference(self, n, p):
+        model = synth.random_stable_model(n, n, noise_scale=0.7, n_inputs=p)
+        T = 300
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((T, p)) if p else None
+        x0 = rng.standard_normal(n)
+        expected = _reference_simulate(model, T, u=u, x0=x0, seed=9)
+        np.testing.assert_array_equal(fracdyn.simulate(model, T, u=u, x0=x0, seed=9), expected)
+        np.testing.assert_array_equal(
+            fracdyn.simulate(model, T, seed=9), _reference_simulate(model, T, seed=9)
+        )
+
+    def test_batch_rows_equal_rows_simulated_alone(self):
+        n, p, T = 5, 2, 700  # T spans several step blocks, not a multiple of one
+        models = [
+            synth.random_stable_model(n, seed, noise_scale=scale, n_inputs=p)
+            for seed, scale in enumerate((1.0, 0.0, 0.3, 2.5))
+        ]
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal((len(models), T, p))
+        x0 = rng.standard_normal((len(models), n))
+        seeds = [11, 12, 13, 11]
+        X = fracdyn._trajectories(len(models), n, T)
+        for x, start in zip(X, x0):
+            x[:, 0] = start
+        fracdyn._simulate_rows(
+            np.stack([fracdyn.gl_coefficients(m.alpha, fracdyn.DEFAULT_HORIZON) for m in models]),
+            np.stack([m.A for m in models]), [m.noise_scale for m in models], seeds, X,
+            B=np.stack([m.B for m in models]), u=u,
+        )
+        for r, model in enumerate(models):
+            alone = fracdyn.simulate(model, T, u=u[r], x0=x0[r], seed=seeds[r])
+            np.testing.assert_array_equal(X[r], alone)
+            assert X[r].flags.c_contiguous
+
+    def test_lowest_diverging_row_is_named_and_rows_below_run_on(self):
+        # row 2 diverges first; row 1 later, so the loop names row 1
+        stable = synth.random_stable_model(2, 0)
+        couplings = [stable.A, 1.3 * np.eye(2), 3.0 * np.eye(2), stable.A]
+        models = [fracdyn.FractionalModel(stable.alpha, A, noise_scale=1.0) for A in couplings]
+        steps = []
+        for model in models[1:3]:
+            with pytest.raises(fracdyn.NumericalError) as alone:
+                fracdyn.simulate(model, 500, x0=np.ones(2), seed=0)
+            steps.append(int(str(alone.value).rsplit(" ", 1)[1]))
+        assert steps[1] < steps[0]
+        X = fracdyn._trajectories(4, 2, 500)
+        for x in X:
+            x[:, 0] = 1.0
+        psi = np.stack([fracdyn.gl_coefficients(stable.alpha, fracdyn.DEFAULT_HORIZON)] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fracdyn.NumericalError,
+                               match=rf"^row 1: trajectory diverged at step {steps[0]}$"):
+                fracdyn._simulate_rows(psi, np.stack(couplings), [1.0] * 4, [0] * 4, X)
+        np.testing.assert_array_equal(X[0], fracdyn.simulate(models[0], 500, x0=np.ones(2)))
+
+
+def _reference_simulate(model, T, *, u=None, x0=None, seed=0):
+    """Oracle: the one-model loop over a (T, n) state, one step at a time."""
+    n = model.n
+    rng = np.random.default_rng(seed)
+    psi = fracdyn.gl_coefficients(model.alpha, fracdyn.DEFAULT_HORIZON)
+    x = np.zeros((T, n))
+    x[0] = np.zeros(n) if x0 is None else x0
+    noise = rng.standard_normal((T, n)) * model.noise_scale
+    for k in range(T - 1):
+        j_max = min(k + 1, fracdyn.DEFAULT_HORIZON)
+        window = x[k + 1 - j_max : k + 1][::-1]
+        memory = np.einsum("nj,jn->n", psi[:, 1 : j_max + 1], window)
+        nxt = model.A @ x[k] + noise[k] - memory
+        if u is not None:
+            nxt = nxt + model.B @ u[k]
+        x[k + 1] = nxt
+    return np.ascontiguousarray(x.T)
+
 
 class TestAlphaEstimate:
     def test_round_trip(self):
-        errs = []
-        for a in (0.0, 0.3):
-            for seed in range(3):
-                x = synth.synth_frac_noise(a, 1 << 13, seed)
-                errs.append(abs(fracdyn.estimate_alpha(x).alpha - a))
+        truth = [a for a in (0.0, 0.3) for _ in range(3)]
+        X = np.stack([synth.synth_frac_noise(a, 1 << 13, seed)
+                      for a in (0.0, 0.3) for seed in range(3)])
+        errs = np.abs(fracdyn.estimate_alphas(X) - truth)
         assert np.mean(errs) <= 0.07
-
-    def test_float_conversion(self):
-        x = synth.synth_frac_noise(0.2, 1 << 12, 0)
-        est = fracdyn.estimate_alpha(x)
-        assert float(est) == est.alpha
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError, match="samples"):
-            fracdyn.estimate_alpha(np.zeros(100))
-
-    def test_matrix_input_rejected(self):
-        with pytest.raises(ValueError, match=r"one series, got an array of shape \(2, 2048\)"):
-            fracdyn.estimate_alpha(np.ones((2, 2048)))
+            fracdyn.estimate_alphas(np.zeros(100))
 
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((3, 2048))
         batch = fracdyn.estimate_alphas(X)
         for i, row in enumerate(X):
-            assert np.isclose(batch[i], fracdyn.estimate_alpha(row).alpha)
+            assert batch[i] == fracdyn.estimate_alphas(row)[0]
 
     @pytest.mark.filterwarnings("error")
     def test_constant_channel_raises(self):
@@ -208,14 +277,14 @@ class TestAlphaEstimate:
         with pytest.raises(ValueError, match="row 0: zero fluctuation"):
             fracdyn.estimate_alphas(X)
         with pytest.raises(ValueError, match="row 0: zero fluctuation"):
-            fracdyn.estimate_alpha(X[0])
+            fracdyn.estimate_alphas(X[0])
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_sample_raises(self):
         x = np.random.default_rng(6).standard_normal(2048)
         x[7] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            fracdyn.estimate_alpha(x)
+            fracdyn.estimate_alphas(x)
 
 
 class TestEstimateCoupling:

@@ -173,6 +173,119 @@ class TestCsvRoundTrip:
             load_record(path)
 
 
+def _reference_load(path):
+    """Oracle: the CSV reader's cell walk over the whole body, then one
+    finiteness check; returns (labels, matrix) or raises."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise RecordFormatError(f"{path}: empty file") from None
+        labels = tuple(h.strip() for h in header)
+        if not labels or "" in labels:
+            raise RecordFormatError(f"{path}: row 1: blank channel label in header")
+        for col, label in enumerate(labels):
+            first = labels.index(label)
+            if first != col:
+                raise RecordFormatError(
+                    f"{path}: row 1: channel label {label!r} repeated in "
+                    f"columns {first + 1} and {col + 1}"
+                )
+        ncol = len(labels)
+        columns = [[] for _ in labels]
+        for rownum, row in enumerate(reader, start=2):
+            if len(row) != ncol:
+                raise RecordFormatError(
+                    f"{path}: row {rownum}: expected {ncol} columns, got {len(row)}"
+                )
+            for colnum, cell in enumerate(row, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise RecordFormatError(
+                        f"{path}: row {rownum}, column {colnum}: "
+                        f"non-numeric value {cell!r}"
+                    ) from None
+                columns[colnum - 1].append(value)
+        if not columns[0]:
+            raise RecordFormatError(f"{path}: no data rows after header")
+    matrix = np.array(columns)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        col = int(np.argmax(bad[:, row]))
+        raise RecordFormatError(
+            f"{path}: row {row + 2}, column {col + 1}: "
+            f"non-finite value {float(matrix[col, row])!r}"
+        )
+    return labels, matrix
+
+
+_GOOD = "a,b,c\r\n" + "".join(f"{0.5 * i!r},{-i / 3!r},{i}\r\n" for i in range(12))
+# longer than one read block: the fast path takes whole blocks before an anomaly
+_LONG = "a,b\r\n" + "".join(f"{float(np.sin(i))!r},{float(np.cos(i))!r}\r\n" for i in range(6000))
+
+LOADER_CASES = {
+    "written": _GOOD,
+    "lf": _GOOD.replace("\r\n", "\n"),
+    "cr-only": _GOOD.replace("\r\n", "\r"),
+    "no-final-newline": _GOOD[:-2],
+    "mixed-endings": "a,b\r\n1,2\n3,4\r\n",
+    "cr-cell-then-lf-cell": "a,b\r\n1,2\r3,\n4,5\r\n",
+    "blank-line": _GOOD.replace("\r\n6", "\r\n\r\n6", 1),
+    "ragged-short": _GOOD + "1,2\r\n",
+    "ragged-long": _GOOD + "1,2,3,4\r\n",
+    "ragged-pair": _GOOD + "1,2,3,4\r\n5,6\r\n",
+    "quoted-cell": _GOOD + '"1.5",2,3\r\n',
+    "quoted-comma": _GOOD + '"1,5",2\r\n',
+    "spaces": _GOOD + " 1.5 ,2,3\r\n",
+    "underscore": _GOOD + "1_0,2,3\r\n",
+    "nan": _GOOD + "nan,2,3\r\n",
+    "inf": _GOOD + "1,-inf,3\r\n",
+    "overflow-to-inf": _GOOD + "1e400,2,3\r\n",
+    "nan-before-bad-cell": _GOOD.replace("\r\n1.0,", "\r\nnan,", 1) + "abc,1,2\r\n",
+    "trailing-comma": _GOOD + "1,2,3,\r\n",
+    "empty-last-cell": "a,b\r\n1,\r\n",
+    "empty-cell": _GOOD + ",2,3\r\n",
+    "header-only": "a,b,c\r\n",
+    "header-only-no-newline": "a,b,c",
+    "one-column": "a\r\n1\r\n2\r\n",
+    "one-column-blank-line": "a\r\n1\r\n\r\n2\r\n",
+    "long": _LONG,
+    "long-bad-cell-late": _LONG + "x,1\r\n",
+    "long-lf-late": _LONG + "1,2\n3,4\n",
+    "long-nan-early-bad-cell-late": _LONG.replace("\r\n0.0,", "\r\nnan,", 1) + "x,1\r\n",
+}
+
+
+class TestLoaderMatchesCellWalk:
+    @pytest.mark.parametrize("name", LOADER_CASES)
+    def test_same_matrix_or_same_message(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(LOADER_CASES[name].encode("utf-8"))
+        try:
+            labels, expected = _reference_load(path)
+        except RecordFormatError as exc:
+            with pytest.raises(RecordFormatError) as got:
+                load_record(path)
+            assert str(got.value) == str(exc)
+            return
+        rec = load_record(path)
+        assert rec.labels == labels
+        np.testing.assert_array_equal(rec.channels, expected)
+        assert rec.channels.flags.c_contiguous
+
+    def test_written_lines_take_the_one_pass_parse(self):
+        from fracsig import records
+
+        assert len(_LONG) > 2 * records._READ_BLOCK  # the long cases span blocks
+        body = _LONG.splitlines(keepends=True)[1:]
+        values = records._parse_block(body, 2)
+        np.testing.assert_array_equal(values, [f(i) for i in range(6000) for f in (np.sin, np.cos)])
+        assert records._parse_block(body[:-1] + ["1,2,3\r\n"], 2) is None
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         entries = [

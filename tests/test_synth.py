@@ -211,6 +211,41 @@ class TestStageCohort:
         b = synth.synth_stage_cohort(n_records=5, n_channels=3, seed=1, n_samples=1200)
         np.testing.assert_array_equal(a[3].channels, b[3].channels)
 
+    @pytest.mark.parametrize("jitter, seed", [(synth._COHORT_JITTER, 3), (0.5, 0), (0.5, 2)])
+    def test_batch_matches_record_by_record_loop(self, monkeypatch, jitter, seed):
+        # a jitter of 0.5 sends some draws unstable, so the redraw path runs
+        monkeypatch.setattr(synth, "_COHORT_JITTER", jitter)
+        cohort = synth.synth_stage_cohort(10, 4, seed, n_samples=400)
+        expected, redraws = _sequential_cohort(10, 4, seed, 400, jitter)
+        assert (redraws > 0) == (jitter == 0.5)
+        assert [r.subject_id for r in cohort] == [f"rec{r:03d}" for r in range(10)]
+        for record, (X, stage, site) in zip(cohort, expected, strict=True):
+            np.testing.assert_array_equal(record.channels, X)
+            assert (record.stage_label, record.institution) == (stage, site)
+
+
+def _sequential_cohort(n_records, n, seed, n_samples, jitter):
+    """Oracle: the cohort drawn and simulated one record at a time, with
+    (matrix, stage, site) per record and the number of redraws."""
+    rng = np.random.default_rng(seed)
+    draws = [synth._draw_stable(rng, n, 0.5, 0.8, (0.2, 0.6), 0.98, (1, -1)) for _ in range(5)]
+    shift = 0.8 * np.eye(n)
+    out, redraws = [], 0
+    for r in range(n_records):
+        base, alpha = draws[r % 5]
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        for _ in range(20):
+            R = sign * base + jitter * rng.standard_normal((n, n)) / np.sqrt(n)
+            model = fracdyn.FractionalModel(alpha, R - shift, noise_scale=1.0)
+            try:
+                sim_seed = int(rng.integers(1 << 31))
+                X = fracdyn.simulate(model, n_samples, seed=sim_seed)
+                break
+            except fracdyn.NumericalError:
+                redraws += 1
+        out.append((X, r % 5, ("site-a", "site-b", "site-c", "site-d")[r % 4]))
+    return out, redraws
+
 
 class TestViralCohort:
     def test_layout(self):
@@ -232,6 +267,5 @@ class TestViralCohort:
         case = synth.synth_viral_cohort(1, 1, seed=2, side_samples=4096, alpha_shift=0.4)[0]
         pre = case.channels[0, :4096]
         post = case.channels[0, 4096:]
-        a_pre = fracdyn.estimate_alpha(pre).alpha
-        a_post = fracdyn.estimate_alpha(post).alpha
+        a_pre, a_post = fracdyn.estimate_alphas(np.stack([pre, post]))
         assert a_post - a_pre > 0.2
