@@ -7,14 +7,9 @@ leave-one-institution-out holdout. A multinomial logistic model on
 the same features gives the linear baseline.
 """
 
-import pathlib
-
 import numpy as np
 
 from fracsig import classify, synth
-
-OUT = pathlib.Path(__file__).parent / "out"
-OUT.mkdir(exist_ok=True)
 
 
 def main():
@@ -48,9 +43,6 @@ def main():
     logit, _ = classify.logistic_train(X_tr, y_tr, lr=0.5)
     base = classify.evaluate(y_te, classify.mlp_predict(logit, X_te))
     print(f"logistic baseline on the same split: {base.accuracy:.3f}")
-
-    classify.save_model(params, OUT / "stage_model.json", cfg)
-    print(f"wrote {OUT / 'stage_model.json'}")
 
 
 if __name__ == "__main__":

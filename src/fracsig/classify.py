@@ -17,7 +17,6 @@ arrays, so a caller stacks the features once and takes ``X[train]``,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +40,12 @@ __all__ = [
     "kfold",
     "holdout",
     "evaluate",
-    "save_model",
-    "load_model",
 ]
+
+# rmsprop running-average decay and denominator guard
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-7
+
 
 def extract_features(
     record,
@@ -72,10 +74,7 @@ def extract_features(
         try:
             alpha = fracdyn.estimate_alphas(X)
         except mfdfa.ZeroFluctuationError as exc:
-            raise ValueError(
-                f"channel {record.labels[exc.row]!r}: zero fluctuation in every window "
-                f"at scale {exc.scale}"
-            ) from None
+            raise exc.naming(record.labels) from None
     return fracdyn.estimate_coupling(X, alpha, horizon=horizon, ridge=ridge).ravel()
 
 
@@ -122,8 +121,6 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 64
     learning_rate: float = 0.001
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-7
     dropout_rate: float = 0.2
     seed: int = 0
 
@@ -149,7 +146,6 @@ class MLPParams:
 
     sizes: tuple[int, ...]
     flat: np.ndarray | None = None
-    seed: int = 0
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
@@ -182,7 +178,7 @@ def init_mlp(
     d_in: int, hidden: tuple[int, ...] = (300, 100), n_classes: int = N_STAGES, seed: int = 0
 ) -> MLPParams:
     """Fan-scaled uniform (Glorot) weights and zero biases, seeded."""
-    params = MLPParams((d_in, *hidden, n_classes), seed=seed)
+    params = MLPParams((d_in, *hidden, n_classes))
     rng = np.random.default_rng(seed)
     for w in params.weights:
         limit = np.sqrt(6.0 / sum(w.shape))
@@ -298,7 +294,6 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
     flat = params.flat
     cache = np.zeros_like(flat)
     work = np.empty_like(flat)  # the update's only temporary, reused every step
-    decay = cfg.rmsprop_decay
     history = {"loss": [], "accuracy": []}
     n = X.shape[0]
     for epoch in range(cfg.epochs):
@@ -311,12 +306,12 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
                 raise fracdyn.NumericalError(f"NaN loss at epoch {epoch}")
             losses.append(loss)
             g = grad.flat
-            cache *= decay
+            cache *= RMSPROP_DECAY
             np.multiply(g, g, out=work)
-            work *= 1 - decay
+            work *= 1 - RMSPROP_DECAY
             cache += work
             np.sqrt(cache, out=work)
-            work += cfg.rmsprop_epsilon
+            work += RMSPROP_EPSILON
             g *= cfg.learning_rate
             g /= work
             flat -= g
@@ -483,27 +478,3 @@ def evaluate(y_true, probs, n_classes: int = N_STAGES) -> Metrics:
     )
     macro = float(np.mean(aurocs)) if aurocs else float("nan")
     return Metrics(confusion, accuracy, sensitivity, specificity, precision, macro, loss)
-
-
-def save_model(params: MLPParams, path, config: TrainConfig | None = None) -> None:
-    """One-file text format: JSON header line, then one weight per line."""
-    header = {
-        "sizes": list(params.sizes),
-        "seed": params.seed,
-        "config": None if config is None else vars(config).copy(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for v in params.flat:
-            fh.write(repr(float(v)) + "\n")
-
-
-def load_model(path) -> tuple[MLPParams, TrainConfig | None]:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        values = [float(line) for line in fh if line.strip()]
-    params = MLPParams(header["sizes"], np.array(values), header.get("seed", 0))
-    cfg = None
-    if header.get("config"):
-        cfg = TrainConfig(**header["config"])
-    return params, cfg

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from itertools import count
 from pathlib import Path
@@ -66,6 +67,12 @@ def _write_files(out_dir, texts) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (out_dir / name).write_text(text, encoding="utf-8", newline="")
+
+
+def _check_file_part(name, what, where) -> None:
+    """Reject ``name``, read from ``where``, if it cannot be part of a file name."""
+    if any(c in name for c in {"/", os.sep, "\0"}):
+        raise ValueError(f"{where}: {what} {name!r} cannot be part of an output file name")
 
 
 def _list_of(cast):
@@ -167,6 +174,8 @@ def _cmd_synth_viral(args) -> int:
 
 def _cmd_mfdfa(args) -> int:
     record = records.load_record(args.record)
+    for label in record.labels:
+        _check_file_part(label, "channel label", args.record)
     scale_grid = args.scales
     if args.dyadic:
         scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
@@ -179,7 +188,10 @@ def _cmd_mfdfa(args) -> int:
     )
     texts = {}
     for label, samples in zip(record.labels, record.channels):
-        sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
+        try:
+            sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
+        except ValueError as exc:
+            raise ValueError(f"{args.record}: channel {label!r}: {exc}") from None
         spectrum = mfdfa.hurst_spectrum(sf)
         diag = mfdfa.scaling_diagnostics(sf)
         payload = mfdfa.spectrum_to_dict(sf, spectrum)
@@ -290,6 +302,9 @@ def _train_splits(args, stages, institutions):
 
 def _cmd_train(args) -> int:
     X, y, institutions = _load_features(args.features)
+    if args.mode == "holdout":
+        for name in institutions:
+            _check_file_part(name, "institution", args.features)
     lr = args.learning_rate  # None keeps each model's own default step size
     cfg = classify.TrainConfig(
         epochs=args.epochs,
@@ -342,24 +357,31 @@ def _cmd_convergence(args) -> int:
         raise ValueError(f"--rate must be positive and finite, got {args.rate:g}")
     if not 0 <= args.threshold < np.inf:
         raise ValueError(f"--threshold must be finite and nonnegative, got {args.threshold:g}")
-    record = records.load_record(args.record)
-    if args.alpha is not None:
-        alpha = np.asarray(args.alpha)
-        if alpha.size != record.n_channels:
-            raise ValueError(
-                f"got {alpha.size} alpha values for {record.n_channels} channels"
-            )
-    else:
-        alpha = fracdyn.estimate_alphas(record.channels)
+    fracdyn.check_fit_params(args.horizon, args.ridge)
     samples = args.step_seconds * args.rate
     if not (np.isfinite(samples) and round(samples) >= 1):
         raise ValueError(
             f"step of {args.step_seconds:g} s at {args.rate:g} Hz is {samples:g} samples; "
             "need a finite step that rounds to at least 1 sample"
         )
-    lengths, dists = fracdyn.coupling_convergence(
-        record.channels, alpha, int(round(samples)), horizon=args.horizon, ridge=args.ridge
-    )
+    record = records.load_record(args.record)
+    named = f"{args.record}: "
+    alpha = args.alpha
+    try:
+        if alpha is None:
+            alpha = fracdyn.estimate_alphas(record.channels)
+        elif len(alpha) != record.n_channels:
+            raise ValueError(f"got {len(alpha)} alpha values for {record.n_channels} channels")
+        lengths, dists = fracdyn.coupling_convergence(
+            record.channels, np.asarray(alpha), int(round(samples)),
+            horizon=args.horizon, ridge=args.ridge,
+        )
+    except mfdfa.ZeroFluctuationError as exc:
+        raise ValueError(f"{named}{exc.naming(record.labels)}") from None
+    except fracdyn.NumericalError as exc:
+        raise fracdyn.NumericalError(f"{named}{exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{named}{exc}") from None
     times = lengths / args.rate
     Path(args.out).write_text(
         _csv_text(("time_s", "wasserstein"), zip(times, dists)), encoding="utf-8", newline=""

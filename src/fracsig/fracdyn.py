@@ -49,7 +49,6 @@ __all__ = [
     "coupling_convergence",
     "check_fit_params",
     "model_to_json",
-    "model_from_json",
 ]
 
 DEFAULT_HORIZON = 50
@@ -502,11 +501,3 @@ def model_to_json(alpha, A) -> str:
             "A": [float(v) for v in A.ravel()],
         }
     )
-
-
-def model_from_json(text: str):
-    data = json.loads(text)
-    n = int(data["n"])
-    alpha = np.asarray(data["alpha"], dtype=float)
-    A = np.asarray(data["A"], dtype=float).reshape(n, n)
-    return alpha, A

@@ -1,9 +1,9 @@
 """Multifractal detrended fluctuation analysis.
 
 Pipeline: cumulative profile -> per-window detrended RMS fluctuations ->
-moment-order scaling function S_F(q, s) -> log-log slopes H(q), focus
-extrapolation at the full signal length, cohort statistics, and the
-one-dimensional Wasserstein distance used to compare spectra.
+moment-order scaling function S_F(q, s) -> log-log slopes H(q) and focus
+extrapolation at the full signal length, plus the one-dimensional
+Wasserstein distance that the coupling convergence curves use.
 
 All detrending is one kernel, ``_window_f2``, which makes one pass over
 the scale grid of a batch of profiles in one reused workspace: windows
@@ -30,7 +30,6 @@ __all__ = [
     "ScalingFunction",
     "HurstSpectrum",
     "FocusEstimate",
-    "CohortSpectrum",
     "ScalingDiagnostics",
     "default_scale_grid",
     "dyadic_scale_grid",
@@ -40,9 +39,7 @@ __all__ = [
     "dfa_exponents",
     "hurst_spectrum",
     "focus_point",
-    "cohort_spectrum",
     "wasserstein_1d",
-    "spectrum_distance",
     "scaling_diagnostics",
     "spectrum_to_dict",
 ]
@@ -58,6 +55,13 @@ class ZeroFluctuationError(ValueError):
         super().__init__(f"row {row}: zero fluctuation in every window at scale {scale}")
         self.row = row
         self.scale = scale
+
+    def naming(self, labels) -> ValueError:
+        """The same error with its row named by its label in ``labels``."""
+        return ValueError(
+            f"channel {labels[self.row]!r}: zero fluctuation in every window "
+            f"at scale {self.scale}"
+        )
 
 
 _MIN_SCALE = 16
@@ -164,15 +168,6 @@ class FocusEstimate:
 
 
 @dataclass(frozen=True)
-class CohortSpectrum:
-    q_grid: np.ndarray
-    mean: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    n: int
-
-
-@dataclass(frozen=True)
 class ScalingDiagnostics:
     """Std profiles of log2 S_F: across q per scale and across s per q."""
 
@@ -267,18 +262,31 @@ def fluctuation(y: np.ndarray, s: int, order: int = 1, *, both_ends: bool = Fals
     return np.sqrt(f2[0])
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite 1-D array, shifted by its maximum.
+
+    The maximal terms are summed apart and the rest goes through
+    ``log1p``, in the order of ``scipy.special.logsumexp`` (1.17), so the
+    result is bit-identical to it.
+    """
+    top = a.max()
+    at_top = a == top
+    e = np.exp(a - top)
+    e[at_top] = 0.0
+    m = np.count_nonzero(at_top)
+    return np.log1p(e.sum() / m) + np.log(m) + top
+
+
 def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFunction:
     """Moment-order scaling function over the configured (q, s) grid.
 
     For q != 0: S_F(q, s) = { mean_v F(v, s)^q }^{1/q}; q = 0 uses the
     geometric mean when ``q_zero_mode`` is "log-average".  A zero
     fluctuation in any window makes the moments of order q <= 0 diverge
-    and raises, as does a scale at which every window is zero.  The first
-    call loads ``scipy.special`` for ``logsumexp``; of the commands, only
-    ``mfdfa`` needs it.
+    and raises, as does a scale at which every window is zero.  Each
+    moment is a log-domain mean (``_logsumexp``), so large |q| does not
+    overflow.
     """
-    from scipy.special import logsumexp
-
     cfg = cfg or MfdfaConfig()
     y = _one_profile(y)
     scales = cfg.resolve_scales(y.size)
@@ -303,10 +311,7 @@ def scaling_function(y: np.ndarray, cfg: MfdfaConfig | None = None) -> ScalingFu
             if q == 0.0:
                 values[qi, si] = np.exp(np.mean(logf))
             else:
-                # log-domain moment mean avoids overflow at large |q|
-                values[qi, si] = np.exp(
-                    (logsumexp(q * logf) - np.log(f.size)) / q
-                )
+                values[qi, si] = np.exp((_logsumexp(q * logf) - np.log(f.size)) / q)
     return ScalingFunction(q_grid, scales, values, n_windows, y.size)
 
 
@@ -373,35 +378,6 @@ def focus_point(sf: ScalingFunction, spectrum: HurstSpectrum | None = None) -> F
     return FocusEstimate(sf.n_samples, values, spread)
 
 
-def cohort_spectrum(spectra, *, mode: str = "student-t") -> CohortSpectrum:
-    """Mean H(q) with a two-sided 95% confidence interval across records.
-
-    The critical value is the t (``mode="student-t"``, n - 1 degrees of
-    freedom) or normal quantile at 0.975 from ``scipy.special``; the first
-    call loads scipy, which no command needs.
-    """
-    from scipy.special import ndtri, stdtrit
-
-    spectra = list(spectra)
-    if len(spectra) < 2:
-        raise ValueError("need at least 2 spectra")
-    q0 = spectra[0].q_grid
-    for sp in spectra[1:]:
-        if sp.q_grid.shape != q0.shape or not np.array_equal(sp.q_grid, q0):
-            raise ValueError("spectra use mismatched q grids")
-    h = np.stack([sp.h for sp in spectra])
-    n = h.shape[0]
-    mean = h.mean(axis=0)
-    sem = h.std(axis=0, ddof=1) / np.sqrt(n)
-    if mode == "student-t":
-        crit = stdtrit(n - 1, 0.975)
-    elif mode == "normal":
-        crit = ndtri(0.975)
-    else:
-        raise ValueError(f"unknown CI mode: {mode!r}")
-    return CohortSpectrum(q0, mean, mean - crit * sem, mean + crit * sem, n)
-
-
 def wasserstein_1d(a, b) -> float:
     """First Wasserstein distance between two empirical distributions.
 
@@ -419,26 +395,6 @@ def wasserstein_1d(a, b) -> float:
         a = np.quantile(a, probs)
         b = np.quantile(b, probs)
     return float(np.mean(np.abs(a - b)))
-
-
-def spectrum_distance(a, b, *, mode: str = "q-samples") -> float:
-    """Wasserstein distance between two groups of Hurst spectra.
-
-    "q-samples" compares the mean H(q) curves as samples over the q grid;
-    "patients" pools every per-record H value into one empirical
-    distribution per group.
-    """
-    a, b = list(a), list(b)
-    if mode == "q-samples":
-        ha = np.stack([sp.h for sp in a]).mean(axis=0)
-        hb = np.stack([sp.h for sp in b]).mean(axis=0)
-        return wasserstein_1d(ha, hb)
-    if mode == "patients":
-        return wasserstein_1d(
-            np.concatenate([sp.h for sp in a]),
-            np.concatenate([sp.h for sp in b]),
-        )
-    raise ValueError(f"unknown mode: {mode!r}")
 
 
 def scaling_diagnostics(sf: ScalingFunction) -> ScalingDiagnostics:

@@ -222,9 +222,9 @@ class TestTraining:
                 loss, grad = classify.mlp_gradients(ref, X[idx], y[idx], cfg.dropout_rate, rng)
                 losses.append(loss)
                 g = grad.flat
-                cache *= cfg.rmsprop_decay
-                cache += (1 - cfg.rmsprop_decay) * g**2
-                flat -= cfg.learning_rate * g / (np.sqrt(cache) + cfg.rmsprop_epsilon)
+                cache *= classify.RMSPROP_DECAY
+                cache += (1 - classify.RMSPROP_DECAY) * g**2
+                flat -= cfg.learning_rate * g / (np.sqrt(cache) + classify.RMSPROP_EPSILON)
             losses_by_epoch.append(float(np.mean(losses)))
             preds = classify.mlp_predict(ref, X).argmax(axis=1)
             accuracy.append(float(np.mean(preds == y)))
@@ -452,18 +452,3 @@ class TestMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             classify.evaluate(np.array([]), np.zeros((0, 5)))
-
-
-class TestModelIo:
-    def test_round_trip(self, tmp_path):
-        params = classify.init_mlp(6, hidden=(4,), n_classes=3, seed=2)
-        path = tmp_path / "model.txt"
-        classify.save_model(params, path)
-        back, _ = classify.load_model(path)
-        assert back.sizes == params.sizes
-        for w1, w2 in zip(back.weights, params.weights):
-            np.testing.assert_array_equal(w1, w2)
-        X = np.random.default_rng(0).standard_normal((3, 6))
-        np.testing.assert_array_equal(
-            classify.mlp_predict(back, X), classify.mlp_predict(params, X)
-        )

@@ -99,9 +99,9 @@ class TestSynthSystem:
             "--out", str(rec), "--model-out", str(model_out),
         ) == 0
         model = synth.random_stable_model(4, 2, noise_scale=0.7)
-        alpha, A = fracdyn.model_from_json(model_out.read_text())
-        np.testing.assert_array_equal(alpha, model.alpha)
-        np.testing.assert_array_equal(A, model.A)
+        written = json.loads(model_out.read_text())
+        np.testing.assert_array_equal(written["alpha"], model.alpha)
+        np.testing.assert_array_equal(np.reshape(written["A"], (4, 4)), model.A)
         expected = fracdyn.simulate(model, 600, seed=2)
         loaded = records.load_record(rec)
         np.testing.assert_array_equal(loaded.channels, expected)
@@ -165,6 +165,28 @@ class TestMfdfaCommand:
         out = tmp_path / "mf"
         assert run("mfdfa", str(rec), "--q=0", "--out-dir", str(out)) == cli.EXIT_DATA
         assert "q_grid contains only 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "labels, flat, named",
+        [(("ok", "a/b", "c"), False,
+          "channel label 'a/b' cannot be part of an output file name"),
+         (("flat", "ok", "c"), True,
+          "channel 'flat': zero fluctuation in window 0 at scale 16")],
+        ids=["label-with-slash", "constant-channel"],
+    )
+    def test_bad_record_names_it_and_writes_nothing(self, tmp_path, capsys,
+                                                     labels, flat, named):
+        rec = tmp_path / "rec.csv"
+        X = np.random.default_rng(0).standard_normal((3, 1024))
+        if flat:
+            X[0] = 2.0
+        records.write_record(records.MultichannelRecord(X, labels), rec)
+        out = tmp_path / "mf"
+        assert run("mfdfa", str(rec), "--out-dir", str(out)) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"fracsig: error: {rec}: {named}" in captured.err
+        assert captured.out == ""  # no channel was analysed before the error
         assert not out.exists()
 
 
@@ -343,6 +365,25 @@ class TestPipelineCommands:
         assert "record length 250 with a step of 100 samples" in err
         assert "at least 171 samples" in err
         assert "Traceback" not in err
+        assert not curve.exists()
+
+    @pytest.mark.parametrize(
+        "samples, flat, named",
+        [(2048, True, "channel 'flat': zero fluctuation in every window at scale 16"),
+         (800, False, "need at least 1024 samples, got 800")],
+        ids=["constant-channel", "too-short"],
+    )
+    def test_convergence_names_the_record(self, tmp_path, capsys, samples, flat, named):
+        rec = tmp_path / "rec.csv"
+        X = np.random.default_rng(0).standard_normal((3, samples))
+        if flat:
+            X[2] = 1.0
+        records.write_record(records.MultichannelRecord(X, ("a", "b", "flat")), rec)
+        curve = tmp_path / "curve.csv"
+        assert run("convergence", str(rec), "--out", str(curve)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"fracsig: error: {rec}: {named}" in err
+        assert "row 2" not in err
         assert not curve.exists()
 
     @pytest.mark.parametrize(
@@ -639,9 +680,12 @@ class TestTrainCommand:
             (_feature_lines() + "5\n", [], "features.jsonl: line 11: not a JSON object"),
             (_feature_lines() + '{"features": [0.1, NaN, 0.3], "stage": 1}\n', [],
              "features.jsonl: line 11: features must be finite"),
+            (_feature_lines(institutions=("site-a", "site/b")), ["--mode", "holdout"],
+             "features.jsonl: institution 'site/b' cannot be part of an output file name"),
         ],
         ids=["one-fold", "zero-folds", "one-institution", "ragged-features",
-             "non-numeric-feature", "stage-out-of-range", "not-an-object", "nan-feature"],
+             "non-numeric-feature", "stage-out-of-range", "not-an-object", "nan-feature",
+             "institution-with-slash"],
     )
     def test_bad_training_input_fails_fast(self, tmp_path, capsys, text, argv, named):
         feats = tmp_path / "features.jsonl"

