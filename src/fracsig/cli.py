@@ -186,7 +186,7 @@ def _cmd_mfdfa(args) -> int:
         q_zero_mode=args.q_zero_mode,
         both_ends=args.both_ends,
     )
-    texts = {}
+    texts, lines = {}, []
     for label, samples in zip(record.labels, record.channels):
         try:
             sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
@@ -203,8 +203,9 @@ def _cmd_mfdfa(args) -> int:
             texts[f"sf_{label}_q{q:g}.csv"] = _csv_text(
                 ("log2_s", "log2_sf"), zip(logs, np.log2(values))
             )
-        print(f"{label}: focus spread {payload['focus_spread']:.4f}")
+        lines.append(f"{label}: focus spread {payload['focus_spread']:.4f}")
     _write_files(args.out_dir, texts)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -313,8 +314,12 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         **({} if lr is None else {"learning_rate": lr}),
     )
-    accuracies, texts = [], {}
-    for metrics_name, curve_name, label, train, test in _train_splits(args, y, institutions):
+    splits = list(_train_splits(args, y, institutions))
+    for _, _, label, train, _ in splits:
+        if len(set(y[train].tolist())) < 2:
+            raise ValueError(f"{label}: training set must contain at least 2 classes")
+    accuracies, texts, lines = [], {}, []
+    for metrics_name, curve_name, label, train, test in splits:
         scaler = classify.MinMaxScaler()
         Xtr = scaler.fit_transform(X[train])
         Xte = scaler.transform(X[test])
@@ -332,7 +337,7 @@ def _cmd_train(args) -> int:
         texts[metrics_name] = _json_text(metrics.to_dict())
         rows = zip(count(), history["loss"], history["accuracy"])
         texts[curve_name] = _csv_text(("epoch", "loss", "accuracy"), rows)
-        print(f"{label}: accuracy {metrics.accuracy:.4f}")
+        lines.append(f"{label}: accuracy {metrics.accuracy:.4f}")
     summary = {
         "mode": args.mode,
         "model": args.model,
@@ -342,6 +347,7 @@ def _cmd_train(args) -> int:
     }
     texts["summary.json"] = _json_text(summary)
     _write_files(args.out_dir, texts)
+    print("\n".join(lines))
     print(
         f"{args.mode} {args.model}: accuracy "
         f"{summary['accuracy_mean']:.4f} +/- {summary['accuracy_std']:.4f}"

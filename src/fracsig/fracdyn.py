@@ -144,18 +144,6 @@ _OVERFLOW_GUARD = 1e12
 _STEP_BLOCK = 32
 
 
-class _RowDiverged(NumericalError):
-    """A row of a batched simulation left the overflow guard.
-
-    ``row`` is the lowest such row: the rows below it ran every step, it
-    and the rows above it were dropped.
-    """
-
-    def __init__(self, row: int, step: int):
-        super().__init__(f"row {row}: trajectory diverged at step {step}")
-        self.row = row
-
-
 def _trajectories(R: int, n: int, T: int) -> list[np.ndarray]:
     """R zero (n, T) trajectories for :func:`_simulate_rows`; T below 1 is rejected."""
     if T < 1:
@@ -163,7 +151,7 @@ def _trajectories(R: int, n: int, T: int) -> list[np.ndarray]:
     return [np.zeros((n, T)) for _ in range(R)]
 
 
-def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> None:
+def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> tuple[int, int] | None:
     """Forward-simulate R models in one loop over the steps.
 
     ``xs`` holds each model's (n, T) trajectory, start state in column 0;
@@ -179,8 +167,8 @@ def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> None:
     steps and the current block, and copies each finished block into the
     trajectories, which stay separate arrays.  A row that leaves the
     overflow guard is dropped with every row above it, and the rows below
-    it run on; the loop then raises :class:`_RowDiverged` naming the
-    lowest dropped row and its step.
+    it run on.  Returns None when every row ran every step, else the
+    ``(row, step)`` of the lowest dropped row.
     """
     R = len(xs)
     n, T = xs[0].shape
@@ -220,8 +208,7 @@ def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> None:
             xs[r][:, k0 + 1 : k0 + 1 + m] = state[r, :, J + 1 : J + 1 + m]
         if rows == 0:
             break
-    if diverged is not None:
-        raise _RowDiverged(*diverged)
+    return diverged
 
 
 def simulate(
@@ -257,8 +244,10 @@ def simulate(
             raise ValueError("model has no input matrix B")
         u = u[None]
     psi = gl_coefficients(model.alpha, DEFAULT_HORIZON)
-    _simulate_rows(psi[None], model.A[None], model.noise_scale, [seed], [x],
-                   B=None if u is None else model.B[None], u=u)
+    diverged = _simulate_rows(psi[None], model.A[None], model.noise_scale, [seed], [x],
+                              B=None if u is None else model.B[None], u=u)
+    if diverged is not None:
+        raise NumericalError(f"trajectory diverged at step {diverged[1]}")
     return x
 
 

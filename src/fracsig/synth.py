@@ -12,7 +12,8 @@ spectral radius, per-channel orders, then R shrunk by 0.8 until each
 signed coupling s * R - diag_shift * I has companion spectral radius
 below a limit.  :func:`random_stable_model` returns one such model;
 :func:`synth_stage_cohort` simulates jittered records of one per stage,
-every record in one batched loop of the steps.
+every record in one batched loop of the steps; a record that diverges
+redraws its jitter and seed as the first row of the next batch.
 Every stability check truncates the recursion at
 ``fracdyn.DEFAULT_HORIZON``, the one memory horizon
 :func:`fracsig.fracdyn.simulate` runs.
@@ -283,10 +284,11 @@ def synth_stage_cohort(
     stage and site; stages and the four institutions are assigned round
     robin.  Every record's sign, jitter and simulation seed are drawn
     first, then all records run in one batched simulation.  A record whose
-    jittered recursion diverges redraws its jitter and seed (at most 20
-    tries) from the generator state it started from, and the records
-    after it are drawn and simulated again, in one batch: the records are
-    those of drawing and simulating one record at a time.
+    jittered recursion diverges keeps its sign and redraws its jitter and
+    seed, from the generator state right after its failed draws, as the
+    first row of the next batch; the records after it draw anew.  So the
+    records are those of drawing and simulating one record at a time.
+    A record that diverges on 20 tries raises ``NumericalError``.
     """
     if n_records < 1:
         raise ValueError(f"need at least one record, got n_records={n_records}")
@@ -303,26 +305,32 @@ def synth_stage_cohort(
     tables = [fracdyn.gl_coefficients(alpha, fracdyn.DEFAULT_HORIZON) for _, alpha in draws]
     psi = np.stack([tables[stage] for stage in stages])
     X = fracdyn._trajectories(n_records, n, n_samples)
-    done = 0  # records 0..done-1 are simulated
+    # records 0..done-1 are simulated; record done has diverged on `tries`
+    # tries so far and, when `sign` is set, redraws with that sign
+    done, tries, sign = 0, 0, None
     while done < n_records:
-        states, couplings, seeds = [], [], []
+        couplings, seeds, redraws = [], [], []
         for stage in stages[done:]:
-            states.append(rng.bit_generator.state)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
+            if sign is None:
+                sign = 1.0 if rng.random() < 0.5 else -1.0
             couplings.append(_jittered_coupling(rng, draws[stage][0], sign, shift))
             seeds.append(int(rng.integers(1 << 31)))
-        try:
-            fracdyn._simulate_rows(
-                psi[done:], np.stack(couplings), np.ones(len(seeds)), seeds, X[done:]
-            )
-            done = n_records
-        except fracdyn._RowDiverged as exc:
-            # jitter pushed record r's recursion unstable: the records before
-            # it stand, r redraws from its own first draw, the rest draw anew
-            r = done + exc.row
-            rng.bit_generator.state = states[exc.row]
-            X[r] = _simulate_with_redraws(rng, *draws[stages[r]], shift, n_samples)
-            done = r + 1
+            redraws.append((sign, rng.bit_generator.state))  # what a redraw starts from
+            sign = None
+        diverged = fracdyn._simulate_rows(
+            psi[done:], np.stack(couplings), np.ones(len(seeds)), seeds, X[done:]
+        )
+        if diverged is None:
+            break
+        # jitter pushed a record's recursion unstable: the records before it
+        # stand, it keeps its sign and redraws its jitter and seed from the
+        # state after its draws, and the records after it draw anew
+        row = diverged[0]
+        tries = tries + 1 if row == 0 else 1
+        if tries == 20:
+            raise fracdyn.NumericalError("could not draw a stable jittered model")
+        sign, rng.bit_generator.state = redraws[row]
+        done += row
     return [
         MultichannelRecord(
             X[r], subject_id=f"rec{r:03d}",
@@ -337,21 +345,6 @@ def _jittered_coupling(rng, base, sign, shift):
     """A record's coupling: its stage's base pattern, signed, plus fresh jitter."""
     n = base.shape[0]
     return sign * base + _COHORT_JITTER * rng.standard_normal((n, n)) / np.sqrt(n) - shift
-
-
-def _simulate_with_redraws(rng, base, alpha, shift, n_samples):
-    """One cohort record: draw sign, jitter and seed, redrawing the jitter
-    and seed (at most 20 tries) while the recursion diverges."""
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    for _ in range(20):
-        model = fracdyn.FractionalModel(
-            alpha, _jittered_coupling(rng, base, sign, shift), noise_scale=1.0
-        )
-        try:
-            return fracdyn.simulate(model, n_samples, seed=int(rng.integers(1 << 31)))
-        except fracdyn.NumericalError:
-            continue  # jitter pushed the recursion unstable, redraw
-    raise fracdyn.NumericalError("could not draw a stable jittered model")
 
 
 def synth_viral_cohort(

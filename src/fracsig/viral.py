@@ -22,7 +22,6 @@ __all__ = [
     "WindowSpec",
     "SubjectCase",
     "LooResult",
-    "window_alphas",
     "kl_feature",
     "classify_loo",
     "shift_sweep",
@@ -133,18 +132,6 @@ def _split_alphas(case: SubjectCase, spec: WindowSpec, split_starts) -> list:
         tuple(table[[row[s] for s in side]].ravel() for side in pair)
         for pair in split_starts
     ]
-
-
-def window_alphas(case: SubjectCase, spec: WindowSpec | None = None, split_index: int | None = None):
-    """Fractional orders of the sliding windows before and after the split.
-
-    Returns (pre, post) sample arrays with one alpha per window per
-    channel, window-major.  Raises when either side yields fewer than
-    ``MIN_WINDOWS_PER_SIDE`` windows.
-    """
-    spec = spec or WindowSpec()
-    shift = 0 if split_index is None else int(split_index) - case.inoculation_index
-    return _split_alphas(case, spec, [_split_starts(case, spec, shift)])[0]
 
 
 def _kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -70,6 +70,17 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_cohort_out_of_redraws_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(synth, "_COHORT_JITTER", 50.0)
+        out = tmp_path / "cohort"
+        code = run("synth", "cohort", "--per-class", "2", "--channels", "4", "--samples", "400",
+                   "--out-dir", str(out))
+        assert code == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "fracsig: numerical failure: could not draw a stable jittered model" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -168,25 +179,26 @@ class TestMfdfaCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "labels, flat, named",
-        [(("ok", "a/b", "c"), False,
+        "labels, named",
+        [(("ok", "a/b", "c"),
           "channel label 'a/b' cannot be part of an output file name"),
-         (("flat", "ok", "c"), True,
+         (("flat", "ok", "c"),
+          "channel 'flat': zero fluctuation in window 0 at scale 16"),
+         (("ok", "flat", "c"),
           "channel 'flat': zero fluctuation in window 0 at scale 16")],
-        ids=["label-with-slash", "constant-channel"],
+        ids=["label-with-slash", "constant-channel", "later-constant-channel"],
     )
-    def test_bad_record_names_it_and_writes_nothing(self, tmp_path, capsys,
-                                                     labels, flat, named):
+    def test_bad_record_names_it_and_writes_nothing(self, tmp_path, capsys, labels, named):
         rec = tmp_path / "rec.csv"
         X = np.random.default_rng(0).standard_normal((3, 1024))
-        if flat:
-            X[0] = 2.0
+        if "flat" in labels:
+            X[labels.index("flat")] = 2.0
         records.write_record(records.MultichannelRecord(X, labels), rec)
         out = tmp_path / "mf"
         assert run("mfdfa", str(rec), "--out-dir", str(out)) == cli.EXIT_DATA
         captured = capsys.readouterr()
         assert f"fracsig: error: {rec}: {named}" in captured.err
-        assert captured.out == ""  # no channel was analysed before the error
+        assert captured.out == ""  # nothing is reported for channels left unwritten
         assert not out.exists()
 
 
@@ -694,6 +706,55 @@ class TestTrainCommand:
         code = run("train", str(feats), *argv, "--epochs", "2", "--out-dir", str(out))
         assert code == cli.EXIT_DATA
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["kfold", "holdout"])
+    def test_one_class_training_set_fails_before_any_split_trains(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        if mode == "holdout":
+            # holding out a or b leaves both stages; holding out z leaves stage 0
+            cases, label = [("a", 0), ("b", 0), ("z", 1)] * 2, "holdout z"
+        else:
+            cases = [("a", 0)] * 4 + [("a", 1)]
+            (fold,) = [f for f, (train, _) in enumerate(classify.kfold(5, 5, 0)) if 4 not in train]
+            label = f"fold {fold}"
+        feats = tmp_path / "features.jsonl"
+        feats.write_text("".join(
+            json.dumps({"features": [0.1 * i, 1.0], "stage": stage, "institution": site}) + "\n"
+            for i, (site, stage) in enumerate(cases)
+        ))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a split trained before the check")
+
+        monkeypatch.setattr(classify, "mlp_train", no_training)
+        out = tmp_path / "run"
+        code = run("train", str(feats), "--mode", mode, "--epochs", "2", "--out-dir", str(out))
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"fracsig: error: {label}: training set must contain at least 2 classes" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_failure_after_a_trained_split_prints_nothing(self, tmp_path, capsys):
+        # fold 0 holds out the +1e308 case and trains; a later fold meets both
+        # extremes of column 0 and fails, so no file is written and nothing printed
+        ((_, (top,)), *_) = classify.kfold(10, 10, 0)
+        bottom = (top + 1) % 10
+        lines = [
+            {"features": [1e308 if i == top else -1e308 if i == bottom else 0.0, 0.1 * i],
+             "stage": i % 5, "subject_id": f"s{i}"}
+            for i in range(10)
+        ]
+        feats = tmp_path / "features.jsonl"
+        feats.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        out = tmp_path / "run"
+        code = run("train", str(feats), "--folds", "10", "--epochs", "2", "--out-dir", str(out))
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert "feature column 0" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_feature_range_wider_than_float64_is_data_error(self, tmp_path, capsys):

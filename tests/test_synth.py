@@ -223,6 +223,20 @@ class TestStageCohort:
             np.testing.assert_array_equal(record.channels, X)
             assert (record.stage_label, record.institution) == (stage, site)
 
+    def test_record_that_diverges_on_20_tries_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "_COHORT_JITTER", 50.0)
+        runs = []
+        simulate_rows = fracdyn._simulate_rows
+
+        def recorded(*args, **kwargs):
+            runs.append(simulate_rows(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(fracdyn, "_simulate_rows", recorded)
+        with pytest.raises(fracdyn.NumericalError, match="could not draw a stable jittered model"):
+            synth.synth_stage_cohort(10, 4, 0, n_samples=400)
+        assert [row for row, _ in runs] == [0] * 20  # record 0, tried 20 times
+
 
 def _sequential_cohort(n_records, n, seed, n_samples, jitter):
     """Oracle: the cohort drawn and simulated one record at a time, with

@@ -35,20 +35,46 @@ class TestSubjectCase:
             viral.SubjectCase(np.zeros((3, 100)), inoculation_index=100, infected=True)
 
 
+def side_alphas(case, lo, hi, spec):
+    """Orders of the windows of samples [lo, hi), fitted in one batch of their own."""
+    starts = range(lo, hi - spec.window_len + 1, spec.stride)
+    windows = np.concatenate([case.channels[:, s : s + spec.window_len] for s in starts])
+    return fracdyn.estimate_alphas(windows)
+
+
+def swept_sides(cases, shifts, spec):
+    """The (pre, post) window orders that ``shift_sweep`` compares, one list
+    of per-case pairs for each shift."""
+    with mock.patch.object(viral, "kl_feature", wraps=viral.kl_feature) as kl:
+        viral.shift_sweep(cases, shifts, spec)
+    pairs = [call.args for call in kl.call_args_list]
+    return [pairs[k * len(cases) : (k + 1) * len(cases)] for k in range(len(shifts))]
+
+
 class TestWindowAlphas:
+    """The per-window orders on each side of a split, seen through the sweep."""
+
     def test_counts_and_shift(self):
-        case = synth.synth_viral_cohort(1, 1, seed=0, side_samples=4200)[0]
+        cases = synth.synth_viral_cohort(4, 2, seed=0, side_samples=4200)
         spec = viral.WindowSpec(3000, 200)
-        pre, post = viral.window_alphas(case, spec)
-        n_side = spec.count(4200) * 3  # windows times channels
-        assert pre.shape == (n_side,)
-        assert post.shape == (n_side,)
+        shifts = [0, 200]
+        for shift, pairs in zip(shifts, swept_sides(cases, shifts, spec), strict=True):
+            for case, (pre, post) in zip(cases, pairs, strict=True):
+                split = case.inoculation_index + shift
+                # windows times channels, window-major
+                assert pre.shape == (spec.count(split) * 3,)
+                assert post.shape == (spec.count(case.n_samples - split) * 3,)
+                assert np.array_equal(pre, side_alphas(case, 0, split, spec))
+                assert np.array_equal(post, side_alphas(case, split, case.n_samples, spec))
 
     def test_error_reports_window_counts(self):
-        case = synth.synth_viral_cohort(1, 1, seed=0, side_samples=4200)[0]
+        cases = synth.synth_viral_cohort(4, 2, seed=0, side_samples=4200)
         spec = viral.WindowSpec(3000, 300)
-        with pytest.raises(ValueError, match="windows per side"):
-            viral.window_alphas(case, spec, split_index=500)
+        with pytest.raises(ValueError, match=(
+            "subject 'subj00': shift -3700: need >= 5 windows per side, "
+            "got 0 pre and 17 post at split 500"
+        )):
+            viral.classify_loo(cases, spec, shift=-3700)
 
     @pytest.mark.parametrize(
         "channel, lo, side, start",
@@ -56,20 +82,28 @@ class TestWindowAlphas:
     )
     def test_unfittable_window_names_the_case(self, channel, lo, side, start):
         # ch01 constant over the pre side, or ch02 constant from sample 2560
-        X = np.random.default_rng(4).standard_normal((3, 4096))
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((3, 4096))
         X[channel, lo : lo + 1536] = 0.5
-        case = viral.SubjectCase(X, subject_id="S07", inoculation_index=2048, infected=True)
+        cases = [viral.SubjectCase(X, subject_id="S07", inoculation_index=2048, infected=True)]
+        cases += [
+            viral.SubjectCase(rng.standard_normal((3, 4096)), subject_id=f"S0{i}",
+                              inoculation_index=2048, infected=i % 2 == 0)
+            for i in range(3)
+        ]
         message = (
             f"subject 'S07': channel 'ch0{channel}': {side} window starting at "
             f"sample {start} has zero fluctuation in every DFA window at scale 16"
         )
         with pytest.raises(ValueError, match=message):
-            viral.window_alphas(case, viral.WindowSpec(1024, 256))
+            viral.classify_loo(cases, viral.WindowSpec(1024, 256))
 
     def test_infected_subject_separates(self):
-        case = synth.synth_viral_cohort(1, 1, seed=1, side_samples=4200, alpha_shift=0.4)[0]
-        pre, post = viral.window_alphas(case, viral.WindowSpec(3000, 200))
-        assert post.mean() - pre.mean() > 0.2
+        cases = synth.synth_viral_cohort(4, 2, seed=1, side_samples=4200, alpha_shift=0.4)
+        (pairs,) = swept_sides(cases, [0], viral.WindowSpec(3000, 200))
+        for case, (pre, post) in zip(cases[:2], pairs):
+            assert case.infected
+            assert post.mean() - pre.mean() > 0.2
 
 
 class TestKlFeature:
@@ -168,13 +202,6 @@ class TestPipeline:
         assert [r[0] for r in rows] == [-300, 0, 300]
 
 
-def side_alphas(case, lo, hi, spec):
-    """Orders of the windows of samples [lo, hi), fitted in one batch of their own."""
-    starts = range(lo, hi - spec.window_len + 1, spec.stride)
-    windows = np.concatenate([case.channels[:, s : s + spec.window_len] for s in starts])
-    return fracdyn.estimate_alphas(windows)
-
-
 class TestShiftSweepWindowCache:
     """Each distinct window is fitted once, and slicing changes no order."""
 
@@ -196,13 +223,12 @@ class TestShiftSweepWindowCache:
             for case in cases:
                 split = case.inoculation_index + shift
                 pre, post = next(sides)
-                direct = viral.window_alphas(case, self.SPEC, split)
                 reference = (
                     side_alphas(case, 0, split, self.SPEC),
                     side_alphas(case, split, case.n_samples, self.SPEC),
                 )
-                for got, want, own in zip((pre, post), direct, reference):
-                    assert np.array_equal(got, want) and np.array_equal(got, own)
+                for got, own in zip((pre, post), reference):
+                    assert np.array_equal(got, own)
                 features.append(viral.kl_feature(*reference))
             loo = viral._loo_from_features(np.array(features), labels, range(len(cases)))
             expected.append((shift, loo.type_one, loo.type_two))
