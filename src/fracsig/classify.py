@@ -276,6 +276,14 @@ def numerical_gradients(params, X, y, eps=1e-5):
     return grad
 
 
+def _check_classes(y) -> None:
+    """Reject training labels ``y`` that hold fewer than 2 distinct classes."""
+    y = np.asarray(y)
+    # not np.unique, which imports numpy.ma (15-19 ms) on first use
+    if y.size == 0 or np.all(y == y[0]):
+        raise ValueError("training set must contain at least 2 classes")
+
+
 def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_classes=N_STAGES):
     """Mini-batch rmsprop training; returns (params, history).
 
@@ -286,9 +294,7 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
     cfg = cfg or TrainConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    # not np.unique, which imports numpy.ma (15-19 ms) on first use
-    if y.size == 0 or np.all(y == y[0]):
-        raise ValueError("training set must contain at least 2 classes")
+    _check_classes(y)
     params = init_mlp(X.shape[1], hidden, n_classes, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     flat = params.flat
@@ -333,6 +339,7 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
         raise ValueError("lr must be positive")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
+    _check_classes(y)
     params = MLPParams((X.shape[1], n_classes))
     flat, (W,) = params.flat, params.weights
     history = []

@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
+import shutil
+import stat
 import sys
+import tempfile
+from contextlib import contextmanager
 from itertools import count
 from pathlib import Path
 
@@ -57,16 +62,93 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+@contextmanager
+def _staged(target):
+    """Yield a new ``.``-prefixed directory to build ``target`` in; remove it on exit.
+
+    The directory is made in ``target`` when that is an existing
+    directory, else beside it, or in its nearest existing ancestor; so
+    it is on the file system of ``target``, and each finished file moves
+    into place with ``os.replace``, which swaps a whole file at once.  A
+    command that fails before the move leaves ``target`` as it was and
+    none of its own files behind.
+    """
+    target = Path(target)
+    home = next(p for p in (target, *target.parents) if p.is_dir())
+    stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=home))
+    try:
+        yield stage
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _place(staged, path) -> None:
+    """Move the finished file ``staged`` onto ``path``.
+
+    A regular file at ``path``, or at the end of a symlink ``path``, is
+    swapped whole by ``os.replace`` and keeps its mode and owner.  What
+    cannot be swapped so is written through in place, as ``open`` would:
+    a device or a pipe such as ``/dev/null``, a file on another file
+    system than ``staged``, or one whose owner could not be kept.
+    """
+    path = Path(path)
+    if not path.exists() or path.is_file():
+        target = path.resolve()
+        try:
+            if target.exists():
+                st = target.stat()
+                os.chown(staged, st.st_uid, st.st_gid)
+                os.chmod(staged, stat.S_IMODE(st.st_mode))
+            os.replace(staged, target)
+            return
+        except OSError:
+            pass  # written through below
+    with open(staged, "rb") as src, open(path, "wb") as dst:
+        shutil.copyfileobj(src, dst)
+
+
+def _publish(stage, out_dir) -> None:
+    """Make ``out_dir`` and move every file of ``stage`` into it."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in sorted(stage.iterdir()):
+        _place(path, out_dir / path.name)
+
+
+def _write_file(path, write) -> None:
+    """Write ``path`` by calling ``write`` on a staged path, then place it there.
+
+    A device or a pipe at ``path`` has nothing to stage: ``write`` writes
+    through it.  Otherwise the staging directory is made beside the file
+    that ``path`` names, after any symlinks, so that ``_place`` can swap it.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        write(path)
+        return
+    target = path.resolve()
+    if not target.parent.is_dir():  # name the target, not the staged file
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    with _staged(target) as stage:
+        write(stage / target.name)
+        _place(stage / target.name, target)
+
+
+def _write_text(path, text) -> None:
+    _write_file(path, lambda staged: staged.write_text(text, encoding="utf-8", newline=""))
+
+
 def _write_files(out_dir, texts) -> None:
     """Make ``out_dir`` and write each ``name: text`` of ``texts`` into it.
 
     Commands call this once every output is built, so a command that
-    fails makes no directory and writes no file.
+    fails makes no directory and writes no file; the files are staged
+    and moved into place, so a crash while writing leaves no part of one.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+    with _staged(out_dir) as stage:
+        for name, text in texts.items():
+            (stage / name).write_text(text, encoding="utf-8", newline="")
+        _publish(stage, out_dir)
 
 
 def _check_file_part(name, what, where) -> None:
@@ -95,7 +177,8 @@ def _list_of(cast):
 
 def _write_series(samples, label, out) -> int:
     """Write one generated series as a one-channel record headed ``label``."""
-    records.write_record(records.MultichannelRecord(samples[None, :], (label,)), out)
+    record = records.MultichannelRecord(samples[None, :], (label,))
+    _write_file(out, lambda staged: records.write_record(record, staged))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -113,42 +196,45 @@ def _cmd_synth_cascade(args) -> int:
 def _cmd_synth_system(args) -> int:
     model = synth.random_stable_model(args.channels, args.seed, noise_scale=args.noise_scale)
     X = fracdyn.simulate(model, args.n, seed=args.seed)
-    records.write_record(records.MultichannelRecord(X), args.out)
+    record = records.MultichannelRecord(X)
+    _write_file(args.out, lambda staged: records.write_record(record, staged))
     if args.model_out:
-        Path(args.model_out).write_text(
-            fracdyn.model_to_json(model.alpha, model.A), encoding="utf-8"
-        )
+        _write_text(args.model_out, fracdyn.model_to_json(model.alpha, model.A))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _write_record_set(out_dir, recs, extra=lambda r: {}) -> None:
-    """Write ``<subject_id>.csv`` per record and a manifest with ``extra(record)`` added."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_record_set(out_dir, recs, extra=lambda r: {}) -> int:
+    """Write ``<subject_id>.csv`` per record and a manifest with ``extra(record)`` added.
+
+    ``recs`` may be any iterable: each record is written as it comes,
+    into a staging directory whose files move into ``out_dir`` only
+    after the manifest is written, so a failure part way leaves no
+    ``out_dir``.  Returns the number of records.
+    """
     entries = []
-    for rec in recs:
-        name = f"{rec.subject_id}.csv"
-        records.write_record(rec, out_dir / name)
-        entries.append(
-            records.ManifestEntry(
-                name, rec.subject_id, rec.institution, rec.stage_label, extra(rec)
+    with _staged(out_dir) as stage:
+        for rec in recs:
+            name = f"{rec.subject_id}.csv"
+            records.write_record(rec, stage / name)
+            entries.append(
+                records.ManifestEntry(
+                    name, rec.subject_id, rec.institution, rec.stage_label, extra(rec)
+                )
             )
-        )
-    records.write_manifest(entries, out_dir / "manifest.json")
+        records.write_manifest(entries, stage / "manifest.json")
+        _publish(stage, out_dir)
+    return len(entries)
 
 
 def _cmd_synth_cohort(args) -> int:
     if args.per_class < 1:
         raise ValueError(f"--per-class must be at least 1, got {args.per_class}")
-    cohort = synth.synth_stage_cohort(
-        n_records=classify.N_STAGES * args.per_class,
-        n_channels=args.channels,
-        seed=args.seed,
-        n_samples=args.samples,
+    cohort = synth._stage_cohort_records(  # streamed: one batch of records is held
+        classify.N_STAGES * args.per_class, args.channels, args.seed, args.samples
     )
-    _write_record_set(args.out_dir, cohort)
-    print(f"wrote {len(cohort)} records to {Path(args.out_dir)}")
+    written = _write_record_set(args.out_dir, cohort)
+    print(f"wrote {written} records to {Path(args.out_dir)}")
     return EXIT_OK
 
 
@@ -234,7 +320,7 @@ def _cmd_extract(args) -> int:
             "features": features.tolist(),
         }
         lines.append(json.dumps(item, sort_keys=True) + "\n")
-    Path(args.out).write_text("".join(lines), encoding="utf-8")
+    _write_text(args.out, "".join(lines))
     print(f"wrote {len(entries)} feature lines to {args.out}")
     return EXIT_OK
 
@@ -316,8 +402,10 @@ def _cmd_train(args) -> int:
     )
     splits = list(_train_splits(args, y, institutions))
     for _, _, label, train, _ in splits:
-        if len(set(y[train].tolist())) < 2:
-            raise ValueError(f"{label}: training set must contain at least 2 classes")
+        try:
+            classify._check_classes(y[train])
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from None
     accuracies, texts, lines = [], {}, []
     for metrics_name, curve_name, label, train, test in splits:
         scaler = classify.MinMaxScaler()
@@ -389,9 +477,7 @@ def _cmd_convergence(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{named}{exc}") from None
     times = lengths / args.rate
-    Path(args.out).write_text(
-        _csv_text(("time_s", "wasserstein"), zip(times, dists)), encoding="utf-8", newline=""
-    )
+    _write_text(args.out, _csv_text(("time_s", "wasserstein"), zip(times, dists)))
     below = bool(dists[-1] < args.threshold)
     print(
         f"final distance {dists[-1]:.6f} at {times[-1]:g} s; "
@@ -423,9 +509,7 @@ def _cmd_viral(args) -> int:
         )
     spec = viral.WindowSpec(args.window, args.stride)
     rows = viral.shift_sweep(cases, args.shifts, spec)
-    Path(args.out).write_text(
-        _csv_text(("shift", "type_one", "type_two"), rows), encoding="utf-8", newline=""
-    )
+    _write_text(args.out, _csv_text(("shift", "type_one", "type_two"), rows))
     for s, t1, t2 in rows:
         print(f"shift {s}: type I {t1}, type II {t2}")
     return EXIT_OK

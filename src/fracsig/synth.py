@@ -11,9 +11,12 @@ Every stable system comes from one draw: a random R rescaled to a target
 spectral radius, per-channel orders, then R shrunk by 0.8 until each
 signed coupling s * R - diag_shift * I has companion spectral radius
 below a limit.  :func:`random_stable_model` returns one such model;
-:func:`synth_stage_cohort` simulates jittered records of one per stage,
-every record in one batched loop of the steps; a record that diverges
-redraws its jitter and seed as the first row of the next batch.
+:func:`synth_stage_cohort` simulates jittered records of one per stage
+in batches of at most about 4 MB of trajectories, each batch one loop of
+the steps; a record that diverges redraws its jitter and seed as the
+first row of the next batch.  The batches come from a generator that
+yields each record once it is final, so the command line writes a cohort
+of any size holding one batch.
 Every stability check truncates the recursion at
 ``fracdyn.DEFAULT_HORIZON``, the one memory horizon
 :func:`fracsig.fracdyn.simulate` runs.
@@ -55,6 +58,7 @@ _COHORT_INSTITUTIONS = ("site-a", "site-b", "site-c", "site-d")
 _COHORT_SPECTRAL_RADIUS = 0.5
 _COHORT_DIAG_SHIFT = 0.8
 _COHORT_JITTER = 0.05
+_COHORT_BATCH_BYTES = 4 << 20  # trajectories simulated at a time
 
 # viral cohort: order of every healthy channel before per-channel jitter
 _VIRAL_ALPHA_HEALTHY = 0.25
@@ -282,18 +286,33 @@ def synth_stage_cohort(
     linearly separable even though each is a tight pair of clusters.
     Each simulated matrix becomes a record labelled ``recNNN`` with its
     stage and site; stages and the four institutions are assigned round
-    robin.  Every record's sign, jitter and simulation seed are drawn
-    first, then all records run in one batched simulation.  A record whose
-    jittered recursion diverges keeps its sign and redraws its jitter and
-    seed, from the generator state right after its failed draws, as the
-    first row of the next batch; the records after it draw anew.  So the
-    records are those of drawing and simulating one record at a time.
-    A record that diverges on 20 tries raises ``NumericalError``.
+    robin.  Records are simulated in batches of at most about 4 MB of
+    trajectories (one record at least), each batch one loop of the
+    steps: the sign, jitter and simulation seed of every record of a
+    batch are drawn first, then the batch runs.  A record whose jittered
+    recursion diverges keeps its sign and redraws its jitter and seed,
+    from the generator state right after its failed draws, as the first
+    row of the next batch; the records after it draw anew.  So the
+    records are those of drawing and simulating one record at a time,
+    whatever the batch size.  A record that diverges on 20 tries raises
+    ``NumericalError``.  The command line writes the same records batch
+    by batch, without holding the whole cohort.
     """
+    return list(_stage_cohort_records(n_records, n_channels, seed, n_samples))
+
+
+def _stage_cohort_records(n_records, n, seed, n_samples):
+    """Check ``n_records`` now and return an iterator over the records of
+    :func:`synth_stage_cohort`, the one the command line streams."""
     if n_records < 1:
         raise ValueError(f"need at least one record, got n_records={n_records}")
+    return _simulate_stage_cohort(n_records, n, seed, n_samples)
+
+
+def _simulate_stage_cohort(n_records, n, seed, n_samples):
+    """Yield the records of :func:`synth_stage_cohort` in order, each as
+    soon as its simulation is final; one batch of trajectories is held."""
     rng = np.random.default_rng(seed)
-    n = n_channels
     draws = [
         _draw_stable(
             rng, n, _COHORT_SPECTRAL_RADIUS, _COHORT_DIAG_SHIFT, (0.2, 0.6), 0.98, (1, -1)
@@ -303,42 +322,44 @@ def synth_stage_cohort(
     shift = _COHORT_DIAG_SHIFT * np.eye(n)
     stages = [r % N_STAGES for r in range(n_records)]
     tables = [fracdyn.gl_coefficients(alpha, fracdyn.DEFAULT_HORIZON) for _, alpha in draws]
-    psi = np.stack([tables[stage] for stage in stages])
-    X = fracdyn._trajectories(n_records, n, n_samples)
-    # records 0..done-1 are simulated; record done has diverged on `tries`
+    # n_samples < 1 is left for _trajectories to reject
+    batch = max(1, _COHORT_BATCH_BYTES // (8 * n * max(n_samples, 1)))
+    # records 0..done-1 are yielded; record done has diverged on `tries`
     # tries so far and, when `sign` is set, redraws with that sign
     done, tries, sign = 0, 0, None
     while done < n_records:
+        stop = min(n_records, done + batch)
         couplings, seeds, redraws = [], [], []
-        for stage in stages[done:]:
+        for stage in stages[done:stop]:
             if sign is None:
                 sign = 1.0 if rng.random() < 0.5 else -1.0
             couplings.append(_jittered_coupling(rng, draws[stage][0], sign, shift))
             seeds.append(int(rng.integers(1 << 31)))
             redraws.append((sign, rng.bit_generator.state))  # what a redraw starts from
             sign = None
+        X = fracdyn._trajectories(stop - done, n, n_samples)
+        psi = np.stack([tables[stage] for stage in stages[done:stop]])
         diverged = fracdyn._simulate_rows(
-            psi[done:], np.stack(couplings), np.ones(len(seeds)), seeds, X[done:]
+            psi, np.stack(couplings), np.ones(len(seeds)), seeds, X
         )
+        final = len(X) if diverged is None else diverged[0]  # rows below a diverged one ran on
+        for r in range(done, done + final):
+            yield MultichannelRecord(
+                X[r - done], subject_id=f"rec{r:03d}",
+                institution=_COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)],
+                stage_label=stages[r],
+            )
+        done += final
         if diverged is None:
-            break
-        # jitter pushed a record's recursion unstable: the records before it
-        # stand, it keeps its sign and redraws its jitter and seed from the
-        # state after its draws, and the records after it draw anew
-        row = diverged[0]
-        tries = tries + 1 if row == 0 else 1
+            tries = 0
+            continue
+        # jitter pushed record done's recursion unstable: it keeps its sign
+        # and redraws its jitter and seed from the state after its draws,
+        # and the records after it draw anew
+        tries = tries + 1 if final == 0 else 1
         if tries == 20:
             raise fracdyn.NumericalError("could not draw a stable jittered model")
-        sign, rng.bit_generator.state = redraws[row]
-        done += row
-    return [
-        MultichannelRecord(
-            X[r], subject_id=f"rec{r:03d}",
-            institution=_COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)],
-            stage_label=stages[r],
-        )
-        for r in range(n_records)
-    ]
+        sign, rng.bit_generator.state = redraws[final]
 
 
 def _jittered_coupling(rng, base, sign, shift):

@@ -122,10 +122,9 @@ class TestSoftmaxProperties:
         probs = classify._softmax(logits)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+        # not argmax equality: logits + shift can round a gap of 1e-16 away
         shifted = classify._softmax(logits + shift)
-        np.testing.assert_array_equal(
-            probs.argmax(axis=1), shifted.argmax(axis=1)
-        )
+        np.testing.assert_allclose(shifted, probs, rtol=1e-12)
 
 
 class TestGradients:
@@ -234,6 +233,13 @@ class TestTraining:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
             classify.mlp_train(np.zeros((4, 2)), np.zeros(4, int))
+
+    @pytest.mark.parametrize("y", [np.zeros(6), np.full(6, 3), np.zeros(0)],
+                             ids=["zeros", "threes", "empty"])
+    def test_logistic_single_class_rejected(self, y):
+        X = np.zeros((y.size, 2))
+        with pytest.raises(ValueError, match="^training set must contain at least 2 classes$"):
+            classify.logistic_train(X, y)
 
     def test_logistic_learns_separable_blobs(self):
         X, y = self._blobs()

@@ -1,4 +1,9 @@
+import errno
 import json
+import os
+import stat
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,6 +580,230 @@ class TestViralCommand:
         assert code == cli.EXIT_DATA
         assert "window_len must be at least 1024, got 512" in capsys.readouterr().err
         assert not sweep.exists()
+
+
+class TestCohortStreaming:
+    """``synth cohort`` writes the records batch by batch through a staging directory."""
+
+    def test_out_of_redraws_after_written_batches_leaves_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # batches of 2 records; the first two batches run, then every run
+        # diverges at its first row until record 4 is out of tries
+        monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", 2 * 8 * 4 * 400)
+        simulate_rows, runs = fracdyn._simulate_rows, []
+
+        def diverging_from_the_third_run(*args, **kwargs):
+            runs.append(len(args[3]))
+            return simulate_rows(*args, **kwargs) if len(runs) <= 2 else (0, 1)
+
+        monkeypatch.setattr(fracdyn, "_simulate_rows", diverging_from_the_third_run)
+        write_record, written = records.write_record, []
+
+        def recorded(record, path):
+            written.append(record.subject_id)
+            write_record(record, path)
+
+        monkeypatch.setattr(records, "write_record", recorded)
+        out = tmp_path / "cohort"
+        code = run("synth", "cohort", "--per-class", "2", "--channels", "4", "--samples", "400",
+                   "--out-dir", str(out))
+        assert code == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "could not draw a stable jittered model" in captured.err
+        assert captured.out == ""
+        assert written == ["rec000", "rec001", "rec002", "rec003"]
+        assert len(runs) == 2 + 20
+        assert list(tmp_path.iterdir()) == []  # no --out-dir and no staging sibling
+
+    def test_traced_peak_does_not_grow_with_the_cohort(self, tmp_path, capsys, monkeypatch):
+        # batches of 3 records of 32 kB; holding all 80 records of 16 per
+        # class would add 60 x 32 kB = 1.9 MB over the 20 of 4 per class
+        monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", 3 * 8 * 8 * 500)
+        argv = ["synth", "cohort", "--channels", "8", "--samples", "500", "--per-class"]
+        assert run(*argv, "1", "--out-dir", str(tmp_path / "warm-up")) == 0
+        peaks = {}
+        for per_class in (4, 16):
+            tracemalloc.start()
+            try:
+                code = run(*argv, str(per_class), "--out-dir", str(tmp_path / f"c{per_class}"))
+                peaks[per_class] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == cli.EXIT_OK
+        assert peaks[16] - peaks[4] < 1 << 20, peaks
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A cohort manifest with its features, a viral manifest and a system record."""
+    home = tmp_path_factory.mktemp("inputs")
+    for argv in (
+        ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "1100",
+         "--out-dir", str(home / "cohort")],
+        ["synth", "viral", "--subjects", "4", "--infected", "2", "--side-samples", "2400",
+         "--out-dir", str(home / "viral")],
+        ["synth", "system", "--channels", "2", "--n", "1100", "--out", str(home / "system.csv")],
+        ["extract", str(home / "cohort" / "manifest.json"), "--out", str(home / "features.jsonl")],
+    ):
+        assert cli.main(argv) == 0
+    return home
+
+
+def _full_disk_write_text(monkeypatch):
+    """Make ``Path.write_text`` write half its text, then fail as on a full disk."""
+    write_text = Path.write_text
+
+    def half_then_full(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_full)
+
+
+def _full_disk_write_record(monkeypatch):
+    """Make ``records.write_record`` write a truncated file, then fail."""
+    write_record = records.write_record
+
+    def truncated_then_full(record, path):
+        write_record(record, path)
+        with open(path, "r+b") as fh:
+            fh.truncate(10)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(records, "write_record", truncated_then_full)
+
+
+class TestAtomicOutputs:
+    """Each output file is written beside its target and moved into place."""
+
+    OUT = [
+        (["extract", "{in}/cohort/manifest.json", "--out", "{out}"], _full_disk_write_text),
+        (["viral", "{in}/viral/manifest.json", "--window", "1024", "--stride", "256",
+          "--shifts", "0", "--out", "{out}"], _full_disk_write_text),
+        (["convergence", "{in}/system.csv", "--step-seconds", "500", "--out", "{out}"],
+         _full_disk_write_text),
+        (["synth", "system", "--channels", "2", "--n", "600", "--out", "{in}/sys.csv",
+          "--model-out", "{out}"], _full_disk_write_text),
+        (["synth", "fgn", "--hurst", "0.5", "--n", "1024", "--out", "{out}"],
+         _full_disk_write_record),
+    ]
+    IDS = ["extract", "viral", "convergence", "model-out", "fgn"]
+
+    @staticmethod
+    def _argv(template, inputs, out):
+        return [a.replace("{in}", str(inputs)).replace("{out}", str(out)) for a in template]
+
+    @pytest.mark.parametrize("template, full_disk", OUT, ids=IDS)
+    def test_failed_write_leaves_the_old_file(self, tmp_path, capsys, monkeypatch,
+                                              command_inputs, template, full_disk):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old\n")
+        full_disk(monkeypatch)
+        assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("template, full_disk", OUT, ids=IDS)
+    def test_success_replaces_the_file_and_leaves_no_sibling(self, tmp_path, capsys,
+                                                            command_inputs, template, full_disk):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old\n")
+        assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_OK
+        assert out.read_bytes() not in (b"old\n", b"")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("template, full_disk", OUT, ids=IDS)
+    def test_missing_directory_names_the_target(self, tmp_path, capsys, command_inputs,
+                                                template, full_disk):
+        out = tmp_path / "missing" / "out.txt"
+        assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_DATA
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("template, full_disk", OUT, ids=IDS)
+    def test_symlink_target_is_written_through(self, tmp_path, capsys, command_inputs,
+                                               template, full_disk):
+        expected = self._output(template, command_inputs, tmp_path / "expected")
+        (tmp_path / "real").mkdir()
+        real, link = tmp_path / "real" / "out.txt", tmp_path / "link.txt"
+        real.write_bytes(b"old\n")
+        link.symlink_to(real)
+        assert run(*self._argv(template, command_inputs, link)) == cli.EXIT_OK
+        assert link.is_symlink() and real.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected", "link.txt", "real"]
+        assert [p.name for p in real.parent.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("template, full_disk", OUT, ids=IDS)
+    def test_pipe_target_is_written_through(self, tmp_path, capsys, command_inputs,
+                                            template, full_disk):
+        # a named pipe stands for /dev/null or /dev/stdout: it must stay a pipe
+        expected = self._output(template, command_inputs, tmp_path / "expected")
+        assert len(expected) < 1 << 15  # fits the pipe buffer, so no reader thread
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(*self._argv(template, command_inputs, fifo)) == cli.EXIT_OK
+            assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+            assert os.read(reader, 1 << 16) == expected
+        finally:
+            os.close(reader)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected", "out.fifo"]
+
+    @pytest.mark.parametrize("template, full_disk", OUT, ids=IDS)
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys, command_inputs,
+                                          template, full_disk):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old\n")
+        out.chmod(0o640)
+        assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_file_that_cannot_be_swapped_is_written_in_place(self, tmp_path, capsys,
+                                                             monkeypatch, command_inputs):
+        template = self.OUT[0][0]
+        expected = self._output(template, command_inputs, tmp_path / "expected")
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old\n")
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", cross_device)
+        assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_OK
+        assert out.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected", "out.txt"]
+
+    def test_symlink_in_output_directory_is_written_through(self, tmp_path, capsys):
+        argv = ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400"]
+        assert run(*argv, "--out-dir", str(tmp_path / "expected")) == cli.EXIT_OK
+        out, kept = tmp_path / "out", tmp_path / "kept.json"
+        out.mkdir()
+        kept.write_bytes(b"{}\n")
+        (out / "manifest.json").symlink_to(kept)
+        assert run(*argv, "--out-dir", str(out)) == cli.EXIT_OK
+        assert (out / "manifest.json").is_symlink()
+        assert kept.read_bytes() == (tmp_path / "expected" / "manifest.json").read_bytes()
+
+    def _output(self, template, inputs, out):
+        """The bytes the command of ``template`` writes to a new regular file ``out``."""
+        assert run(*self._argv(template, inputs, out)) == cli.EXIT_OK
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("template", [
+        ["mfdfa", "{in}/system.csv", "--out-dir", "{out}"],
+        ["train", "{in}/features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "{out}"],
+        ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
+         "--out-dir", "{out}"],
+    ], ids=["mfdfa", "train", "cohort"])
+    def test_failed_directory_write_leaves_no_directory(self, tmp_path, capsys, monkeypatch,
+                                                        command_inputs, template):
+        out = tmp_path / "out"
+        (_full_disk_write_record if "cohort" in template else _full_disk_write_text)(monkeypatch)
+        assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFlagUsageErrors:

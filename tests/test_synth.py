@@ -237,6 +237,58 @@ class TestStageCohort:
             synth.synth_stage_cohort(10, 4, 0, n_samples=400)
         assert [row for row, _ in runs] == [0] * 20  # record 0, tried 20 times
 
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_small_batches_match_record_by_record_loop(self, monkeypatch, seed, batch):
+        # batches of 1-3 records put the redraws of a jitter of 0.5 on the
+        # first row of a batch and on later rows
+        monkeypatch.setattr(synth, "_COHORT_JITTER", 0.5)
+        monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", batch * 8 * 4 * 400)
+        runs = _recording_runs(monkeypatch)
+        cohort = synth.synth_stage_cohort(10, 4, seed, n_samples=400)
+        diverged_runs = sum(diverged is not None for _, diverged in runs)
+        assert max(rows for rows, _ in runs) == batch
+        expected, redraws = _sequential_cohort(10, 4, seed, 400, 0.5)
+        assert redraws == diverged_runs > 0
+        for record, (X, stage, site) in zip(cohort, expected, strict=True):
+            np.testing.assert_array_equal(record.channels, X)
+            assert (record.stage_label, record.institution) == (stage, site)
+
+    def test_tries_restart_after_a_batch_that_runs(self, monkeypatch):
+        # record 0 diverges once, then its batch of 2 runs; from then on
+        # every run diverges at its first row, so record 2 gets 20 tries
+        monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", 2 * 8 * 4 * 400)
+        runs = _recording_runs(monkeypatch, lambda n, diverged: diverged if n == 2 else (0, 1))
+        records = synth._stage_cohort_records(6, 4, 0, 400)
+        assert [next(records).subject_id for _ in range(2)] == ["rec000", "rec001"]
+        with pytest.raises(fracdyn.NumericalError, match="could not draw a stable jittered model"):
+            next(records)
+        assert len(runs) == 2 + 20
+        assert runs[1] == (2, None)  # the batch of records 0 and 1 did run
+
+    @pytest.mark.parametrize("n_records", [0, -1])
+    def test_no_records_is_rejected_before_any_is_asked_for(self, n_records):
+        message = f"need at least one record, got n_records={n_records}"
+        with pytest.raises(ValueError, match=message):
+            synth.synth_stage_cohort(n_records, 4, 0, n_samples=400)
+        with pytest.raises(ValueError, match=message):
+            synth._stage_cohort_records(n_records, 4, 0, 400)  # not yet iterated
+
+
+def _recording_runs(monkeypatch, outcome=lambda n, diverged: diverged):
+    """Record ``(rows, returned)`` per ``fracdyn._simulate_rows`` run, where
+    run n (from 1) returns ``outcome(n, diverged)`` in place of its result."""
+    runs = []
+    simulate_rows = fracdyn._simulate_rows
+
+    def recorded(*args, **kwargs):
+        returned = outcome(len(runs) + 1, simulate_rows(*args, **kwargs))
+        runs.append((len(args[3]), returned))
+        return returned
+
+    monkeypatch.setattr(fracdyn, "_simulate_rows", recorded)
+    return runs
+
 
 def _sequential_cohort(n_records, n, seed, n_samples, jitter):
     """Oracle: the cohort drawn and simulated one record at a time, with
