@@ -8,6 +8,15 @@ stays external.  Every command is deterministic under a fixed seed.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
 failure.
 
+Outputs.  A command builds all of its files in staging and moves them
+into place only once every one is built, so a failed command leaves
+each output path as it was.  Each moved file is swapped whole and keeps
+the mode and owner of the file it replaces.  Written through in place
+are a device or a pipe (``--out /dev/null``), a file that cannot be
+swapped or whose owner cannot be kept, and a file in a directory where
+no staging directory can be made.  A run killed outright can leave a
+``.fracsig-stage.*`` directory behind.
+
 A config file passed with ``--config`` may set any flag default.  Its
 grammar is one ``key = value`` pair per line, ``#`` starts a comment,
 keys are the long flag names without the leading dashes.  Explicit
@@ -62,26 +71,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@contextmanager
-def _staged(target):
-    """Yield a new ``.``-prefixed directory to build ``target`` in; remove it on exit.
-
-    The directory is made in ``target`` when that is an existing
-    directory, else beside it, or in its nearest existing ancestor; so
-    it is on the file system of ``target``, and each finished file moves
-    into place with ``os.replace``, which swaps a whole file at once.  A
-    command that fails before the move leaves ``target`` as it was and
-    none of its own files behind.
-    """
-    target = Path(target)
-    home = next(p for p in (target, *target.parents) if p.is_dir())
-    stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=home))
-    try:
-        yield stage
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-
-
 def _place(staged, path) -> None:
     """Move the finished file ``staged`` onto ``path``.
 
@@ -107,48 +96,50 @@ def _place(staged, path) -> None:
         shutil.copyfileobj(src, dst)
 
 
-def _publish(stage, out_dir) -> None:
-    """Make ``out_dir`` and move every file of ``stage`` into it."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in sorted(stage.iterdir()):
-        _place(path, out_dir / path.name)
+@contextmanager
+def _outputs():
+    """Stage the outputs written in the block; ``_place`` them if it returns.
 
-
-def _write_file(path, write) -> None:
-    """Write ``path`` by calling ``write`` on a staged path, then place it there.
-
-    A device or a pipe at ``path`` has nothing to stage: ``write`` writes
-    through it.  Otherwise the staging directory is made beside the file
-    that ``path`` names, after any symlinks, so that ``_place`` can swap it.
+    Yields ``(file, folder)``, which give the path to write for an output
+    file and the directory to write an output directory's files into.
+    Each output directory has one staging directory, in it or in its
+    nearest existing ancestor, so each staged file can be swapped in.
     """
-    path = Path(path)
-    if path.exists() and not path.is_file():
-        write(path)
-        return
-    target = path.resolve()
-    if not target.parent.is_dir():  # name the target, not the staged file
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-    with _staged(target) as stage:
-        write(stage / target.name)
-        _place(stage / target.name, target)
+    stages = {}  # output directory -> its staging directory
+
+    def folder(path):
+        out_dir = Path(path)
+        if out_dir not in stages:
+            home = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
+            stages[out_dir] = Path(tempfile.mkdtemp(prefix=".fracsig-stage.", dir=home))
+        return stages[out_dir]
+
+    def file(path):
+        path = Path(path)
+        if path.exists() and not path.is_file():
+            return path  # a device or a pipe is written through
+        target = path.resolve()  # stage the file at the end of a symlink
+        if not target.parent.is_dir():  # name the target, not the staged file
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        try:
+            return folder(target.parent) / target.name
+        except PermissionError:  # no staging directory here: write in place
+            return path
+
+    try:
+        yield file, folder
+        for out_dir in stages:  # every directory first, so a failure here moves no file
+            out_dir.mkdir(parents=True, exist_ok=True)
+        for out_dir, stage in stages.items():
+            for staged in sorted(stage.iterdir()):
+                _place(staged, out_dir / staged.name)
+    finally:
+        for stage in stages.values():
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 def _write_text(path, text) -> None:
-    _write_file(path, lambda staged: staged.write_text(text, encoding="utf-8", newline=""))
-
-
-def _write_files(out_dir, texts) -> None:
-    """Make ``out_dir`` and write each ``name: text`` of ``texts`` into it.
-
-    Commands call this once every output is built, so a command that
-    fails makes no directory and writes no file; the files are staged
-    and moved into place, so a crash while writing leaves no part of one.
-    """
-    with _staged(out_dir) as stage:
-        for name, text in texts.items():
-            (stage / name).write_text(text, encoding="utf-8", newline="")
-        _publish(stage, out_dir)
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _check_file_part(name, what, where) -> None:
@@ -178,7 +169,8 @@ def _list_of(cast):
 def _write_series(samples, label, out) -> int:
     """Write one generated series as a one-channel record headed ``label``."""
     record = records.MultichannelRecord(samples[None, :], (label,))
-    _write_file(out, lambda staged: records.write_record(record, staged))
+    with _outputs() as (file, _):
+        records.write_record(record, file(out))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -196,10 +188,11 @@ def _cmd_synth_cascade(args) -> int:
 def _cmd_synth_system(args) -> int:
     model = synth.random_stable_model(args.channels, args.seed, noise_scale=args.noise_scale)
     X = fracdyn.simulate(model, args.n, seed=args.seed)
-    record = records.MultichannelRecord(X)
-    _write_file(args.out, lambda staged: records.write_record(record, staged))
-    if args.model_out:
-        _write_text(args.model_out, fracdyn.model_to_json(model.alpha, model.A))
+    with _outputs() as (file, _):  # both targets are checked before either is written
+        out, model_out = file(args.out), args.model_out and file(args.model_out)
+        records.write_record(records.MultichannelRecord(X), out)
+        if model_out:
+            _write_text(model_out, fracdyn.model_to_json(model.alpha, model.A))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -207,13 +200,11 @@ def _cmd_synth_system(args) -> int:
 def _write_record_set(out_dir, recs, extra=lambda r: {}) -> int:
     """Write ``<subject_id>.csv`` per record and a manifest with ``extra(record)`` added.
 
-    ``recs`` may be any iterable: each record is written as it comes,
-    into a staging directory whose files move into ``out_dir`` only
-    after the manifest is written, so a failure part way leaves no
-    ``out_dir``.  Returns the number of records.
+    ``recs`` may be any iterable, written as it comes.  Returns the number of records.
     """
     entries = []
-    with _staged(out_dir) as stage:
+    with _outputs() as (_, folder):
+        stage = folder(out_dir)
         for rec in recs:
             name = f"{rec.subject_id}.csv"
             records.write_record(rec, stage / name)
@@ -223,7 +214,6 @@ def _write_record_set(out_dir, recs, extra=lambda r: {}) -> int:
                 )
             )
         records.write_manifest(entries, stage / "manifest.json")
-        _publish(stage, out_dir)
     return len(entries)
 
 
@@ -290,7 +280,9 @@ def _cmd_mfdfa(args) -> int:
                 ("log2_s", "log2_sf"), zip(logs, np.log2(values))
             )
         lines.append(f"{label}: focus spread {payload['focus_spread']:.4f}")
-    _write_files(args.out_dir, texts)
+    with _outputs() as (_, folder):
+        for name, text in texts.items():
+            _write_text(folder(args.out_dir) / name, text)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -320,7 +312,8 @@ def _cmd_extract(args) -> int:
             "features": features.tolist(),
         }
         lines.append(json.dumps(item, sort_keys=True) + "\n")
-    _write_text(args.out, "".join(lines))
+    with _outputs() as (file, _):
+        _write_text(file(args.out), "".join(lines))
     print(f"wrote {len(entries)} feature lines to {args.out}")
     return EXIT_OK
 
@@ -434,7 +427,9 @@ def _cmd_train(args) -> int:
         "n_evaluations": len(accuracies),
     }
     texts["summary.json"] = _json_text(summary)
-    _write_files(args.out_dir, texts)
+    with _outputs() as (_, folder):
+        for name, text in texts.items():
+            _write_text(folder(args.out_dir) / name, text)
     print("\n".join(lines))
     print(
         f"{args.mode} {args.model}: accuracy "
@@ -477,7 +472,8 @@ def _cmd_convergence(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{named}{exc}") from None
     times = lengths / args.rate
-    _write_text(args.out, _csv_text(("time_s", "wasserstein"), zip(times, dists)))
+    with _outputs() as (file, _):
+        _write_text(file(args.out), _csv_text(("time_s", "wasserstein"), zip(times, dists)))
     below = bool(dists[-1] < args.threshold)
     print(
         f"final distance {dists[-1]:.6f} at {times[-1]:g} s; "
@@ -509,7 +505,8 @@ def _cmd_viral(args) -> int:
         )
     spec = viral.WindowSpec(args.window, args.stride)
     rows = viral.shift_sweep(cases, args.shifts, spec)
-    _write_text(args.out, _csv_text(("shift", "type_one", "type_two"), rows))
+    with _outputs() as (file, _):
+        _write_text(file(args.out), _csv_text(("shift", "type_one", "type_two"), rows))
     for s, t1, t2 in rows:
         print(f"shift {s}: type I {t1}, type II {t2}")
     return EXIT_OK

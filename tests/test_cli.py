@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import stat
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -804,6 +805,140 @@ class TestAtomicOutputs:
         assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_DATA
         assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_record_waits_for_its_model(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("sys.csv").write_bytes(b"old\n")
+        code = run("synth", "system", "--channels", "2", "--n", "600", "--out", "sys.csv",
+                   "--model-out", "missing/m.json")
+        assert code == cli.EXIT_DATA
+        assert "No such file or directory: 'missing/m.json'" in capsys.readouterr().err
+        assert Path("sys.csv").read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sys.csv"]
+
+    @pytest.mark.parametrize("template, full_disk", OUT, ids=IDS)
+    def test_file_is_written_in_place_where_nothing_can_be_staged(
+            self, tmp_path, capsys, monkeypatch, command_inputs, template, full_disk):
+        # stands for a writable file in a directory the user cannot write to;
+        # a read-only directory would not stop a test run as root
+        expected = self._output(template, command_inputs, tmp_path / "expected")
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old\n")
+
+        def no_permission(*args, dir=None, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", dir)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_permission)
+        assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_OK
+        assert out.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected", "out.txt"]
+
+
+def _tree(root):
+    """Each path under ``root`` with the bytes of a file, None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _enospc_at_write(monkeypatch, k):
+    """Make the k-th file opened for writing come out empty and raise ENOSPC.
+
+    Returns the paths opened for writing; with ``k`` 0 nothing fails.
+    """
+    opened, path_open = [], Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(self)
+            if len(opened) == k:
+                path_open(self, mode, *args, **kwargs).close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+    return opened
+
+
+def _exdev_at_replace(monkeypatch, k):
+    """Make the k-th ``os.replace`` fail as across file systems; return the targets."""
+    moved, replace = [], os.replace
+
+    def replace_(src, dst):
+        moved.append(dst)
+        if len(moved) == k:
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_)
+    return moved
+
+
+class TestFaultInjection:
+    """Whichever staged write or move fails, a command's outputs are all old or all new."""
+
+    COMMANDS = [
+        ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
+         "--out-dir", "{out}"],
+        ["synth", "system", "--channels", "2", "--n", "600", "--out", "{out}/sys.csv",
+         "--model-out", "{out}/model.json"],
+        ["extract", "{in}/cohort/manifest.json", "--out", "{out}/features.jsonl"],
+        ["train", "{in}/features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "{out}"],
+        ["mfdfa", "{in}/system.csv", "--out-dir", "{out}"],
+    ]
+    IDS = ["cohort", "system", "extract", "train", "mfdfa"]
+
+    @staticmethod
+    def _run(template, inputs, out):
+        return run(*TestAtomicOutputs._argv(template, inputs, out))
+
+    def _clean_outputs(self, tmp_path, monkeypatch, inputs, template):
+        """The files a run writes into an empty directory; each is staged and moved once."""
+        out = tmp_path / "clean"
+        out.mkdir()
+        with monkeypatch.context() as m:
+            writes, moves = _enospc_at_write(m, 0), _exdev_at_replace(m, 0)
+            assert self._run(template, inputs, out) == cli.EXIT_OK
+        clean = _tree(out)
+        assert len(writes) == len(moves) == len(clean) > 0
+        return clean
+
+    @staticmethod
+    def _old_target(out, clean):
+        """Make ``out`` hold an old file for every other output and one file of its own."""
+        out.mkdir()
+        for name in sorted(clean)[::2]:
+            (out / name).write_bytes(b"old\n")
+        (out / "own.txt").write_bytes(b"own\n")
+        return _tree(out)
+
+    @pytest.mark.parametrize("template", COMMANDS, ids=IDS)
+    def test_failed_write_leaves_every_old_output(self, tmp_path, capsys, monkeypatch,
+                                                  command_inputs, template):
+        clean = self._clean_outputs(tmp_path, monkeypatch, command_inputs, template)
+        for k in range(1, len(clean) + 1):
+            out = tmp_path / f"write{k}"
+            old = self._old_target(out, clean)
+            with monkeypatch.context() as m:
+                _enospc_at_write(m, k)
+                code = self._run(template, command_inputs, out)
+            assert code == cli.EXIT_DATA, k
+            assert "No space left on device" in capsys.readouterr().err
+            assert _tree(out) == old, k
+        assert list(tmp_path.rglob(".*")) == []
+
+    @pytest.mark.parametrize("template", COMMANDS, ids=IDS)
+    def test_failed_move_writes_the_new_output_in_place(self, tmp_path, capsys, monkeypatch,
+                                                        command_inputs, template):
+        clean = self._clean_outputs(tmp_path, monkeypatch, command_inputs, template)
+        for k in range(1, len(clean) + 1):
+            out = tmp_path / f"move{k}"
+            self._old_target(out, clean)
+            with monkeypatch.context() as m:
+                _exdev_at_replace(m, k)
+                code = self._run(template, command_inputs, out)
+            assert code == cli.EXIT_OK, k
+            assert _tree(out) == {**clean, "own.txt": b"own\n"}, k
+        assert list(tmp_path.rglob(".*")) == []
 
 
 class TestFlagUsageErrors:
