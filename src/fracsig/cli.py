@@ -17,6 +17,16 @@ swapped or whose owner cannot be kept, and a file in a directory where
 no staging directory can be made.  A run killed outright can leave a
 ``.fracsig-stage.*`` directory behind.
 
+Workers.  ``synth cohort``, ``synth viral``, ``extract`` and ``train``
+take ``--jobs N`` (default: the usable cores) and run their independent
+items, the record writes, the records or the folds and held-out sites,
+in up to N forked worker processes.  Workers write into the command's
+one staging directory, and the parent keeps every random draw and the
+order of every output, so the outputs are byte-identical at every N.
+An item that fails stops the command with the error of the lowest
+failing item, the one a serial run meets first, and every output is
+left as it was.  ``--jobs 1`` runs everything in this process.
+
 A config file passed with ``--config`` may set any flag default.  Its
 grammar is one ``key = value`` pair per line, ``#`` starts a comment,
 keys are the long flag names without the leading dashes.  Explicit
@@ -31,6 +41,7 @@ import errno
 import io
 import json
 import os
+import pickle
 import shutil
 import stat
 import sys
@@ -138,6 +149,97 @@ def _outputs():
             shutil.rmtree(stage, ignore_errors=True)
 
 
+def _fork_map(fn, items, jobs, name):
+    """``[fn(item) for item in items]``, run in up to ``jobs`` forked workers.
+
+    Worker ``w`` runs items ``w, w + jobs, ...`` in order, stops at its
+    first exception and sends back ``(index, ok, value or exception)`` per
+    item as one pickled list; ``fn`` and the data it reads reach it through
+    the fork, not through pickling.  Results come in item order.  When
+    items fail, the exception of the lowest failing index is raised, the
+    one the serial loop would raise.  A worker that ends without
+    reporting an item (killed, or a value that does not pickle) raises
+    ``ChildProcessError`` naming ``name(item)`` of its first unreported
+    item.  With ``jobs == 1`` or one item, nothing is forked.
+    """
+    items = list(items)
+    jobs = min(jobs, len(items))
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    sys.stdout.flush()  # so that no worker inherits, and repeats, buffered output
+    sys.stderr.flush()
+    workers, reports = [], []  # (pid, read end of its pipe); its outcomes
+    try:
+        for first in range(jobs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(fn, items, first, jobs, write)  # never returns
+            os.close(write)
+            workers.append((pid, read))
+        for _, read in workers:
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            try:
+                reports.append(pickle.loads(b"".join(chunks)))
+            except Exception:  # killed while sending, or a value that does not load
+                reports.append([])
+    finally:
+        for pid, read in workers:
+            os.close(read)  # a worker still sending stops at a broken pipe
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    results, failures = [None] * len(items), {}
+    for first, (report, status) in enumerate(zip(reports, statuses)):
+        for i, ok, value in report:
+            if ok:
+                results[i] = value
+            else:
+                failures[i] = value
+        unreported = range(first, len(items), jobs)[len(report):]
+        stopped = report and not report[-1][1]  # at a failure of its own
+        if unreported and not stopped:
+            i = unreported[0]
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            failures[i] = ChildProcessError(
+                f"{name(items[i])}: its worker process {how} before reporting it"
+            )
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _work(fn, items, first, step, write) -> None:
+    """Run ``items[first::step]`` in a forked worker of :func:`_fork_map`,
+    send the outcomes through the pipe end ``write`` and exit."""
+    status = 1
+    try:
+        outcomes = []
+        for i in range(first, len(items), step):
+            try:
+                outcomes.append((i, True, fn(items[i])))
+            except BaseException as exc:
+                outcomes.append((i, False, exc))
+                break
+        while True:
+            try:
+                data = pickle.dumps(outcomes)
+                break
+            except Exception:  # send what pickles; the parent names the first left out
+                outcomes.pop()
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)  # never the parent's exit handlers or staging cleanup
+
+
 def _write_text(path, text) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
@@ -146,6 +248,27 @@ def _check_file_part(name, what, where) -> None:
     """Reject ``name``, read from ``where``, if it cannot be part of a file name."""
     if any(c in name for c in {"/", os.sep, "\0"}):
         raise ValueError(f"{where}: {what} {name!r} cannot be part of an output file name")
+
+
+def _usable_cores() -> int:
+    """The default ``--jobs``: the cores this process may run on, or 1 without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _positive_int(text) -> int:
+    """argparse ``type`` for an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _list_of(cast):
@@ -197,22 +320,28 @@ def _cmd_synth_system(args) -> int:
     return EXIT_OK
 
 
-def _write_record_set(out_dir, recs, extra=lambda r: {}) -> int:
+def _write_record_set(out_dir, batches, jobs, extra=lambda r: {}) -> int:
     """Write ``<subject_id>.csv`` per record and a manifest with ``extra(record)`` added.
 
-    ``recs`` may be any iterable, written as it comes.  Returns the number of records.
+    ``batches`` is any iterable of lists of records.  ``jobs`` workers write
+    each list before the next is asked for.  Returns the number of records.
     """
     entries = []
     with _outputs() as (_, folder):
         stage = folder(out_dir)
-        for rec in recs:
-            name = f"{rec.subject_id}.csv"
-            records.write_record(rec, stage / name)
-            entries.append(
-                records.ManifestEntry(
-                    name, rec.subject_id, rec.institution, rec.stage_label, extra(rec)
-                )
+        for batch in batches:
+            _fork_map(
+                lambda rec: records.write_record(rec, stage / f"{rec.subject_id}.csv"),
+                batch, jobs, name=lambda rec: Path(out_dir) / f"{rec.subject_id}.csv",
             )
+            entries += [
+                records.ManifestEntry(
+                    f"{rec.subject_id}.csv", rec.subject_id, rec.institution,
+                    rec.stage_label, extra(rec),
+                )
+                for rec in batch
+            ]
+            del batch  # let the next batch be simulated without this one
         records.write_manifest(entries, stage / "manifest.json")
     return len(entries)
 
@@ -220,10 +349,10 @@ def _write_record_set(out_dir, recs, extra=lambda r: {}) -> int:
 def _cmd_synth_cohort(args) -> int:
     if args.per_class < 1:
         raise ValueError(f"--per-class must be at least 1, got {args.per_class}")
-    cohort = synth._stage_cohort_records(  # streamed: one batch of records is held
+    cohort = synth._stage_cohort_batches(  # streamed: one batch of records is held
         classify.N_STAGES * args.per_class, args.channels, args.seed, args.samples
     )
-    written = _write_record_set(args.out_dir, cohort)
+    written = _write_record_set(args.out_dir, cohort, args.jobs)
     print(f"wrote {written} records to {Path(args.out_dir)}")
     return EXIT_OK
 
@@ -238,7 +367,8 @@ def _cmd_synth_viral(args) -> int:
     )
     _write_record_set(
         args.out_dir,
-        cases,
+        [cases],
+        args.jobs,
         lambda c: {"inoculation_index": c.inoculation_index, "infected": c.infected},
     )
     print(f"wrote {len(cases)} subjects to {Path(args.out_dir)}")
@@ -293,25 +423,30 @@ def _cmd_mfdfa(args) -> int:
 def _cmd_extract(args) -> int:
     fracdyn.check_fit_params(args.horizon, args.ridge)
     entries = records.load_manifest(args.manifest)
-    lines = []  # written only once every record has its features
-    for entry in entries:
-        named = f"{entry.path}: subject {entry.subject_id!r}: "
+
+    def named(entry):
+        return f"{entry.path}: subject {entry.subject_id!r}"
+
+    def feature_line(entry):
         if entry.stage is None:
-            raise ValueError(f"{named}record is unlabeled")
+            raise ValueError(f"{named(entry)}: record is unlabeled")
         record = records.load_record(entry.path)
         try:
             features = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
         except fracdyn.NumericalError as exc:
-            raise fracdyn.NumericalError(f"{named}{exc}") from None
+            raise fracdyn.NumericalError(f"{named(entry)}: {exc}") from None
         except ValueError as exc:
-            raise ValueError(f"{named}{exc}") from None
+            raise ValueError(f"{named(entry)}: {exc}") from None
         item = {
             "subject_id": entry.subject_id,
             "institution": entry.institution,
             "stage": entry.stage,
             "features": features.tolist(),
         }
-        lines.append(json.dumps(item, sort_keys=True) + "\n")
+        return json.dumps(item, sort_keys=True) + "\n"
+
+    # written only once every record has its features
+    lines = _fork_map(feature_line, entries, args.jobs, name=named)
     with _outputs() as (file, _):
         _write_text(file(args.out), "".join(lines))
     print(f"wrote {len(entries)} feature lines to {args.out}")
@@ -399,8 +534,10 @@ def _cmd_train(args) -> int:
             classify._check_classes(y[train])
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from None
-    accuracies, texts, lines = [], {}, []
-    for metrics_name, curve_name, label, train, test in splits:
+
+    def run_split(split):
+        """The split's accuracy, metrics file text, curve file text and stdout line."""
+        _, _, label, train, test = split
         scaler = classify.MinMaxScaler()
         Xtr = scaler.fit_transform(X[train])
         Xte = scaler.transform(X[test])
@@ -414,11 +551,21 @@ def _cmd_train(args) -> int:
             history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
         probs = classify.mlp_predict(params, Xte)
         metrics = classify.evaluate(y[test], probs)
-        accuracies.append(metrics.accuracy)
-        texts[metrics_name] = _json_text(metrics.to_dict())
         rows = zip(count(), history["loss"], history["accuracy"])
-        texts[curve_name] = _csv_text(("epoch", "loss", "accuracy"), rows)
-        lines.append(f"{label}: accuracy {metrics.accuracy:.4f}")
+        return (
+            metrics.accuracy,
+            _json_text(metrics.to_dict()),
+            _csv_text(("epoch", "loss", "accuracy"), rows),
+            f"{label}: accuracy {metrics.accuracy:.4f}",
+        )
+
+    accuracies, texts, lines = [], {}, []
+    outcomes = _fork_map(run_split, splits, args.jobs, name=lambda split: split[2])
+    for (metrics_name, curve_name, *_), (accuracy, metrics, curve, line) in zip(splits, outcomes):
+        accuracies.append(accuracy)
+        texts[metrics_name] = metrics
+        texts[curve_name] = curve
+        lines.append(line)
     summary = {
         "mode": args.mode,
         "model": args.model,
@@ -519,6 +666,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fracsig", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="key = value file setting flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--jobs", type=_positive_int, default=_usable_cores(),
+        help="worker processes for independent items (default: %(default)s, the usable "
+        "cores); outputs are the same at every value, and 1 runs in this process",
+    )
 
     p_synth = sub.add_parser("synth", help="generate synthetic records")
     kinds = p_synth.add_subparsers(dest="kind", required=True)
@@ -547,7 +700,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model-out", help="also write the ground-truth model JSON")
     p.set_defaults(func=_cmd_synth_system)
 
-    p = kinds.add_parser("cohort", help="labeled 5-class cohort + manifest")
+    p = kinds.add_parser("cohort", parents=[workers], help="labeled 5-class cohort + manifest")
     p.add_argument("--per-class", type=int, default=40)
     p.add_argument("--channels", type=int, default=12)
     p.add_argument("--samples", type=int, default=2000)
@@ -555,7 +708,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth_cohort)
 
-    p = kinds.add_parser("viral", help="pre/post inoculation cohort + manifest")
+    p = kinds.add_parser("viral", parents=[workers], help="pre/post inoculation cohort + manifest")
     p.add_argument("--subjects", type=int, default=18)
     p.add_argument("--infected", type=int, default=11)
     p.add_argument("--side-samples", type=int, default=4200)
@@ -580,14 +733,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_mfdfa)
 
-    p = sub.add_parser("extract", help="coupling-matrix features from a manifest")
+    p = sub.add_parser(
+        "extract", parents=[workers], help="coupling-matrix features from a manifest"
+    )
     p.add_argument("manifest")
     p.add_argument("--horizon", type=int, default=fracdyn.DEFAULT_HORIZON)
     p.add_argument("--ridge", type=float, default=fracdyn.DEFAULT_RIDGE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("train", help="train and evaluate a stage classifier")
+    p = sub.add_parser("train", parents=[workers], help="train and evaluate a stage classifier")
     p.add_argument("features")
     p.add_argument("--mode", choices=("kfold", "holdout"), default="kfold")
     p.add_argument("--model", choices=("mlp", "logistic"), default="mlp")

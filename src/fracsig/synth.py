@@ -15,8 +15,8 @@ below a limit.  :func:`random_stable_model` returns one such model;
 in batches of at most about 4 MB of trajectories, each batch one loop of
 the steps; a record that diverges redraws its jitter and seed as the
 first row of the next batch.  The batches come from a generator that
-yields each record once it is final, so the command line writes a cohort
-of any size holding one batch.
+yields each batch's final records as one list, so the command line writes
+a cohort of any size holding one batch.
 Every stability check truncates the recursion at
 ``fracdyn.DEFAULT_HORIZON``, the one memory horizon
 :func:`fracsig.fracdyn.simulate` runs.
@@ -35,6 +35,8 @@ unstable at the limit, since no shrink could then end it.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -303,15 +305,21 @@ def synth_stage_cohort(
 
 def _stage_cohort_records(n_records, n, seed, n_samples):
     """Check ``n_records`` now and return an iterator over the records of
-    :func:`synth_stage_cohort`, the one the command line streams."""
+    :func:`synth_stage_cohort`, one at a time."""
+    return chain.from_iterable(_stage_cohort_batches(n_records, n, seed, n_samples))
+
+
+def _stage_cohort_batches(n_records, n, seed, n_samples):
+    """Check ``n_records`` now and return an iterator over the records of
+    :func:`synth_stage_cohort` in batches, the one the command line streams."""
     if n_records < 1:
         raise ValueError(f"need at least one record, got n_records={n_records}")
     return _simulate_stage_cohort(n_records, n, seed, n_samples)
 
 
 def _simulate_stage_cohort(n_records, n, seed, n_samples):
-    """Yield the records of :func:`synth_stage_cohort` in order, each as
-    soon as its simulation is final; one batch of trajectories is held."""
+    """Yield the records of :func:`synth_stage_cohort` in order, as one list
+    per batch once its simulation is final; one batch of trajectories is held."""
     rng = np.random.default_rng(seed)
     draws = [
         _draw_stable(
@@ -343,12 +351,15 @@ def _simulate_stage_cohort(n_records, n, seed, n_samples):
             psi, np.stack(couplings), np.ones(len(seeds)), seeds, X
         )
         final = len(X) if diverged is None else diverged[0]  # rows below a diverged one ran on
-        for r in range(done, done + final):
-            yield MultichannelRecord(
-                X[r - done], subject_id=f"rec{r:03d}",
-                institution=_COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)],
-                stage_label=stages[r],
-            )
+        if final:
+            yield [
+                MultichannelRecord(
+                    X[r - done], subject_id=f"rec{r:03d}",
+                    institution=_COHORT_INSTITUTIONS[r % len(_COHORT_INSTITUTIONS)],
+                    stage_label=stages[r],
+                )
+                for r in range(done, done + final)
+            ]
         done += final
         if diverged is None:
             tries = 0

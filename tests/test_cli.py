@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,10 @@ from fracsig import classify, cli, fracdyn, records, synth
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+# the serial path and the fork-join path of a command that takes --jobs
+JOBS = ("1", "2")
 
 
 class TestExitCodes:
@@ -79,13 +84,14 @@ class TestExitCodes:
     def test_cohort_out_of_redraws_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(synth, "_COHORT_JITTER", 50.0)
         out = tmp_path / "cohort"
-        code = run("synth", "cohort", "--per-class", "2", "--channels", "4", "--samples", "400",
-                   "--out-dir", str(out))
-        assert code == cli.EXIT_NUMERICAL
-        captured = capsys.readouterr()
-        assert "fracsig: numerical failure: could not draw a stable jittered model" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
+        for jobs in JOBS:
+            code = run("synth", "cohort", "--per-class", "2", "--channels", "4",
+                       "--samples", "400", "--out-dir", str(out), "--jobs", jobs)
+            assert code == cli.EXIT_NUMERICAL
+            captured = capsys.readouterr()
+            assert "fracsig: numerical failure: could not draw a stable jittered model" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -259,24 +265,28 @@ class TestPipelineCommands:
             entries.append(records.ManifestEntry(f"{name}.csv", name, "site-a", stage=1))
         records.write_manifest(entries, tmp_path / "manifest.json")
         out = tmp_path / "features.jsonl"
-        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out))
-        assert code == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"{tmp_path / 'subj-9.csv'}: subject 'subj-9': channel 'c1' is constant" in err
-        assert err.count("subj-9'") == 1  # the path prefix does not repeat the subject
-        assert not out.exists()  # no partial feature file for train to read
+        for jobs in JOBS:
+            code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out),
+                       "--jobs", jobs)
+            assert code == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"{tmp_path / 'subj-9.csv'}: subject 'subj-9': channel 'c1' is constant" in err
+            assert err.count("subj-9'") == 1  # the path prefix does not repeat the subject
+            assert not out.exists()  # no partial feature file for train to read
 
     def test_extract_names_a_record_too_short_to_estimate(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
         assert run("synth", "cohort", "--per-class", "1", "--channels", "2",
                    "--samples", "40", "--out-dir", str(cohort)) == 0
         out = tmp_path / "features.jsonl"
-        code = run("extract", str(cohort / "manifest.json"), "--out", str(out))
-        assert code == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert (f"{cohort / 'rec000.csv'}: subject 'rec000': "
-                "need at least 1024 samples, got 40") in err
-        assert not out.exists()
+        for jobs in JOBS:
+            code = run("extract", str(cohort / "manifest.json"), "--out", str(out),
+                       "--jobs", jobs)
+            assert code == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert (f"{cohort / 'rec000.csv'}: subject 'rec000': "
+                    "need at least 1024 samples, got 40") in err
+            assert not out.exists()
 
     def test_extract_names_a_record_with_zero_fluctuation(self, tmp_path, capsys):
         # each value held for 16 samples: every scale-16 window is a straight
@@ -287,15 +297,17 @@ class TestPipelineCommands:
         records.write_manifest([records.ManifestEntry("held.csv", "s1", "site-a", stage=1)],
                                tmp_path / "manifest.json")
         out = tmp_path / "features.jsonl"
-        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out))
-        assert code == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"{tmp_path / 'held.csv'}: " in err
-        assert "zero fluctuation in every window at scale 16" in err
-        assert "channel 'ch01': zero fluctuation" in err
-        assert "row 0" not in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        for jobs in JOBS:
+            code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out),
+                       "--jobs", jobs)
+            assert code == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"{tmp_path / 'held.csv'}: " in err
+            assert "zero fluctuation in every window at scale 16" in err
+            assert "channel 'ch01': zero fluctuation" in err
+            assert "row 0" not in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_extract_unlabeled_record_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -308,11 +320,13 @@ class TestPipelineCommands:
             tmp_path / "manifest.json",
         )
         out = tmp_path / "features.jsonl"
-        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out))
-        assert code == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"{tmp_path / 's2.csv'}: subject 's2': record is unlabeled" in err
-        assert not out.exists()
+        for jobs in JOBS:
+            code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out),
+                       "--jobs", jobs)
+            assert code == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"{tmp_path / 's2.csv'}: subject 's2': record is unlabeled" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -419,9 +433,10 @@ class TestPipelineCommands:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(text)
         out = tmp_path / "features.jsonl"
-        assert run("extract", str(manifest), "--out", str(out)) == cli.EXIT_DATA
-        assert f"{manifest}: {named}" in capsys.readouterr().err
-        assert not out.exists()
+        for jobs in JOBS:
+            assert run("extract", str(manifest), "--out", str(out), "--jobs", jobs) == cli.EXIT_DATA
+            assert f"{manifest}: {named}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -483,11 +498,12 @@ class TestTrainVariants:
         assert outs[0] != outs[1]
 
     def test_non_positive_learning_rate_is_data_error(self, cohort_features, tmp_path, capsys):
-        for model in ("mlp", "logistic"):
-            assert run(
-                "train", str(cohort_features), "--model", model, "--epochs", "2",
-                "--learning-rate", "0", "--out-dir", str(tmp_path / model),
-            ) == cli.EXIT_DATA
+        for jobs in JOBS:
+            for model in ("mlp", "logistic"):
+                assert run(
+                    "train", str(cohort_features), "--model", model, "--epochs", "2",
+                    "--learning-rate", "0", "--out-dir", str(tmp_path / model), "--jobs", jobs,
+                ) == cli.EXIT_DATA
 
 
 class TestViralCommand:
@@ -607,7 +623,7 @@ class TestCohortStreaming:
         monkeypatch.setattr(records, "write_record", recorded)
         out = tmp_path / "cohort"
         code = run("synth", "cohort", "--per-class", "2", "--channels", "4", "--samples", "400",
-                   "--out-dir", str(out))
+                   "--out-dir", str(out), "--jobs", "1")
         assert code == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert "could not draw a stable jittered model" in captured.err
@@ -615,6 +631,37 @@ class TestCohortStreaming:
         assert written == ["rec000", "rec001", "rec002", "rec003"]
         assert len(runs) == 2 + 20
         assert list(tmp_path.iterdir()) == []  # no --out-dir and no staging sibling
+
+    def test_out_of_redraws_after_written_batches_leaves_nothing_with_workers(
+            self, tmp_path, tmp_path_factory, capsys, monkeypatch):
+        # the test above at --jobs 2, where the records are written in worker
+        # processes: each write leaves a mark in a directory beside tmp_path
+        monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", 2 * 8 * 4 * 400)
+        simulate_rows, runs = fracdyn._simulate_rows, []
+
+        def diverging_from_the_third_run(*args, **kwargs):
+            runs.append(len(args[3]))
+            return simulate_rows(*args, **kwargs) if len(runs) <= 2 else (0, 1)
+
+        monkeypatch.setattr(fracdyn, "_simulate_rows", diverging_from_the_third_run)
+        write_record, marks = records.write_record, tmp_path_factory.mktemp("written")
+
+        def marked(record, path):
+            (marks / record.subject_id).touch()
+            write_record(record, path)
+
+        monkeypatch.setattr(records, "write_record", marked)
+        out = tmp_path / "cohort"
+        code = run("synth", "cohort", "--per-class", "2", "--channels", "4", "--samples", "400",
+                   "--out-dir", str(out), "--jobs", "2")
+        assert code == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "could not draw a stable jittered model" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in marks.iterdir()) == ["rec000", "rec001", "rec002", "rec003"]
+        assert len(runs) == 2 + 20
+        assert list(tmp_path.iterdir()) == []  # no --out-dir and no staging sibling
+        _assert_no_child_left()
 
     def test_traced_peak_does_not_grow_with_the_cohort(self, tmp_path, capsys, monkeypatch):
         # batches of 3 records of 32 kB; holding all 80 records of 16 per
@@ -859,6 +906,25 @@ def _enospc_at_write(monkeypatch, k):
     return opened
 
 
+def _enospc_at_write_of(monkeypatch, name):
+    """Make the file named ``name``, opened for writing, come out empty and raise ENOSPC."""
+    path_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if "w" in mode and self.name == name:
+            path_open(self, mode, *args, **kwargs).close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+def _assert_no_child_left():
+    """No worker process of a command outlives it, not even as a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _exdev_at_replace(monkeypatch, k):
     """Make the k-th ``os.replace`` fail as across file systems; return the targets."""
     moved, replace = [], os.replace
@@ -878,7 +944,7 @@ class TestFaultInjection:
 
     COMMANDS = [
         ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
-         "--out-dir", "{out}"],
+         "--out-dir", "{out}", "--jobs", "1"],
         ["synth", "system", "--channels", "2", "--n", "600", "--out", "{out}/sys.csv",
          "--model-out", "{out}/model.json"],
         ["extract", "{in}/cohort/manifest.json", "--out", "{out}/features.jsonl"],
@@ -939,6 +1005,196 @@ class TestFaultInjection:
             assert code == cli.EXIT_OK, k
             assert _tree(out) == {**clean, "own.txt": b"own\n"}, k
         assert list(tmp_path.rglob(".*")) == []
+
+
+    # synth cohort at --jobs 2: its records are written in worker processes,
+    # whose writes the parent cannot count, so each file fails by name
+    WORKERS = [*COMMANDS[0][:-1], "2"]
+
+    def test_failed_write_in_a_worker_leaves_every_old_output(self, tmp_path, capsys,
+                                                              monkeypatch, command_inputs):
+        (tmp_path / "clean").mkdir()
+        assert self._run(self.WORKERS, command_inputs, tmp_path / "clean") == cli.EXIT_OK
+        clean = _tree(tmp_path / "clean")
+        assert len(clean) == 6  # five records and the manifest
+        for name in sorted(clean):
+            out = tmp_path / f"write-{name}"
+            old = self._old_target(out, clean)
+            with monkeypatch.context() as m:
+                _enospc_at_write_of(m, name)
+                code = self._run(self.WORKERS, command_inputs, out)
+            assert code == cli.EXIT_DATA, name
+            assert "No space left on device" in capsys.readouterr().err
+            assert _tree(out) == old, name
+            _assert_no_child_left()
+        assert list(tmp_path.rglob(".*")) == []
+
+    def test_failed_move_after_workers_writes_the_new_output_in_place(
+            self, tmp_path, capsys, monkeypatch, command_inputs):
+        (tmp_path / "clean").mkdir()
+        assert self._run(self.WORKERS, command_inputs, tmp_path / "clean") == cli.EXIT_OK
+        clean = _tree(tmp_path / "clean")
+        for k in range(1, len(clean) + 1):
+            out = tmp_path / f"move{k}"
+            self._old_target(out, clean)
+            with monkeypatch.context() as m:
+                moves = _exdev_at_replace(m, k)
+                code = self._run(self.WORKERS, command_inputs, out)
+            assert code == cli.EXIT_OK, k
+            assert len(moves) == len(clean)
+            assert _tree(out) == {**clean, "own.txt": b"own\n"}, k
+        assert list(tmp_path.rglob(".*")) == []
+
+
+class TestWorkers:
+    """A command gives the same outputs, message and exit code at every --jobs."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_failure_of_the_lower_record_is_reported(self, tmp_path, capsys, jobs):
+        # record 0 fails only after a long load, record 1 at once
+        rng = np.random.default_rng(0)
+        slow = np.stack([rng.standard_normal(50000), np.zeros(50000), rng.standard_normal(50000)])
+        records.write_record(records.MultichannelRecord(slow, ("c0", "c1", "c2")),
+                             tmp_path / "slow.csv")
+        records.write_manifest([records.ManifestEntry("slow.csv", "slow", "site-a", stage=1),
+                                records.ManifestEntry("gone.csv", "gone", "site-a", stage=2)],
+                               tmp_path / "manifest.json")
+        out = tmp_path / "features.jsonl"
+        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out), "--jobs", jobs)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"fracsig: error: {tmp_path / 'slow.csv'}: subject 'slow': "
+                       "channel 'c1' is constant; cannot z-score it\n")
+        assert not out.exists()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_disk_error_in_record_writes_leaves_the_old_out_dir(self, tmp_path, capsys,
+                                                                monkeypatch, jobs):
+        write_record = records.write_record
+
+        def full_disk_at_rec001_and_rec003(record, path):
+            write_record(record, path)
+            if record.subject_id in ("rec001", "rec003"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(records, "write_record", full_disk_at_rec001_and_rec003)
+        out = tmp_path / "cohort"
+        out.mkdir()
+        (out / "rec001.csv").write_bytes(b"old\n")
+        (out / "manifest.json").write_bytes(b"[]\n")
+        old = _tree(out)
+        code = run("synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
+                   "--out-dir", str(out), "--jobs", jobs)
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "fracsig: error: [Errno 28] No space left on device\n"
+        assert captured.out == ""
+        assert _tree(out) == old
+        assert list(tmp_path.rglob(".*")) == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_killed_worker_names_its_first_unreported_item(self, tmp_path, capsys,
+                                                           monkeypatch, jobs):
+        # a worker reports its items together at its end, so the one whose
+        # write kills it, rec002, is named only when it is the worker's first
+        write_record = records.write_record
+
+        def killed_at_rec002(record, path):
+            if record.subject_id == "rec002":
+                os._exit(9)
+            write_record(record, path)
+
+        monkeypatch.setattr(records, "write_record", killed_at_rec002)
+        out = tmp_path / "cohort"
+        code = run("synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
+                   "--out-dir", str(out), "--jobs", str(jobs))
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        first = out / f"rec{2 % jobs:03d}.csv"
+        assert captured.err == (f"fracsig: error: {first}: its worker process exited with "
+                                "status 9 before reporting it\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # no --out-dir and no staging directory
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "cohort", "--out-dir", "d"],
+            ["synth", "viral", "--out-dir", "d"],
+            ["extract", "m.json", "--out", "f.jsonl"],
+            ["train", "f.jsonl", "--out-dir", "d"],
+        ],
+        ids=["cohort", "viral", "extract", "train"],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, argv, jobs):
+        argv = [str(tmp_path / a) if a in ("d", "m.json", "f.jsonl") else a for a in argv]
+        assert run(*argv, "--jobs", jobs) == cli.EXIT_USAGE
+        assert f"argument --jobs: must be a positive integer, got '{jobs}'" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_sets_jobs(self, tmp_path, capsys, monkeypatch, command_inputs):
+        def no_fork():
+            raise AssertionError("forked at jobs = 1")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        config = tmp_path / "run.cfg"
+        config.write_text("jobs = 1\n")
+        argv = ["extract", str(command_inputs / "cohort" / "manifest.json"),
+                "--out", str(tmp_path / "features.jsonl")]
+        assert run("--config", str(config), *argv) == cli.EXIT_OK
+        assert (tmp_path / "features.jsonl").read_bytes() == (
+            command_inputs / "features.jsonl").read_bytes()
+
+
+def _square(x):
+    return x * x
+
+
+class TestForkMap:
+    """``cli._fork_map`` is ``[fn(item) for item in items]`` at every ``jobs``."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_results_come_in_item_order(self, jobs):
+        assert cli._fork_map(_square, range(7), jobs, name=str) == [i * i for i in range(7)]
+        assert cli._fork_map(_square, [], jobs, name=str) == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_lowest_failing_item_wins(self, jobs):
+        # item 1 fails late, items 2 and 4 at once; the serial loop meets 1 first
+        def fn(i):
+            if i == 1:
+                time.sleep(0.2)
+            if i in (1, 2, 4):
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="^item 1$"):
+            cli._fork_map(fn, range(6), jobs, name=str)
+        _assert_no_child_left()
+
+    def test_value_that_cannot_be_sent_names_its_item(self):
+        # worker 0 runs items 0 and 2 and can send the result of 0 only
+        def fn(i):
+            return (lambda: i) if i == 2 else i
+
+        with pytest.raises(ChildProcessError,
+                           match="^item 2: its worker process exited with status 0"):
+            cli._fork_map(fn, range(4), 2, name=lambda i: f"item {i}")
+        _assert_no_child_left()
+
+    def test_fork_is_not_called_for_one_job_or_one_item(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert cli._fork_map(_square, range(3), 1, name=str) == [0, 1, 4]
+        assert cli._fork_map(_square, [3], 2, name=str) == [9]
 
 
 class TestFlagUsageErrors:
@@ -1067,10 +1323,12 @@ class TestTrainCommand:
         feats = tmp_path / "features.jsonl"
         feats.write_text(text)
         out = tmp_path / "run"
-        code = run("train", str(feats), *argv, "--epochs", "2", "--out-dir", str(out))
-        assert code == cli.EXIT_DATA
-        assert named in capsys.readouterr().err
-        assert not out.exists()
+        for jobs in JOBS:
+            code = run("train", str(feats), *argv, "--epochs", "2", "--out-dir", str(out),
+                       "--jobs", jobs)
+            assert code == cli.EXIT_DATA
+            assert named in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["kfold", "holdout"])
     def test_one_class_training_set_fails_before_any_split_trains(
@@ -1094,12 +1352,14 @@ class TestTrainCommand:
 
         monkeypatch.setattr(classify, "mlp_train", no_training)
         out = tmp_path / "run"
-        code = run("train", str(feats), "--mode", mode, "--epochs", "2", "--out-dir", str(out))
-        assert code == cli.EXIT_DATA
-        captured = capsys.readouterr()
-        assert f"fracsig: error: {label}: training set must contain at least 2 classes" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
+        for jobs in JOBS:
+            code = run("train", str(feats), "--mode", mode, "--epochs", "2",
+                       "--out-dir", str(out), "--jobs", jobs)
+            assert code == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert f"fracsig: error: {label}: training set must contain at least 2 classes" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_failure_after_a_trained_split_prints_nothing(self, tmp_path, capsys):
         # fold 0 holds out the +1e308 case and trains; a later fold meets both
@@ -1114,12 +1374,14 @@ class TestTrainCommand:
         feats = tmp_path / "features.jsonl"
         feats.write_text("".join(json.dumps(l) + "\n" for l in lines))
         out = tmp_path / "run"
-        code = run("train", str(feats), "--folds", "10", "--epochs", "2", "--out-dir", str(out))
-        assert code == cli.EXIT_DATA
-        captured = capsys.readouterr()
-        assert "feature column 0" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
+        for jobs in JOBS:
+            code = run("train", str(feats), "--folds", "10", "--epochs", "2",
+                       "--out-dir", str(out), "--jobs", jobs)
+            assert code == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert "feature column 0" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_feature_range_wider_than_float64_is_data_error(self, tmp_path, capsys):
         feats = tmp_path / "features.jsonl"
@@ -1129,13 +1391,14 @@ class TestTrainCommand:
             for i, sign in enumerate([-1.0, 1.0] * 5)
         ]
         feats.write_text("".join(json.dumps(l) + "\n" for l in lines))
-        code = run(
-            "train", str(feats), "--folds", "10", "--epochs", "2",
-            "--out-dir", str(tmp_path / "run"),
-        )
-        assert code == cli.EXIT_DATA
-        assert "feature column 0" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        for jobs in JOBS:
+            code = run(
+                "train", str(feats), "--folds", "10", "--epochs", "2",
+                "--out-dir", str(tmp_path / "run"), "--jobs", jobs,
+            )
+            assert code == cli.EXIT_DATA
+            assert "feature column 0" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
 
 class TestConfigFile:
