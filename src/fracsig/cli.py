@@ -18,14 +18,16 @@ no staging directory can be made.  A run killed outright can leave a
 ``.fracsig-stage.*`` directory behind.
 
 Workers.  ``synth cohort``, ``synth viral``, ``extract`` and ``train``
-take ``--jobs N`` (default: the usable cores) and run their independent
-items, the record writes, the records or the folds and held-out sites,
-in up to N forked worker processes.  Workers write into the command's
-one staging directory, and the parent keeps every random draw and the
-order of every output, so the outputs are byte-identical at every N.
-An item that fails stops the command with the error of the lowest
-failing item, the one a serial run meets first, and every output is
-left as it was.  ``--jobs 1`` runs everything in this process.
+run their independent items, the record writes, the records or the
+folds and held-out sites, in one forked worker process per core the
+process may use (``taskset -c 0`` gives one core: the serial path, all
+in this process).  Workers write into the command's one staging
+directory, and the parent keeps every random draw and the order of
+every output, so the outputs are byte-identical at any core count.  An
+item that raises stops the command with the error of the lowest failing
+item, the one a serial run meets first, and every output is left as it
+was.  A worker killed outright is named by the first item it had not
+reported, which need not be the item it was running.
 
 A config file passed with ``--config`` may set any flag default.  Its
 grammar is one ``key = value`` pair per line, ``#`` starts a comment,
@@ -160,7 +162,8 @@ def _fork_map(fn, items, jobs, name):
     one the serial loop would raise.  A worker that ends without
     reporting an item (killed, or a value that does not pickle) raises
     ``ChildProcessError`` naming ``name(item)`` of its first unreported
-    item.  With ``jobs == 1`` or one item, nothing is forked.
+    item; a worker reports once, at its end, so that need not be the item
+    it was running.  With ``jobs == 1`` or one item, nothing is forked.
     """
     items = list(items)
     jobs = min(jobs, len(items))
@@ -206,10 +209,13 @@ def _fork_map(fn, items, jobs, name):
         if unreported and not stopped:
             i = unreported[0]
             code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            failures[i] = ChildProcessError(
-                f"{name(items[i])}: its worker process {how} before reporting it"
-            )
+            if code < 0:
+                how = f"its worker process was killed by signal {-code} before reporting it"
+            elif code:
+                how = f"its worker process exited with status {code} before reporting it"
+            else:  # a value that does not pickle, or a report that does not load
+                how = "its result could not be sent back from its worker process"
+            failures[i] = ChildProcessError(f"{name(items[i])}: {how}")
     if failures:
         raise failures[min(failures)]
     return results
@@ -251,24 +257,11 @@ def _check_file_part(name, what, where) -> None:
 
 
 def _usable_cores() -> int:
-    """The default ``--jobs``: the cores this process may run on, or 1 without fork."""
-    if not hasattr(os, "fork"):
-        return 1
+    """The worker count of :func:`_fork_map`: the cores this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _positive_int(text) -> int:
-    """argparse ``type`` for an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def _list_of(cast):
@@ -320,13 +313,13 @@ def _cmd_synth_system(args) -> int:
     return EXIT_OK
 
 
-def _write_record_set(out_dir, batches, jobs, extra=lambda r: {}) -> int:
+def _write_record_set(out_dir, batches, extra=lambda r: {}) -> int:
     """Write ``<subject_id>.csv`` per record and a manifest with ``extra(record)`` added.
 
-    ``batches`` is any iterable of lists of records.  ``jobs`` workers write
-    each list before the next is asked for.  Returns the number of records.
+    ``batches`` is any iterable of lists of records.  Workers write each
+    list before the next is asked for.  Returns the number of records.
     """
-    entries = []
+    entries, jobs = [], _usable_cores()
     with _outputs() as (_, folder):
         stage = folder(out_dir)
         for batch in batches:
@@ -352,7 +345,7 @@ def _cmd_synth_cohort(args) -> int:
     cohort = synth._stage_cohort_batches(  # streamed: one batch of records is held
         classify.N_STAGES * args.per_class, args.channels, args.seed, args.samples
     )
-    written = _write_record_set(args.out_dir, cohort, args.jobs)
+    written = _write_record_set(args.out_dir, cohort)
     print(f"wrote {written} records to {Path(args.out_dir)}")
     return EXIT_OK
 
@@ -368,7 +361,6 @@ def _cmd_synth_viral(args) -> int:
     _write_record_set(
         args.out_dir,
         [cases],
-        args.jobs,
         lambda c: {"inoculation_index": c.inoculation_index, "infected": c.infected},
     )
     print(f"wrote {len(cases)} subjects to {Path(args.out_dir)}")
@@ -446,7 +438,7 @@ def _cmd_extract(args) -> int:
         return json.dumps(item, sort_keys=True) + "\n"
 
     # written only once every record has its features
-    lines = _fork_map(feature_line, entries, args.jobs, name=named)
+    lines = _fork_map(feature_line, entries, _usable_cores(), name=named)
     with _outputs() as (file, _):
         _write_text(file(args.out), "".join(lines))
     print(f"wrote {len(entries)} feature lines to {args.out}")
@@ -560,7 +552,7 @@ def _cmd_train(args) -> int:
         )
 
     accuracies, texts, lines = [], {}, []
-    outcomes = _fork_map(run_split, splits, args.jobs, name=lambda split: split[2])
+    outcomes = _fork_map(run_split, splits, _usable_cores(), name=lambda split: split[2])
     for (metrics_name, curve_name, *_), (accuracy, metrics, curve, line) in zip(splits, outcomes):
         accuracies.append(accuracy)
         texts[metrics_name] = metrics
@@ -666,12 +658,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fracsig", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="key = value file setting flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument(
-        "--jobs", type=_positive_int, default=_usable_cores(),
-        help="worker processes for independent items (default: %(default)s, the usable "
-        "cores); outputs are the same at every value, and 1 runs in this process",
-    )
 
     p_synth = sub.add_parser("synth", help="generate synthetic records")
     kinds = p_synth.add_subparsers(dest="kind", required=True)
@@ -700,7 +686,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model-out", help="also write the ground-truth model JSON")
     p.set_defaults(func=_cmd_synth_system)
 
-    p = kinds.add_parser("cohort", parents=[workers], help="labeled 5-class cohort + manifest")
+    p = kinds.add_parser("cohort", help="labeled 5-class cohort + manifest")
     p.add_argument("--per-class", type=int, default=40)
     p.add_argument("--channels", type=int, default=12)
     p.add_argument("--samples", type=int, default=2000)
@@ -708,7 +694,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth_cohort)
 
-    p = kinds.add_parser("viral", parents=[workers], help="pre/post inoculation cohort + manifest")
+    p = kinds.add_parser("viral", help="pre/post inoculation cohort + manifest")
     p.add_argument("--subjects", type=int, default=18)
     p.add_argument("--infected", type=int, default=11)
     p.add_argument("--side-samples", type=int, default=4200)
@@ -733,16 +719,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_mfdfa)
 
-    p = sub.add_parser(
-        "extract", parents=[workers], help="coupling-matrix features from a manifest"
-    )
+    p = sub.add_parser("extract", help="coupling-matrix features from a manifest")
     p.add_argument("manifest")
     p.add_argument("--horizon", type=int, default=fracdyn.DEFAULT_HORIZON)
     p.add_argument("--ridge", type=float, default=fracdyn.DEFAULT_RIDGE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("train", parents=[workers], help="train and evaluate a stage classifier")
+    p = sub.add_parser("train", help="train and evaluate a stage classifier")
     p.add_argument("features")
     p.add_argument("--mode", choices=("kfold", "holdout"), default="kfold")
     p.add_argument("--model", choices=("mlp", "logistic"), default="mlp")

@@ -195,10 +195,9 @@ def write_record(record: MultichannelRecord, path) -> None:
         # The rows csv.writer would give: float reprs never need quoting.
         # Blocks of rows keep the Python floats of a long record out of memory.
         rows = record.channels.T
-        line = ",".join(["%r"] * rows.shape[1]) + "\r\n"  # one format per row
         for start in range(0, rows.shape[0], _ROWS_PER_WRITE):
             block = rows[start : start + _ROWS_PER_WRITE].tolist()
-            fh.write("".join(line % tuple(row) for row in block))
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 @dataclass(frozen=True)

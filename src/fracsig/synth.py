@@ -36,8 +36,6 @@ unstable at the limit, since no shrink could then end it.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from . import fracdyn
@@ -300,18 +298,13 @@ def synth_stage_cohort(
     ``NumericalError``.  The command line writes the same records batch
     by batch, without holding the whole cohort.
     """
-    return list(_stage_cohort_records(n_records, n_channels, seed, n_samples))
-
-
-def _stage_cohort_records(n_records, n, seed, n_samples):
-    """Check ``n_records`` now and return an iterator over the records of
-    :func:`synth_stage_cohort`, one at a time."""
-    return chain.from_iterable(_stage_cohort_batches(n_records, n, seed, n_samples))
+    batches = _stage_cohort_batches(n_records, n_channels, seed, n_samples)
+    return [record for batch in batches for record in batch]
 
 
 def _stage_cohort_batches(n_records, n, seed, n_samples):
     """Check ``n_records`` now and return an iterator over the records of
-    :func:`synth_stage_cohort` in batches, the one the command line streams."""
+    :func:`synth_stage_cohort`, one list per batch; the command line streams it."""
     if n_records < 1:
         raise ValueError(f"need at least one record, got n_records={n_records}")
     return _simulate_stage_cohort(n_records, n, seed, n_samples)

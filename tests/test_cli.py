@@ -17,8 +17,16 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-# the serial path and the fork-join path of a command that takes --jobs
-JOBS = ("1", "2")
+def run_on(cores, *argv):
+    """``run(*argv)`` where the process may use ``cores`` cores: 1 is the
+    serial path, more forks that many workers."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_usable_cores", lambda: cores)
+        return run(*argv)
+
+
+# the serial path and the fork-join path of the commands that fork
+CORES = (1, 2)
 
 
 class TestExitCodes:
@@ -84,9 +92,9 @@ class TestExitCodes:
     def test_cohort_out_of_redraws_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(synth, "_COHORT_JITTER", 50.0)
         out = tmp_path / "cohort"
-        for jobs in JOBS:
-            code = run("synth", "cohort", "--per-class", "2", "--channels", "4",
-                       "--samples", "400", "--out-dir", str(out), "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "synth", "cohort", "--per-class", "2", "--channels", "4",
+                          "--samples", "400", "--out-dir", str(out))
             assert code == cli.EXIT_NUMERICAL
             captured = capsys.readouterr()
             assert "fracsig: numerical failure: could not draw a stable jittered model" in captured.err
@@ -265,9 +273,8 @@ class TestPipelineCommands:
             entries.append(records.ManifestEntry(f"{name}.csv", name, "site-a", stage=1))
         records.write_manifest(entries, tmp_path / "manifest.json")
         out = tmp_path / "features.jsonl"
-        for jobs in JOBS:
-            code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out),
-                       "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "extract", str(tmp_path / "manifest.json"), "--out", str(out))
             assert code == cli.EXIT_DATA
             err = capsys.readouterr().err
             assert f"{tmp_path / 'subj-9.csv'}: subject 'subj-9': channel 'c1' is constant" in err
@@ -279,9 +286,8 @@ class TestPipelineCommands:
         assert run("synth", "cohort", "--per-class", "1", "--channels", "2",
                    "--samples", "40", "--out-dir", str(cohort)) == 0
         out = tmp_path / "features.jsonl"
-        for jobs in JOBS:
-            code = run("extract", str(cohort / "manifest.json"), "--out", str(out),
-                       "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "extract", str(cohort / "manifest.json"), "--out", str(out))
             assert code == cli.EXIT_DATA
             err = capsys.readouterr().err
             assert (f"{cohort / 'rec000.csv'}: subject 'rec000': "
@@ -297,9 +303,8 @@ class TestPipelineCommands:
         records.write_manifest([records.ManifestEntry("held.csv", "s1", "site-a", stage=1)],
                                tmp_path / "manifest.json")
         out = tmp_path / "features.jsonl"
-        for jobs in JOBS:
-            code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out),
-                       "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "extract", str(tmp_path / "manifest.json"), "--out", str(out))
             assert code == cli.EXIT_DATA
             err = capsys.readouterr().err
             assert f"{tmp_path / 'held.csv'}: " in err
@@ -320,9 +325,8 @@ class TestPipelineCommands:
             tmp_path / "manifest.json",
         )
         out = tmp_path / "features.jsonl"
-        for jobs in JOBS:
-            code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out),
-                       "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "extract", str(tmp_path / "manifest.json"), "--out", str(out))
             assert code == cli.EXIT_DATA
             err = capsys.readouterr().err
             assert f"{tmp_path / 's2.csv'}: subject 's2': record is unlabeled" in err
@@ -433,8 +437,8 @@ class TestPipelineCommands:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(text)
         out = tmp_path / "features.jsonl"
-        for jobs in JOBS:
-            assert run("extract", str(manifest), "--out", str(out), "--jobs", jobs) == cli.EXIT_DATA
+        for cores in CORES:
+            assert run_on(cores, "extract", str(manifest), "--out", str(out)) == cli.EXIT_DATA
             assert f"{manifest}: {named}" in capsys.readouterr().err
             assert not out.exists()
 
@@ -498,11 +502,11 @@ class TestTrainVariants:
         assert outs[0] != outs[1]
 
     def test_non_positive_learning_rate_is_data_error(self, cohort_features, tmp_path, capsys):
-        for jobs in JOBS:
+        for cores in CORES:
             for model in ("mlp", "logistic"):
-                assert run(
-                    "train", str(cohort_features), "--model", model, "--epochs", "2",
-                    "--learning-rate", "0", "--out-dir", str(tmp_path / model), "--jobs", jobs,
+                assert run_on(
+                    cores, "train", str(cohort_features), "--model", model, "--epochs", "2",
+                    "--learning-rate", "0", "--out-dir", str(tmp_path / model),
                 ) == cli.EXIT_DATA
 
 
@@ -622,8 +626,8 @@ class TestCohortStreaming:
 
         monkeypatch.setattr(records, "write_record", recorded)
         out = tmp_path / "cohort"
-        code = run("synth", "cohort", "--per-class", "2", "--channels", "4", "--samples", "400",
-                   "--out-dir", str(out), "--jobs", "1")
+        code = run_on(1, "synth", "cohort", "--per-class", "2", "--channels", "4",
+                      "--samples", "400", "--out-dir", str(out))
         assert code == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert "could not draw a stable jittered model" in captured.err
@@ -634,7 +638,7 @@ class TestCohortStreaming:
 
     def test_out_of_redraws_after_written_batches_leaves_nothing_with_workers(
             self, tmp_path, tmp_path_factory, capsys, monkeypatch):
-        # the test above at --jobs 2, where the records are written in worker
+        # the test above on two cores, where the records are written in worker
         # processes: each write leaves a mark in a directory beside tmp_path
         monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", 2 * 8 * 4 * 400)
         simulate_rows, runs = fracdyn._simulate_rows, []
@@ -652,8 +656,8 @@ class TestCohortStreaming:
 
         monkeypatch.setattr(records, "write_record", marked)
         out = tmp_path / "cohort"
-        code = run("synth", "cohort", "--per-class", "2", "--channels", "4", "--samples", "400",
-                   "--out-dir", str(out), "--jobs", "2")
+        code = run_on(2, "synth", "cohort", "--per-class", "2", "--channels", "4",
+                      "--samples", "400", "--out-dir", str(out))
         assert code == cli.EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert "could not draw a stable jittered model" in captured.err
@@ -944,7 +948,7 @@ class TestFaultInjection:
 
     COMMANDS = [
         ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
-         "--out-dir", "{out}", "--jobs", "1"],
+         "--out-dir", "{out}"],
         ["synth", "system", "--channels", "2", "--n", "600", "--out", "{out}/sys.csv",
          "--model-out", "{out}/model.json"],
         ["extract", "{in}/cohort/manifest.json", "--out", "{out}/features.jsonl"],
@@ -954,8 +958,9 @@ class TestFaultInjection:
     IDS = ["cohort", "system", "extract", "train", "mfdfa"]
 
     @staticmethod
-    def _run(template, inputs, out):
-        return run(*TestAtomicOutputs._argv(template, inputs, out))
+    def _run(template, inputs, out, cores=1):
+        # on one core the parent makes every write, so the patches above count them
+        return run_on(cores, *TestAtomicOutputs._argv(template, inputs, out))
 
     def _clean_outputs(self, tmp_path, monkeypatch, inputs, template):
         """The files a run writes into an empty directory; each is staged and moved once."""
@@ -1006,15 +1011,14 @@ class TestFaultInjection:
             assert _tree(out) == {**clean, "own.txt": b"own\n"}, k
         assert list(tmp_path.rglob(".*")) == []
 
-
-    # synth cohort at --jobs 2: its records are written in worker processes,
+    # synth cohort on two cores: its records are written in worker processes,
     # whose writes the parent cannot count, so each file fails by name
-    WORKERS = [*COMMANDS[0][:-1], "2"]
+    COHORT = COMMANDS[0]
 
     def test_failed_write_in_a_worker_leaves_every_old_output(self, tmp_path, capsys,
                                                               monkeypatch, command_inputs):
         (tmp_path / "clean").mkdir()
-        assert self._run(self.WORKERS, command_inputs, tmp_path / "clean") == cli.EXIT_OK
+        assert self._run(self.COHORT, command_inputs, tmp_path / "clean", cores=2) == cli.EXIT_OK
         clean = _tree(tmp_path / "clean")
         assert len(clean) == 6  # five records and the manifest
         for name in sorted(clean):
@@ -1022,7 +1026,7 @@ class TestFaultInjection:
             old = self._old_target(out, clean)
             with monkeypatch.context() as m:
                 _enospc_at_write_of(m, name)
-                code = self._run(self.WORKERS, command_inputs, out)
+                code = self._run(self.COHORT, command_inputs, out, cores=2)
             assert code == cli.EXIT_DATA, name
             assert "No space left on device" in capsys.readouterr().err
             assert _tree(out) == old, name
@@ -1032,14 +1036,14 @@ class TestFaultInjection:
     def test_failed_move_after_workers_writes_the_new_output_in_place(
             self, tmp_path, capsys, monkeypatch, command_inputs):
         (tmp_path / "clean").mkdir()
-        assert self._run(self.WORKERS, command_inputs, tmp_path / "clean") == cli.EXIT_OK
+        assert self._run(self.COHORT, command_inputs, tmp_path / "clean", cores=2) == cli.EXIT_OK
         clean = _tree(tmp_path / "clean")
         for k in range(1, len(clean) + 1):
             out = tmp_path / f"move{k}"
             self._old_target(out, clean)
             with monkeypatch.context() as m:
                 moves = _exdev_at_replace(m, k)
-                code = self._run(self.WORKERS, command_inputs, out)
+                code = self._run(self.COHORT, command_inputs, out, cores=2)
             assert code == cli.EXIT_OK, k
             assert len(moves) == len(clean)
             assert _tree(out) == {**clean, "own.txt": b"own\n"}, k
@@ -1047,10 +1051,10 @@ class TestFaultInjection:
 
 
 class TestWorkers:
-    """A command gives the same outputs, message and exit code at every --jobs."""
+    """A command gives the same outputs, message and exit code on any number of cores."""
 
-    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
-    def test_failure_of_the_lower_record_is_reported(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_failure_of_the_lower_record_is_reported(self, tmp_path, capsys, cores):
         # record 0 fails only after a long load, record 1 at once
         rng = np.random.default_rng(0)
         slow = np.stack([rng.standard_normal(50000), np.zeros(50000), rng.standard_normal(50000)])
@@ -1060,7 +1064,7 @@ class TestWorkers:
                                 records.ManifestEntry("gone.csv", "gone", "site-a", stage=2)],
                                tmp_path / "manifest.json")
         out = tmp_path / "features.jsonl"
-        code = run("extract", str(tmp_path / "manifest.json"), "--out", str(out), "--jobs", jobs)
+        code = run_on(cores, "extract", str(tmp_path / "manifest.json"), "--out", str(out))
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err == (f"fracsig: error: {tmp_path / 'slow.csv'}: subject 'slow': "
@@ -1068,9 +1072,9 @@ class TestWorkers:
         assert not out.exists()
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_disk_error_in_record_writes_leaves_the_old_out_dir(self, tmp_path, capsys,
-                                                                monkeypatch, jobs):
+                                                                monkeypatch, cores):
         write_record = records.write_record
 
         def full_disk_at_rec001_and_rec003(record, path):
@@ -1084,8 +1088,8 @@ class TestWorkers:
         (out / "rec001.csv").write_bytes(b"old\n")
         (out / "manifest.json").write_bytes(b"[]\n")
         old = _tree(out)
-        code = run("synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
-                   "--out-dir", str(out), "--jobs", jobs)
+        code = run_on(cores, "synth", "cohort", "--per-class", "1", "--channels", "2",
+                      "--samples", "400", "--out-dir", str(out))
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
         assert captured.err == "fracsig: error: [Errno 28] No space left on device\n"
@@ -1094,9 +1098,9 @@ class TestWorkers:
         assert list(tmp_path.rglob(".*")) == []
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("cores", [2, 3])
     def test_killed_worker_names_its_first_unreported_item(self, tmp_path, capsys,
-                                                           monkeypatch, jobs):
+                                                           monkeypatch, cores):
         # a worker reports its items together at its end, so the one whose
         # write kills it, rec002, is named only when it is the worker's first
         write_record = records.write_record
@@ -1108,45 +1112,25 @@ class TestWorkers:
 
         monkeypatch.setattr(records, "write_record", killed_at_rec002)
         out = tmp_path / "cohort"
-        code = run("synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
-                   "--out-dir", str(out), "--jobs", str(jobs))
+        code = run_on(cores, "synth", "cohort", "--per-class", "1", "--channels", "2",
+                      "--samples", "400", "--out-dir", str(out))
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
-        first = out / f"rec{2 % jobs:03d}.csv"
+        first = out / f"rec{2 % cores:03d}.csv"
         assert captured.err == (f"fracsig: error: {first}: its worker process exited with "
                                 "status 9 before reporting it\n")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # no --out-dir and no staging directory
         _assert_no_child_left()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["synth", "cohort", "--out-dir", "d"],
-            ["synth", "viral", "--out-dir", "d"],
-            ["extract", "m.json", "--out", "f.jsonl"],
-            ["train", "f.jsonl", "--out-dir", "d"],
-        ],
-        ids=["cohort", "viral", "extract", "train"],
-    )
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, argv, jobs):
-        argv = [str(tmp_path / a) if a in ("d", "m.json", "f.jsonl") else a for a in argv]
-        assert run(*argv, "--jobs", jobs) == cli.EXIT_USAGE
-        assert f"argument --jobs: must be a positive integer, got '{jobs}'" in (
-            capsys.readouterr().err)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_config_sets_jobs(self, tmp_path, capsys, monkeypatch, command_inputs):
+    def test_one_core_forks_nothing(self, tmp_path, capsys, monkeypatch, command_inputs):
         def no_fork():
-            raise AssertionError("forked at jobs = 1")
+            raise AssertionError("forked on one core")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        config = tmp_path / "run.cfg"
-        config.write_text("jobs = 1\n")
         argv = ["extract", str(command_inputs / "cohort" / "manifest.json"),
                 "--out", str(tmp_path / "features.jsonl")]
-        assert run("--config", str(config), *argv) == cli.EXIT_OK
+        assert run_on(1, *argv) == cli.EXIT_OK
         assert (tmp_path / "features.jsonl").read_bytes() == (
             command_inputs / "features.jsonl").read_bytes()
 
@@ -1184,7 +1168,7 @@ class TestForkMap:
             return (lambda: i) if i == 2 else i
 
         with pytest.raises(ChildProcessError,
-                           match="^item 2: its worker process exited with status 0"):
+                           match="^item 2: its result could not be sent back from its worker"):
             cli._fork_map(fn, range(4), 2, name=lambda i: f"item {i}")
         _assert_no_child_left()
 
@@ -1323,9 +1307,8 @@ class TestTrainCommand:
         feats = tmp_path / "features.jsonl"
         feats.write_text(text)
         out = tmp_path / "run"
-        for jobs in JOBS:
-            code = run("train", str(feats), *argv, "--epochs", "2", "--out-dir", str(out),
-                       "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "train", str(feats), *argv, "--epochs", "2", "--out-dir", str(out))
             assert code == cli.EXIT_DATA
             assert named in capsys.readouterr().err
             assert not out.exists()
@@ -1352,9 +1335,9 @@ class TestTrainCommand:
 
         monkeypatch.setattr(classify, "mlp_train", no_training)
         out = tmp_path / "run"
-        for jobs in JOBS:
-            code = run("train", str(feats), "--mode", mode, "--epochs", "2",
-                       "--out-dir", str(out), "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "train", str(feats), "--mode", mode, "--epochs", "2",
+                          "--out-dir", str(out))
             assert code == cli.EXIT_DATA
             captured = capsys.readouterr()
             assert f"fracsig: error: {label}: training set must contain at least 2 classes" in captured.err
@@ -1374,9 +1357,9 @@ class TestTrainCommand:
         feats = tmp_path / "features.jsonl"
         feats.write_text("".join(json.dumps(l) + "\n" for l in lines))
         out = tmp_path / "run"
-        for jobs in JOBS:
-            code = run("train", str(feats), "--folds", "10", "--epochs", "2",
-                       "--out-dir", str(out), "--jobs", jobs)
+        for cores in CORES:
+            code = run_on(cores, "train", str(feats), "--folds", "10", "--epochs", "2",
+                          "--out-dir", str(out))
             assert code == cli.EXIT_DATA
             captured = capsys.readouterr()
             assert "feature column 0" in captured.err
@@ -1391,10 +1374,10 @@ class TestTrainCommand:
             for i, sign in enumerate([-1.0, 1.0] * 5)
         ]
         feats.write_text("".join(json.dumps(l) + "\n" for l in lines))
-        for jobs in JOBS:
-            code = run(
-                "train", str(feats), "--folds", "10", "--epochs", "2",
-                "--out-dir", str(tmp_path / "run"), "--jobs", jobs,
+        for cores in CORES:
+            code = run_on(
+                cores, "train", str(feats), "--folds", "10", "--epochs", "2",
+                "--out-dir", str(tmp_path / "run"),
             )
             assert code == cli.EXIT_DATA
             assert "feature column 0" in capsys.readouterr().err

@@ -129,21 +129,6 @@ class TestCsvRoundTrip:
         write_record(rec, path)
         assert path.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("shape", [(3, 2400), (1, 2400), (3, 1), (1, 1)],
-                             ids=["blocks", "one-channel", "one-row", "one-cell"])
-    def test_bytes_match_per_value_repr_writer(self, tmp_path, shape):
-        values = [-0.0, 5e-324, 1e16, 1e-300, -1e308, 2.0, -3.0, 1e15, 0.1, 123456.789]
-        matrix = np.resize(values, shape[0] * shape[1]).reshape(shape[::-1]).T
-        rec = MultichannelRecord(matrix, tuple(f"c{i}" for i in range(shape[0])))
-        ref = tmp_path / "ref.csv"
-        with ref.open("w", newline="", encoding="utf-8") as fh:  # one repr per value
-            csv.writer(fh).writerow(rec.labels)
-            rows = rec.channels.T.tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
-        path = tmp_path / "rec.csv"
-        write_record(rec, path)
-        assert path.read_bytes() == ref.read_bytes()
-
     def test_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,oops\n")

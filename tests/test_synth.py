@@ -259,10 +259,10 @@ class TestStageCohort:
         # every run diverges at its first row, so record 2 gets 20 tries
         monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", 2 * 8 * 4 * 400)
         runs = _recording_runs(monkeypatch, lambda n, diverged: diverged if n == 2 else (0, 1))
-        records = synth._stage_cohort_records(6, 4, 0, 400)
-        assert [next(records).subject_id for _ in range(2)] == ["rec000", "rec001"]
+        batches = synth._stage_cohort_batches(6, 4, 0, 400)
+        assert [record.subject_id for record in next(batches)] == ["rec000", "rec001"]
         with pytest.raises(fracdyn.NumericalError, match="could not draw a stable jittered model"):
-            next(records)
+            next(batches)
         assert len(runs) == 2 + 20
         assert runs[1] == (2, None)  # the batch of records 0 and 1 did run
 
@@ -272,7 +272,7 @@ class TestStageCohort:
         with pytest.raises(ValueError, match=message):
             synth.synth_stage_cohort(n_records, 4, 0, n_samples=400)
         with pytest.raises(ValueError, match=message):
-            synth._stage_cohort_records(n_records, 4, 0, 400)  # not yet iterated
+            synth._stage_cohort_batches(n_records, 4, 0, 400)  # not yet iterated
 
 
 def _recording_runs(monkeypatch, outcome=lambda n, diverged: diverged):
