@@ -52,7 +52,6 @@ def extract_features(
     *,
     horizon: int = fracdyn.DEFAULT_HORIZON,
     ridge: float = fracdyn.DEFAULT_RIDGE,
-    alpha=None,
 ) -> np.ndarray:
     """Estimate per-channel orders, fit the coupling matrix, flatten it.
 
@@ -60,8 +59,8 @@ def extract_features(
     features.  Channels are z-scored before the coupling fit so feature
     magnitudes are comparable across subjects.  The per-channel orders
     come from one :func:`fracsig.fracdyn.estimate_alphas` call over every
-    channel; pass ``alpha`` to skip it.  A channel that cannot be
-    z-scored or fitted is named by its label.
+    channel.  A channel that cannot be z-scored or fitted is named by its
+    label.
     """
     X = record.channels
     constant = np.flatnonzero(np.ptp(X, axis=1) == 0)
@@ -70,11 +69,10 @@ def extract_features(
             f"channel {record.labels[constant[0]]!r} is constant; cannot z-score it"
         )
     X = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
-    if alpha is None:
-        try:
-            alpha = fracdyn.estimate_alphas(X)
-        except mfdfa.ZeroFluctuationError as exc:
-            raise exc.naming(record.labels) from None
+    try:
+        alpha = fracdyn.estimate_alphas(X)
+    except mfdfa.ZeroFluctuationError as exc:
+        raise exc.naming(record.labels) from None
     return fracdyn.estimate_coupling(X, alpha, horizon=horizon, ridge=ridge).ravel()
 
 

@@ -26,8 +26,8 @@ directory, and the parent keeps every random draw and the order of
 every output, so the outputs are byte-identical at any core count.  An
 item that raises stops the command with the error of the lowest failing
 item, the one a serial run meets first, and every output is left as it
-was.  A worker killed outright is named by the first item it had not
-reported, which need not be the item it was running.
+was.  A worker reports each item as it ends, so an item that kills its
+worker, or whose result cannot be sent back, is named itself.
 
 A config file passed with ``--config`` may set any flag default.  Its
 grammar is one ``key = value`` pair per line, ``#`` starts a comment,
@@ -151,99 +151,77 @@ def _outputs():
             shutil.rmtree(stage, ignore_errors=True)
 
 
-def _fork_map(fn, items, jobs, name):
-    """``[fn(item) for item in items]``, run in up to ``jobs`` forked workers.
+def _fork_map(fn, items, name):
+    """``[fn(item) for item in items]``, run in one forked worker per usable core.
 
-    Worker ``w`` runs items ``w, w + jobs, ...`` in order, stops at its
-    first exception and sends back ``(index, ok, value or exception)`` per
-    item as one pickled list; ``fn`` and the data it reads reach it through
-    the fork, not through pickling.  Results come in item order.  When
-    items fail, the exception of the lowest failing index is raised, the
-    one the serial loop would raise.  A worker that ends without
-    reporting an item (killed, or a value that does not pickle) raises
-    ``ChildProcessError`` naming ``name(item)`` of its first unreported
-    item; a worker reports once, at its end, so that need not be the item
-    it was running.  With ``jobs == 1`` or one item, nothing is forked.
+    Worker ``w`` of ``k`` runs items ``w, w + k, ...`` in order and, as each
+    ends, appends its pickled ``(ok, value or exception)`` to its own
+    unnamed temporary file; it stops at its first failure.  ``fn`` and the
+    data it reads reach it through the fork, not through pickling.  Results
+    come in item order.  When items fail, the exception of the lowest
+    failing index is raised, the one the serial loop would raise.  An item
+    whose outcome cannot be loaded, the one its worker was running when it
+    was killed or whose outcome does not pickle or unpickle, raises
+    ``ChildProcessError`` naming ``name(item)``.  On one core or for one
+    item, nothing is forked.
     """
     items = list(items)
-    jobs = min(jobs, len(items))
+    jobs = min(_usable_cores(), len(items))
     if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
     sys.stdout.flush()  # so that no worker inherits, and repeats, buffered output
     sys.stderr.flush()
-    workers, reports = [], []  # (pid, read end of its pipe); its outcomes
+    files, pids = [], []  # each worker's outcome file and process id
     try:
         for first in range(jobs):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
+            files.append(tempfile.TemporaryFile())
+            pid = os.fork()
             if pid == 0:
-                _work(fn, items, first, jobs, write)  # never returns
-            os.close(write)
-            workers.append((pid, read))
-        for _, read in workers:
-            chunks = []
-            while chunk := os.read(read, 1 << 16):
-                chunks.append(chunk)
-            try:
-                reports.append(pickle.loads(b"".join(chunks)))
-            except Exception:  # killed while sending, or a value that does not load
-                reports.append([])
+                _work(fn, items, first, jobs, files[-1])  # never returns
+            pids.append(pid)
     finally:
-        for pid, read in workers:
-            os.close(read)  # a worker still sending stops at a broken pipe
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     results, failures = [None] * len(items), {}
-    for first, (report, status) in enumerate(zip(reports, statuses)):
-        for i, ok, value in report:
-            if ok:
+    for first, (outcomes, status) in enumerate(zip(files, statuses)):
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            how = f"its worker process was killed by signal {-code} before reporting it"
+        elif code:
+            how = f"its worker process exited with status {code} before reporting it"
+        else:  # an outcome that did not pickle, or does not load
+            how = "its result could not be sent back from its worker process"
+        with outcomes:
+            outcomes.seek(0)
+            for i in range(first, len(items), jobs):
+                try:
+                    ok, value = pickle.load(outcomes)
+                except Exception:  # not written, written in part, or does not load
+                    failures[i] = ChildProcessError(f"{name(items[i])}: {how}")
+                    break
+                if not ok:
+                    failures[i] = value
+                    break
                 results[i] = value
-            else:
-                failures[i] = value
-        unreported = range(first, len(items), jobs)[len(report):]
-        stopped = report and not report[-1][1]  # at a failure of its own
-        if unreported and not stopped:
-            i = unreported[0]
-            code = os.waitstatus_to_exitcode(status)
-            if code < 0:
-                how = f"its worker process was killed by signal {-code} before reporting it"
-            elif code:
-                how = f"its worker process exited with status {code} before reporting it"
-            else:  # a value that does not pickle, or a report that does not load
-                how = "its result could not be sent back from its worker process"
-            failures[i] = ChildProcessError(f"{name(items[i])}: {how}")
     if failures:
         raise failures[min(failures)]
     return results
 
 
-def _work(fn, items, first, step, write) -> None:
+def _work(fn, items, first, step, outcomes) -> None:
     """Run ``items[first::step]`` in a forked worker of :func:`_fork_map`,
-    send the outcomes through the pipe end ``write`` and exit."""
-    status = 1
+    append each outcome to the file ``outcomes`` as it ends, and exit."""
     try:
-        outcomes = []
         for i in range(first, len(items), step):
             try:
-                outcomes.append((i, True, fn(items[i])))
+                ok, value = True, fn(items[i])
             except BaseException as exc:
-                outcomes.append((i, False, exc))
+                ok, value = False, exc
+            outcomes.write(pickle.dumps((ok, value)))  # an outcome that does not pickle ends it
+            outcomes.flush()
+            if not ok:
                 break
-        while True:
-            try:
-                data = pickle.dumps(outcomes)
-                break
-            except Exception:  # send what pickles; the parent names the first left out
-                outcomes.pop()
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
-        status = 0
     finally:
-        os._exit(status)  # never the parent's exit handlers or staging cleanup
+        os._exit(0)  # never the parent's exit handlers or staging cleanup
 
 
 def _write_text(path, text) -> None:
@@ -319,13 +297,13 @@ def _write_record_set(out_dir, batches, extra=lambda r: {}) -> int:
     ``batches`` is any iterable of lists of records.  Workers write each
     list before the next is asked for.  Returns the number of records.
     """
-    entries, jobs = [], _usable_cores()
+    entries = []
     with _outputs() as (_, folder):
         stage = folder(out_dir)
         for batch in batches:
             _fork_map(
                 lambda rec: records.write_record(rec, stage / f"{rec.subject_id}.csv"),
-                batch, jobs, name=lambda rec: Path(out_dir) / f"{rec.subject_id}.csv",
+                batch, name=lambda rec: Path(out_dir) / f"{rec.subject_id}.csv",
             )
             entries += [
                 records.ManifestEntry(
@@ -342,7 +320,7 @@ def _write_record_set(out_dir, batches, extra=lambda r: {}) -> int:
 def _cmd_synth_cohort(args) -> int:
     if args.per_class < 1:
         raise ValueError(f"--per-class must be at least 1, got {args.per_class}")
-    cohort = synth._stage_cohort_batches(  # streamed: one batch of records is held
+    cohort = synth._simulate_stage_cohort(  # streamed: one batch of records is held
         classify.N_STAGES * args.per_class, args.channels, args.seed, args.samples
     )
     written = _write_record_set(args.out_dir, cohort)
@@ -438,7 +416,7 @@ def _cmd_extract(args) -> int:
         return json.dumps(item, sort_keys=True) + "\n"
 
     # written only once every record has its features
-    lines = _fork_map(feature_line, entries, _usable_cores(), name=named)
+    lines = _fork_map(feature_line, entries, name=named)
     with _outputs() as (file, _):
         _write_text(file(args.out), "".join(lines))
     print(f"wrote {len(entries)} feature lines to {args.out}")
@@ -552,7 +530,7 @@ def _cmd_train(args) -> int:
         )
 
     accuracies, texts, lines = [], {}, []
-    outcomes = _fork_map(run_split, splits, _usable_cores(), name=lambda split: split[2])
+    outcomes = _fork_map(run_split, splits, name=lambda split: split[2])
     for (metrics_name, curve_name, *_), (accuracy, metrics, curve, line) in zip(splits, outcomes):
         accuracies.append(accuracy)
         texts[metrics_name] = metrics
@@ -628,20 +606,27 @@ def _cmd_viral(args) -> int:
     entries = records.load_manifest(args.manifest)
     cases = []
     for entry in entries:
+        named = f"{args.manifest}: subject {entry.subject_id!r}"
         for key in ("inoculation_index", "infected"):
             if key not in entry.extra:
-                raise records.RecordFormatError(
-                    f"{args.manifest}: subject {entry.subject_id!r} "
-                    f"missing field {key!r}"
-                )
-        record = records.load_record(entry.path)
-        cases.append(
-            viral.SubjectCase(
-                record.channels, record.labels, entry.subject_id,
-                inoculation_index=int(entry.extra["inoculation_index"]),
-                infected=bool(entry.extra["infected"]),
+                raise records.RecordFormatError(f"{named} missing field {key!r}")
+        index, infected = entry.extra["inoculation_index"], entry.extra["infected"]
+        if type(index) is not int:  # a JSON integer: not a float, a string or a bool
+            raise records.RecordFormatError(
+                f"{named}: inoculation_index {index!r} is not an integer"
             )
-        )
+        if type(infected) is not bool:
+            raise records.RecordFormatError(
+                f"{named}: infected {infected!r} is not a JSON boolean"
+            )
+        record = records.load_record(entry.path)
+        try:
+            cases.append(viral.SubjectCase(
+                record.channels, record.labels, entry.subject_id,
+                inoculation_index=index, infected=infected,
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{named}: {exc}") from None
     spec = viral.WindowSpec(args.window, args.stride)
     rows = viral.shift_sweep(cases, args.shifts, spec)
     with _outputs() as (file, _):

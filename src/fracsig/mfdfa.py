@@ -56,6 +56,9 @@ class ZeroFluctuationError(ValueError):
         self.row = row
         self.scale = scale
 
+    def __reduce__(self):  # rebuilt from its fields, as it travels from a worker process
+        return type(self), (self.row, self.scale)
+
     def naming(self, labels) -> ValueError:
         """The same error with its row named by its label in ``labels``."""
         return ValueError(

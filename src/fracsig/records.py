@@ -236,12 +236,10 @@ def load_manifest(path) -> list[ManifestEntry]:
                 raise RecordFormatError(f"{path}: entry {i} missing field {key!r}")
         stage = item.get("stage")
         if stage is not None:
-            try:
-                stage = int(stage)
-            except (TypeError, ValueError):
+            if type(stage) is not int:  # a JSON integer: not a float, a string or a bool
                 raise RecordFormatError(
-                    f"{path}: entry {i}: stage {item['stage']!r} is not an integer"
-                ) from None
+                    f"{path}: entry {i}: stage {stage!r} is not an integer"
+                )
             if stage not in range(N_STAGES):
                 raise RecordFormatError(
                     f"{path}: entry {i}: stage {stage} is not in 0..{N_STAGES - 1}"

@@ -298,21 +298,16 @@ def synth_stage_cohort(
     ``NumericalError``.  The command line writes the same records batch
     by batch, without holding the whole cohort.
     """
-    batches = _stage_cohort_batches(n_records, n_channels, seed, n_samples)
-    return [record for batch in batches for record in batch]
-
-
-def _stage_cohort_batches(n_records, n, seed, n_samples):
-    """Check ``n_records`` now and return an iterator over the records of
-    :func:`synth_stage_cohort`, one list per batch; the command line streams it."""
     if n_records < 1:
         raise ValueError(f"need at least one record, got n_records={n_records}")
-    return _simulate_stage_cohort(n_records, n, seed, n_samples)
+    batches = _simulate_stage_cohort(n_records, n_channels, seed, n_samples)
+    return [record for batch in batches for record in batch]
 
 
 def _simulate_stage_cohort(n_records, n, seed, n_samples):
     """Yield the records of :func:`synth_stage_cohort` in order, as one list
-    per batch once its simulation is final; one batch of trajectories is held."""
+    per batch once its simulation is final; one batch of trajectories is held.
+    The command line streams it, having checked ``n_records`` itself."""
     rng = np.random.default_rng(seed)
     draws = [
         _draw_stable(

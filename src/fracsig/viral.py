@@ -57,7 +57,10 @@ class SubjectCase(MultichannelRecord):
     def __post_init__(self):
         super().__post_init__()
         if not (0 < self.inoculation_index < self.n_samples):
-            raise ValueError("inoculation index must be strictly inside the record")
+            raise ValueError(
+                f"inoculation index {self.inoculation_index} is not strictly inside "
+                f"the record of {self.n_samples} samples"
+            )
 
 
 MIN_WINDOWS_PER_SIDE = 5

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsig import classify, cli, fracdyn, records, synth
+from fracsig import classify, cli, fracdyn, mfdfa, records, synth
 
 
 def run(*argv):
@@ -551,6 +551,38 @@ class TestViralCommand:
         code = run("viral", str(broken), "--out", str(sweep))
         assert code == cli.EXIT_DATA
         assert "infected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subject, key, value, named",
+        [
+            (3, "infected", "false", "infected 'false' is not a JSON boolean"),
+            (3, "infected", 0, "infected 0 is not a JSON boolean"),
+            (1, "inoculation_index", "x", "inoculation_index 'x' is not an integer"),
+            (1, "inoculation_index", 1199.7, "inoculation_index 1199.7 is not an integer"),
+            (1, "inoculation_index", True, "inoculation_index True is not an integer"),
+            (2, "inoculation_index", 2400,
+             "inoculation index 2400 is not strictly inside the record of 2400 samples"),
+        ],
+        ids=["infected-string", "infected-int", "index-string", "index-float", "index-bool",
+             "index-outside"],
+    )
+    def test_bad_manifest_field_names_subject(self, tmp_path, capsys, subject, key, value,
+                                              named):
+        out = tmp_path / "vir"
+        assert run(
+            "synth", "viral", "--subjects", "4", "--infected", "2",
+            "--side-samples", "1200", "--out-dir", str(out),
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[subject][key] = value
+        bad = out / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        sweep = tmp_path / "sweep.csv"
+        assert run("viral", str(bad), "--out", str(sweep)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"fracsig: error: {bad}: subject 'subj0{subject}': {named}\n"
+        )
+        assert not sweep.exists()
 
     def test_short_side_names_subject_and_shift(self, tmp_path, capsys):
         out = tmp_path / "vir"
@@ -1099,10 +1131,10 @@ class TestWorkers:
         _assert_no_child_left()
 
     @pytest.mark.parametrize("cores", [2, 3])
-    def test_killed_worker_names_its_first_unreported_item(self, tmp_path, capsys,
-                                                           monkeypatch, cores):
-        # a worker reports its items together at its end, so the one whose
-        # write kills it, rec002, is named only when it is the worker's first
+    def test_killed_worker_names_the_item_it_was_running(self, tmp_path, capsys,
+                                                         monkeypatch, cores):
+        # the write of rec002 kills its worker after that worker has reported
+        # its earlier items, if any; rec002 is named on any number of cores
         write_record = records.write_record
 
         def killed_at_rec002(record, path):
@@ -1116,9 +1148,8 @@ class TestWorkers:
                       "--samples", "400", "--out-dir", str(out))
         assert code == cli.EXIT_DATA
         captured = capsys.readouterr()
-        first = out / f"rec{2 % cores:03d}.csv"
-        assert captured.err == (f"fracsig: error: {first}: its worker process exited with "
-                                "status 9 before reporting it\n")
+        assert captured.err == (f"fracsig: error: {out / 'rec002.csv'}: its worker process "
+                                "exited with status 9 before reporting it\n")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # no --out-dir and no staging directory
         _assert_no_child_left()
@@ -1139,17 +1170,39 @@ def _square(x):
     return x * x
 
 
+def _not_loadable():
+    raise RuntimeError("cannot be rebuilt")
+
+
+class _PicklesButDoesNotLoad:
+    def __reduce__(self):
+        return _not_loadable, ()
+
+
 class TestForkMap:
-    """``cli._fork_map`` is ``[fn(item) for item in items]`` at every ``jobs``."""
+    """``cli._fork_map`` is ``[fn(item) for item in items]`` on any number of cores."""
+
+    @staticmethod
+    def _on(monkeypatch, cores):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_results_come_in_item_order(self, jobs):
-        assert cli._fork_map(_square, range(7), jobs, name=str) == [i * i for i in range(7)]
-        assert cli._fork_map(_square, [], jobs, name=str) == []
+    def test_results_come_in_item_order(self, monkeypatch, jobs):
+        self._on(monkeypatch, jobs)
+        assert cli._fork_map(_square, range(7), name=str) == [i * i for i in range(7)]
+        assert cli._fork_map(_square, [], name=str) == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_results_larger_than_a_pipe_buffer_come_back(self, monkeypatch, jobs):
+        # each worker sends several results of 1.5 MiB while the parent waits
+        self._on(monkeypatch, jobs)
+        results = cli._fork_map(lambda i: bytes([i]) * (3 << 19), range(7), name=str)
+        assert results == [bytes([i]) * (3 << 19) for i in range(7)]
         _assert_no_child_left()
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_lowest_failing_item_wins(self, jobs):
+    def test_lowest_failing_item_wins(self, monkeypatch, jobs):
         # item 1 fails late, items 2 and 4 at once; the serial loop meets 1 first
         def fn(i):
             if i == 1:
@@ -1158,18 +1211,47 @@ class TestForkMap:
                 raise ValueError(f"item {i}")
             return i
 
+        self._on(monkeypatch, jobs)
         with pytest.raises(ValueError, match="^item 1$"):
-            cli._fork_map(fn, range(6), jobs, name=str)
+            cli._fork_map(fn, range(6), name=str)
         _assert_no_child_left()
 
-    def test_value_that_cannot_be_sent_names_its_item(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_zero_fluctuation_error_comes_back_whole(self, monkeypatch, jobs):
+        # worker 0 runs items 0 and 2; item 2's error is the serial loop's
+        def fn(i):
+            if i == 2:
+                raise mfdfa.ZeroFluctuationError(3, 16)
+            return i
+
+        self._on(monkeypatch, jobs)
+        with pytest.raises(mfdfa.ZeroFluctuationError,
+                           match="^row 3: zero fluctuation in every window at scale 16$"):
+            cli._fork_map(fn, range(4), name=lambda i: f"item {i}")
+        _assert_no_child_left()
+
+    def test_value_that_cannot_be_sent_names_its_item(self, monkeypatch):
         # worker 0 runs items 0 and 2 and can send the result of 0 only
         def fn(i):
             return (lambda: i) if i == 2 else i
 
+        self._on(monkeypatch, 2)
         with pytest.raises(ChildProcessError,
                            match="^item 2: its result could not be sent back from its worker"):
-            cli._fork_map(fn, range(4), 2, name=lambda i: f"item {i}")
+            cli._fork_map(fn, range(4), name=lambda i: f"item {i}")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_value_that_does_not_load_names_its_item(self, monkeypatch, jobs):
+        # item 2 pickles but cannot be rebuilt; the results before it load,
+        # so neither item 0 nor its worker's other items are named
+        def fn(i):
+            return _PicklesButDoesNotLoad() if i == 2 else i
+
+        self._on(monkeypatch, jobs)
+        with pytest.raises(ChildProcessError,
+                           match="^item 2: its result could not be sent back from its worker"):
+            cli._fork_map(fn, range(6), name=lambda i: f"item {i}")
         _assert_no_child_left()
 
     def test_fork_is_not_called_for_one_job_or_one_item(self, monkeypatch):
@@ -1177,8 +1259,10 @@ class TestForkMap:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert cli._fork_map(_square, range(3), 1, name=str) == [0, 1, 4]
-        assert cli._fork_map(_square, [3], 2, name=str) == [9]
+        self._on(monkeypatch, 1)
+        assert cli._fork_map(_square, range(3), name=str) == [0, 1, 4]
+        self._on(monkeypatch, 2)
+        assert cli._fork_map(_square, [3], name=str) == [9]
 
 
 class TestFlagUsageErrors:

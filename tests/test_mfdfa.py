@@ -1,3 +1,4 @@
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -216,6 +217,13 @@ class TestDfaFailFast:
         message = "row 1: zero fluctuation in every window at scale 16"
         with pytest.raises(ValueError, match=message):
             mfdfa.dfa_exponents(X)
+
+    def test_zero_fluctuation_error_survives_pickling(self):
+        # a worker process sends its errors back pickled
+        error = pickle.loads(pickle.dumps(mfdfa.ZeroFluctuationError(3, 16)))
+        assert type(error) is mfdfa.ZeroFluctuationError
+        assert str(error) == "row 3: zero fluctuation in every window at scale 16"
+        assert (error.row, error.scale) == (3, 16)
 
     def test_nan_cell_names_row(self):
         X = np.random.default_rng(0).standard_normal((3, 1024))

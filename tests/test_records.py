@@ -323,7 +323,9 @@ class TestManifest:
         "stage, named",
         [('"x"', "entry 1: stage 'x' is not an integer"),
          ("7", "entry 1: stage 7 is not in 0..4"),
-         ("[1]", "entry 1: stage [1] is not an integer")],
+         ("[1]", "entry 1: stage [1] is not an integer"),
+         ("2.9", "entry 1: stage 2.9 is not an integer"),
+         ("true", "entry 1: stage True is not an integer")],
     )
     def test_bad_stage_names_entry(self, tmp_path, stage, named):
         path = tmp_path / "manifest.json"
