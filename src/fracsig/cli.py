@@ -6,7 +6,8 @@ early-detection sweep.  All outputs are plain CSV/JSON so plotting
 stays external.  Every command is deterministic under a fixed seed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure.
+failure.  Bad input exits 2 naming the file, the entry or line, and the
+field.
 
 Outputs.  A command builds all of its files in staging and moves them
 into place only once every one is built, so a failed command leaves
@@ -14,8 +15,8 @@ each output path as it was.  Each moved file is swapped whole and keeps
 the mode and owner of the file it replaces.  Written through in place
 are a device or a pipe (``--out /dev/null``), a file that cannot be
 swapped or whose owner cannot be kept, and a file in a directory where
-no staging directory can be made.  A run killed outright can leave a
-``.fracsig-stage.*`` directory behind.
+no staging directory can be made.  A ``.fracsig-stage.*`` directory
+that a killed run left is kept, and named by the next run staging there.
 
 Workers.  ``synth cohort``, ``synth viral``, ``extract`` and ``train``
 run their independent items, the record writes, the records or the
@@ -117,6 +118,8 @@ def _outputs():
     file and the directory to write an output directory's files into.
     Each output directory has one staging directory, in it or in its
     nearest existing ancestor, so each staged file can be swapped in.
+    Other staging directories found there, which a killed run may have
+    left, are named on stderr and kept.
     """
     stages = {}  # output directory -> its staging directory
 
@@ -125,6 +128,9 @@ def _outputs():
         if out_dir not in stages:
             home = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
             stages[out_dir] = Path(tempfile.mkdtemp(prefix=".fracsig-stage.", dir=home))
+            for old in sorted(home.glob(".fracsig-stage.*")):
+                if old.name not in {stage.name for stage in stages.values()}:
+                    print(f"fracsig: warning: {old}: another run's staging, kept", file=sys.stderr)
         return stages[out_dir]
 
     def file(path):
@@ -149,6 +155,21 @@ def _outputs():
     finally:
         for stage in stages.values():
             shutil.rmtree(stage, ignore_errors=True)
+
+
+@contextmanager
+def _naming(where, labels=None):
+    """Re-raise a ``ValueError`` or ``fracdyn.NumericalError`` of the block as
+    the same kind with ``where: `` in front.  Given the row ``labels``, a
+    ``ZeroFluctuationError`` names its row by its label."""
+    try:
+        yield
+    except fracdyn.NumericalError as exc:
+        raise fracdyn.NumericalError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        if labels is not None and isinstance(exc, mfdfa.ZeroFluctuationError):
+            exc = exc.naming(labels)
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _fork_map(fn, items, name):
@@ -364,10 +385,8 @@ def _cmd_mfdfa(args) -> int:
     )
     texts, lines = {}, []
     for label, samples in zip(record.labels, record.channels):
-        try:
+        with _naming(f"{args.record}: channel {label!r}"):
             sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
-        except ValueError as exc:
-            raise ValueError(f"{args.record}: channel {label!r}: {exc}") from None
         spectrum = mfdfa.hurst_spectrum(sf)
         diag = mfdfa.scaling_diagnostics(sf)
         payload = mfdfa.spectrum_to_dict(sf, spectrum)
@@ -401,12 +420,8 @@ def _cmd_extract(args) -> int:
         if entry.stage is None:
             raise ValueError(f"{named(entry)}: record is unlabeled")
         record = records.load_record(entry.path)
-        try:
+        with _naming(named(entry)):
             features = classify.extract_features(record, horizon=args.horizon, ridge=args.ridge)
-        except fracdyn.NumericalError as exc:
-            raise fracdyn.NumericalError(f"{named(entry)}: {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{named(entry)}: {exc}") from None
         item = {
             "subject_id": entry.subject_id,
             "institution": entry.institution,
@@ -441,33 +456,20 @@ def _load_features(path):
                 raise records.RecordFormatError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(item, dict):
                 raise records.RecordFormatError(f"{where}: not a JSON object")
-            for key in ("features", "stage"):
-                if key not in item:
-                    raise records.RecordFormatError(f"{where}: missing field {key!r}")
-            try:
-                features = np.asarray(item["features"], dtype=float).ravel()
-                stage = int(item["stage"])
-            except (TypeError, ValueError) as exc:
-                raise records.RecordFormatError(f"{where}: {exc}") from None
-            if not np.isfinite(features).all():
+            rows.append(records._json_value(item, "features", list, where))
+            stages.append(records._json_stage(item, where))
+            institutions.append(records._json_value(item, "institution", str, where, default=""))
+            if not np.isfinite(rows[-1]).all():
                 raise records.RecordFormatError(f"{where}: features must be finite")
-            if stage not in range(classify.N_STAGES):
-                raise records.RecordFormatError(
-                    f"{where}: stage must be in 0..{classify.N_STAGES - 1}"
-                )
-            if not rows:
+            if len(rows) == 1:
                 first_line = lineno
-            elif features.size != rows[0].size:
+            elif len(rows[-1]) != len(rows[0]):
                 raise records.RecordFormatError(
-                    f"{where}: {features.size} features, "
-                    f"but line {first_line} has {rows[0].size}"
+                    f"{where}: {len(rows[-1])} features, but line {first_line} has {len(rows[0])}"
                 )
-            rows.append(features)
-            stages.append(stage)
-            institutions.append(str(item.get("institution", "")))
     if not rows:
         raise records.RecordFormatError(f"{path}: no feature lines")
-    return np.stack(rows), np.array(stages), institutions
+    return np.array(rows, dtype=float), np.array(stages), institutions
 
 
 # ---------------------------------------------------------------- train
@@ -500,10 +502,8 @@ def _cmd_train(args) -> int:
     )
     splits = list(_train_splits(args, y, institutions))
     for _, _, label, train, _ in splits:
-        try:
+        with _naming(label):
             classify._check_classes(y[train])
-        except ValueError as exc:
-            raise ValueError(f"{label}: {exc}") from None
 
     def run_split(split):
         """The split's accuracy, metrics file text, curve file text and stdout line."""
@@ -571,9 +571,8 @@ def _cmd_convergence(args) -> int:
             "need a finite step that rounds to at least 1 sample"
         )
     record = records.load_record(args.record)
-    named = f"{args.record}: "
     alpha = args.alpha
-    try:
+    with _naming(args.record, record.labels):
         if alpha is None:
             alpha = fracdyn.estimate_alphas(record.channels)
         elif len(alpha) != record.n_channels:
@@ -582,12 +581,6 @@ def _cmd_convergence(args) -> int:
             record.channels, np.asarray(alpha), int(round(samples)),
             horizon=args.horizon, ridge=args.ridge,
         )
-    except mfdfa.ZeroFluctuationError as exc:
-        raise ValueError(f"{named}{exc.naming(record.labels)}") from None
-    except fracdyn.NumericalError as exc:
-        raise fracdyn.NumericalError(f"{named}{exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{named}{exc}") from None
     times = lengths / args.rate
     with _outputs() as (file, _):
         _write_text(file(args.out), _csv_text(("time_s", "wasserstein"), zip(times, dists)))
@@ -607,26 +600,14 @@ def _cmd_viral(args) -> int:
     cases = []
     for entry in entries:
         named = f"{args.manifest}: subject {entry.subject_id!r}"
-        for key in ("inoculation_index", "infected"):
-            if key not in entry.extra:
-                raise records.RecordFormatError(f"{named} missing field {key!r}")
-        index, infected = entry.extra["inoculation_index"], entry.extra["infected"]
-        if type(index) is not int:  # a JSON integer: not a float, a string or a bool
-            raise records.RecordFormatError(
-                f"{named}: inoculation_index {index!r} is not an integer"
-            )
-        if type(infected) is not bool:
-            raise records.RecordFormatError(
-                f"{named}: infected {infected!r} is not a JSON boolean"
-            )
+        index = records._json_value(entry.extra, "inoculation_index", int, named)
+        infected = records._json_value(entry.extra, "infected", bool, named)
         record = records.load_record(entry.path)
-        try:
+        with _naming(named):
             cases.append(viral.SubjectCase(
                 record.channels, record.labels, entry.subject_id,
                 inoculation_index=index, infected=infected,
             ))
-        except ValueError as exc:
-            raise ValueError(f"{named}: {exc}") from None
     spec = viral.WindowSpec(args.window, args.stride)
     rows = viral.shift_sweep(cases, args.shifts, spec)
     with _outputs() as (file, _):

@@ -211,13 +211,43 @@ class ManifestEntry:
     extra: dict = field(default_factory=dict)
 
 
-_MANIFEST_REQUIRED = ("path", "subject_id")
+_REQUIRED = object()
+_KINDS = {str: "a string", int: "an integer", bool: "a JSON boolean", list: "an array"}
+
+
+def _json_value(item: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """``item[key]`` if it is of the JSON ``kind``, or ``default`` if absent.
+
+    ``kind`` is ``str``, ``int`` (not a bool or a float), ``bool`` or ``list``
+    (of numbers, not bools).  A :class:`RecordFormatError` after ``where``
+    names the missing field, or the field and its value or first bad element.
+    """
+    if key not in item:
+        if default is _REQUIRED:
+            raise RecordFormatError(f"{where}: missing field {key!r}")
+        return default
+    value = item[key]
+    if type(value) is not kind:
+        raise RecordFormatError(f"{where}: {key} {value!r} is not {_KINDS[kind]}")
+    for i, element in enumerate(value if kind is list else ()):
+        if type(element) not in (int, float):
+            raise RecordFormatError(f"{where}: {key}[{i}] {element!r} is not a number")
+    return value
+
+
+def _json_stage(item: dict, where: str) -> int:
+    """The field ``stage`` of ``item``: an integer in 0..N_STAGES - 1."""
+    stage = _json_value(item, "stage", int, where)
+    if stage not in range(N_STAGES):
+        raise RecordFormatError(f"{where}: stage {stage} is not in 0..{N_STAGES - 1}")
+    return stage
 
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a JSON manifest: array of {path, subject_id, institution, stage}.
 
-    Paths are resolved relative to the manifest's directory.
+    Paths, resolved relative to the manifest's directory, subject ids and
+    institutions are strings; a stage is an integer in 0..4, null or absent.
     """
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
@@ -229,29 +259,16 @@ def load_manifest(path) -> list[ManifestEntry]:
         raise RecordFormatError(f"{path}: manifest must be a JSON array")
     entries = []
     for i, item in enumerate(raw):
+        where = f"{path}: entry {i}"
         if not isinstance(item, dict):
-            raise RecordFormatError(f"{path}: entry {i} is not an object")
-        for key in _MANIFEST_REQUIRED:
-            if key not in item:
-                raise RecordFormatError(f"{path}: entry {i} missing field {key!r}")
-        stage = item.get("stage")
-        if stage is not None:
-            if type(stage) is not int:  # a JSON integer: not a float, a string or a bool
-                raise RecordFormatError(
-                    f"{path}: entry {i}: stage {stage!r} is not an integer"
-                )
-            if stage not in range(N_STAGES):
-                raise RecordFormatError(
-                    f"{path}: entry {i}: stage {stage} is not in 0..{N_STAGES - 1}"
-                )
-        rec_path = str((path.parent / item["path"]).resolve())
+            raise RecordFormatError(f"{where} is not an object")
         known = {"path", "subject_id", "institution", "stage"}
         entries.append(
             ManifestEntry(
-                path=rec_path,
-                subject_id=str(item["subject_id"]),
-                institution=str(item.get("institution", "")),
-                stage=stage,
+                path=str((path.parent / _json_value(item, "path", str, where)).resolve()),
+                subject_id=_json_value(item, "subject_id", str, where),
+                institution=_json_value(item, "institution", str, where, default=""),
+                stage=None if item.get("stage") is None else _json_stage(item, where),
                 extra={k: v for k, v in item.items() if k not in known},
             )
         )

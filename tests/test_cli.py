@@ -1,7 +1,10 @@
 import errno
 import json
 import os
+import signal
 import stat
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -421,6 +424,20 @@ class TestPipelineCommands:
         assert f"fracsig: error: {rec}: {named}" in err
         assert "row 2" not in err
         assert not curve.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "viral"])
+    def test_non_string_manifest_path_names_entry(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            '[{"path": "a.csv", "subject_id": "a"}, {"path": 5, "subject_id": "b"}]'
+        )
+        out = tmp_path / "out"
+        for cores in CORES:
+            assert run_on(cores, command, str(manifest), "--out", str(out)) == cli.EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"fracsig: error: {manifest}: entry 1: path 5 is not a string\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "stage, named",
@@ -1081,6 +1098,34 @@ class TestFaultInjection:
             assert _tree(out) == {**clean, "own.txt": b"own\n"}, k
         assert list(tmp_path.rglob(".*")) == []
 
+    def test_next_run_names_and_keeps_what_a_killed_run_staged(self, tmp_path, capsys):
+        argv = ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400"]
+        assert run(*argv, "--out-dir", str(tmp_path / "clean")) == cli.EXIT_OK
+        out = tmp_path / "out"
+        out.mkdir()  # so that the killed run stages inside it
+        script = (
+            "import os, signal, sys\n"
+            "from fracsig import cli\n"
+            "cli._place = lambda staged, path: os.kill(os.getpid(), signal.SIGKILL)\n"
+            f"sys.exit(cli.main({argv + ['--out-dir', str(out)]!r}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        killed = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                timeout=120)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        (stale,) = out.iterdir()  # every file staged, none moved
+        left = _tree(stale)
+        assert len(left) == 6
+        capsys.readouterr()
+        assert run(*argv, "--out-dir", str(out)) == cli.EXIT_OK
+        assert capsys.readouterr() == (
+            f"wrote 5 records to {out}\n",
+            f"fracsig: warning: {stale}: another run's staging, kept\n",
+        )
+        assert _tree(stale) == left
+        new = {k: v for k, v in _tree(out).items() if not k.startswith(stale.name)}
+        assert new == _tree(tmp_path / "clean")
+
 
 class TestWorkers:
     """A command gives the same outputs, message and exit code on any number of cores."""
@@ -1374,18 +1419,33 @@ class TestTrainCommand:
             ("\n" + _feature_lines(widths=[3, 3, 2, 3]), [],
              "line 4: 2 features, but line 2 has 3"),
             (_feature_lines() + '{"features": [0.1, "abc", 0.3], "stage": 1}\n', [],
-             "features.jsonl: line 11: could not convert string to float: 'abc'"),
+             "features.jsonl: line 11: features[1] 'abc' is not a number"),
             (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": 9}\n', [],
-             "features.jsonl: line 11: stage must be in 0..4"),
+             "features.jsonl: line 11: stage 9 is not in 0..4"),
             (_feature_lines() + "5\n", [], "features.jsonl: line 11: not a JSON object"),
             (_feature_lines() + '{"features": [0.1, NaN, 0.3], "stage": 1}\n', [],
              "features.jsonl: line 11: features must be finite"),
             (_feature_lines(institutions=("site-a", "site/b")), ["--mode", "holdout"],
              "features.jsonl: institution 'site/b' cannot be part of an output file name"),
+            (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": true}\n', [],
+             "features.jsonl: line 11: stage True is not an integer"),
+            (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": 0.9}\n', [],
+             "features.jsonl: line 11: stage 0.9 is not an integer"),
+            (_feature_lines() + '{"features": [0.1, "2", 0.3], "stage": 1}\n', [],
+             "features.jsonl: line 11: features[1] '2' is not a number"),
+            (_feature_lines() + '{"features": [true, 3, 0.3], "stage": 1}\n', [],
+             "features.jsonl: line 11: features[0] True is not a number"),
+            (_feature_lines() + '{"features": "12", "stage": 1}\n', [],
+             "features.jsonl: line 11: features '12' is not an array"),
+            (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": 1, "institution": ["a"]}\n',
+             [], "features.jsonl: line 11: institution ['a'] is not a string"),
+            (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": 1, "institution": null}\n',
+             [], "features.jsonl: line 11: institution None is not a string"),
         ],
         ids=["one-fold", "zero-folds", "one-institution", "ragged-features",
              "non-numeric-feature", "stage-out-of-range", "not-an-object", "nan-feature",
-             "institution-with-slash"],
+             "institution-with-slash", "stage-bool", "stage-float", "string-feature",
+             "bool-feature", "features-not-an-array", "institution-list", "institution-null"],
     )
     def test_bad_training_input_fails_fast(self, tmp_path, capsys, text, argv, named):
         feats = tmp_path / "features.jsonl"

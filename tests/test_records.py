@@ -337,6 +337,35 @@ class TestManifest:
             load_manifest(path)
         assert str(info.value) == f"{path}: {named}"
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("path", "5", "entry 1: path 5 is not a string"),
+         ("path", "null", "entry 1: path None is not a string"),
+         ("subject_id", '["a"]', "entry 1: subject_id ['a'] is not a string"),
+         ("subject_id", "null", "entry 1: subject_id None is not a string"),
+         ("institution", '["a"]', "entry 1: institution ['a'] is not a string"),
+         ("institution", "null", "entry 1: institution None is not a string"),
+         ("path", None, "entry 1: missing field 'path'")],
+        ids=["path-int", "path-null", "subject-list", "subject-null", "institution-list",
+             "institution-null", "path-missing"],
+    )
+    def test_bad_field_names_entry(self, tmp_path, field, value, named):
+        fields = {"path": '"b.csv"', "subject_id": '"b"', "institution": '"x"', field: value}
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            '[{"path": "a.csv", "subject_id": "a"}, {'
+            + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None)
+            + "}]"
+        )
+        with pytest.raises(RecordFormatError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: {named}"
+
+    def test_null_stage_is_unlabeled(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"path": "a.csv", "subject_id": "a", "stage": null}]')
+        assert load_manifest(path)[0].stage is None
+
     def test_non_array(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{}")
