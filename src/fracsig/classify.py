@@ -282,12 +282,14 @@ def _check_classes(y) -> None:
         raise ValueError("training set must contain at least 2 classes")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below, not a warning
 def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_classes=N_STAGES):
     """Mini-batch rmsprop training; returns (params, history).
 
     ``history`` holds per-epoch mean training loss and accuracy.
-    Deterministic under a fixed config seed.  NaN loss aborts with the
-    epoch index.
+    Deterministic under a fixed config seed.  A NaN loss, or an epoch
+    that ends with a non-finite parameter or training output, raises
+    ``fracdyn.NumericalError`` with the epoch index.
     """
     cfg = cfg or TrainConfig()
     X = np.asarray(X, dtype=float)
@@ -319,19 +321,25 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
             g *= cfg.learning_rate
             g /= work
             flat -= g
-        preds = mlp_predict(params, X).argmax(axis=1)
+        probs = mlp_predict(params, X)
+        if not (np.isfinite(flat).all() and np.isfinite(probs).all()):
+            raise fracdyn.NumericalError(
+                f"training diverged at epoch {epoch}; lower the learning rate"
+            )
         history["loss"].append(float(np.mean(losses)))
-        history["accuracy"].append(float(np.mean(preds == y)))
+        history["accuracy"].append(float(np.mean(probs.argmax(axis=1) == y)))
     return params, history
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below, not a warning
 def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
     """Multinomial softmax regression by full-batch gradient descent.
 
     The model is a network with no hidden layer, started at zero, so
     :func:`mlp_predict` applies it.  ``l2`` penalises the weights, not
     the biases.  Returns (params, loss_history).  The loss is convex; a
-    diverging sequence raises with advice to lower the learning rate.
+    loss that is not finite or grows tenfold, after any update the last
+    included, raises with advice to lower the learning rate.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
@@ -341,17 +349,18 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
     params = MLPParams((X.shape[1], n_classes))
     flat, (W,) = params.flat, params.weights
     history = []
-    for epoch in range(epochs):
+    for epoch in range(epochs + 1):  # the extra pass checks the last update
         loss, grad = mlp_gradients(params, X, y)
         loss += 0.5 * l2 * np.sum(W**2)
         if not np.isfinite(loss) or (history and loss > history[0] * 10):
             raise fracdyn.NumericalError(
                 f"logistic training diverged at epoch {epoch}; lower lr"
             )
+        if epoch == epochs:
+            return params, history
         history.append(float(loss))
         grad.weights[0][...] += l2 * W
         flat -= lr * grad.flat
-    return params, history
 
 
 def kfold(n: int, k: int = 5, seed: int = 0):

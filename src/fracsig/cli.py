@@ -15,20 +15,29 @@ each output path as it was.  Each moved file is swapped whole and keeps
 the mode and owner of the file it replaces.  Written through in place
 are a device or a pipe (``--out /dev/null``), a file that cannot be
 swapped or whose owner cannot be kept, and a file in a directory where
-no staging directory can be made.  A ``.fracsig-stage.*`` directory
-that a killed run left is kept, and named by the next run staging there.
+no staging directory can be made.  The commands that read input files
+(``mfdfa``, ``extract``, ``train``, ``convergence``, ``viral``) make
+their staging once their flags and input are read and before they
+compute, so an output path that cannot be staged fails before any work,
+and then write each output into staging as it is made.  Their staging
+directory thus exists while they compute: a run killed then leaves its
+``.fracsig-stage.*`` directory, as one killed while ``synth cohort``
+writes does.  Such a directory is kept, and named by the next run
+staging there.
 
 Workers.  ``synth cohort``, ``synth viral``, ``extract`` and ``train``
 run their independent items, the record writes, the records or the
 folds and held-out sites, in one forked worker process per core the
 process may use (``taskset -c 0`` gives one core: the serial path, all
 in this process).  Workers write into the command's one staging
-directory, and the parent keeps every random draw and the order of
-every output, so the outputs are byte-identical at any core count.  An
-item that raises stops the command with the error of the lowest failing
-item, the one a serial run meets first, and every output is left as it
-was.  A worker reports each item as it ends, so an item that kills its
-worker, or whose result cannot be sent back, is named itself.
+directory, each ``train`` worker its split's metrics and curve files,
+and the parent keeps every random draw and the order of every output,
+so the outputs are byte-identical at any core count.  An item that
+raises stops the command with the error of the lowest failing item, the
+one a serial run meets first, named by its record, fold or site, and
+every output is left as it was.  A worker reports each item as it
+ends, so an item that kills its worker, or whose result cannot be sent
+back, is named itself.
 
 A config file passed with ``--config`` may set any flag default.  Its
 grammar is one ``key = value`` pair per line, ``#`` starts a comment,
@@ -41,7 +50,6 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import io
 import json
 import os
 import pickle
@@ -73,16 +81,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_text(path, text) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _place(staged, path) -> None:
@@ -245,10 +254,6 @@ def _work(fn, items, first, step, outcomes) -> None:
         os._exit(0)  # never the parent's exit handlers or staging cleanup
 
 
-def _write_text(path, text) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
-
-
 def _check_file_part(name, what, where) -> None:
     """Reject ``name``, read from ``where``, if it cannot be part of a file name."""
     if any(c in name for c in {"/", os.sep, "\0"}):
@@ -370,38 +375,35 @@ def _cmd_synth_viral(args) -> int:
 
 
 def _cmd_mfdfa(args) -> int:
-    record = records.load_record(args.record)
-    for label in record.labels:
-        _check_file_part(label, "channel label", args.record)
-    scale_grid = args.scales
-    if args.dyadic:
-        scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
-    cfg = mfdfa.MfdfaConfig(
-        q_grid=args.q,
-        scale_grid=scale_grid,
-        detrend_order=args.detrend_order,
-        q_zero_mode=args.q_zero_mode,
-        both_ends=args.both_ends,
-    )
-    texts, lines = {}, []
-    for label, samples in zip(record.labels, record.channels):
-        with _naming(f"{args.record}: channel {label!r}"):
-            sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
-        spectrum = mfdfa.hurst_spectrum(sf)
-        diag = mfdfa.scaling_diagnostics(sf)
-        payload = mfdfa.spectrum_to_dict(sf, spectrum)
-        payload["std_across_q"] = [float(v) for v in diag.std_across_q]
-        payload["std_across_s"] = [float(v) for v in diag.std_across_s]
-        texts[f"spectrum_{label}.json"] = _json_text(payload)
-        logs = np.log2(sf.scale_grid.astype(float))
-        for q, values in zip(sf.q_grid, sf.values):
-            texts[f"sf_{label}_q{q:g}.csv"] = _csv_text(
-                ("log2_s", "log2_sf"), zip(logs, np.log2(values))
-            )
-        lines.append(f"{label}: focus spread {payload['focus_spread']:.4f}")
     with _outputs() as (_, folder):
-        for name, text in texts.items():
-            _write_text(folder(args.out_dir) / name, text)
+        record = records.load_record(args.record)
+        for label in record.labels:
+            _check_file_part(label, "channel label", args.record)
+        scale_grid = args.scales
+        if args.dyadic:
+            scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
+        cfg = mfdfa.MfdfaConfig(
+            q_grid=args.q,
+            scale_grid=scale_grid,
+            detrend_order=args.detrend_order,
+            q_zero_mode=args.q_zero_mode,
+            both_ends=args.both_ends,
+        )
+        stage, lines = folder(args.out_dir), []
+        for label, samples in zip(record.labels, record.channels):
+            with _naming(f"{args.record}: channel {label!r}"):
+                sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
+            spectrum = mfdfa.hurst_spectrum(sf)
+            diag = mfdfa.scaling_diagnostics(sf)
+            payload = mfdfa.spectrum_to_dict(sf, spectrum)
+            payload["std_across_q"] = [float(v) for v in diag.std_across_q]
+            payload["std_across_s"] = [float(v) for v in diag.std_across_s]
+            _write_json(stage / f"spectrum_{label}.json", payload)
+            logs = np.log2(sf.scale_grid.astype(float))
+            for q, values in zip(sf.q_grid, sf.values):
+                _write_csv(stage / f"sf_{label}_q{q:g}.csv", ("log2_s", "log2_sf"),
+                           zip(logs, np.log2(values)))
+            lines.append(f"{label}: focus spread {payload['focus_spread']:.4f}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -410,9 +412,6 @@ def _cmd_mfdfa(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    fracdyn.check_fit_params(args.horizon, args.ridge)
-    entries = records.load_manifest(args.manifest)
-
     def named(entry):
         return f"{entry.path}: subject {entry.subject_id!r}"
 
@@ -430,10 +429,11 @@ def _cmd_extract(args) -> int:
         }
         return json.dumps(item, sort_keys=True) + "\n"
 
-    # written only once every record has its features
-    lines = _fork_map(feature_line, entries, name=named)
     with _outputs() as (file, _):
-        _write_text(file(args.out), "".join(lines))
+        fracdyn.check_fit_params(args.horizon, args.ridge)
+        entries = records.load_manifest(args.manifest)
+        out = file(args.out)
+        _write_text(out, "".join(_fork_map(feature_line, entries, name=named)))
     print(f"wrote {len(entries)} feature lines to {args.out}")
     return EXIT_OK
 
@@ -452,14 +452,14 @@ def _load_features(path):
             where = f"{path}: line {lineno}"
             try:
                 item = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer over Python's digit limit
                 raise records.RecordFormatError(f"{where}: invalid JSON: {exc}") from None
             if not isinstance(item, dict):
                 raise records.RecordFormatError(f"{where}: not a JSON object")
             rows.append(records._json_value(item, "features", list, where))
             stages.append(records._json_stage(item, where))
             institutions.append(records._json_value(item, "institution", str, where, default=""))
-            if not np.isfinite(rows[-1]).all():
+            if not all(abs(v) <= sys.float_info.max for v in rows[-1]):  # NaN, inf, 10**400
                 raise records.RecordFormatError(f"{where}: features must be finite")
             if len(rows) == 1:
                 first_line = lineno
@@ -488,66 +488,57 @@ def _train_splits(args, stages, institutions):
 
 
 def _cmd_train(args) -> int:
-    X, y, institutions = _load_features(args.features)
-    if args.mode == "holdout":
-        for name in institutions:
-            _check_file_part(name, "institution", args.features)
-    lr = args.learning_rate  # None keeps each model's own default step size
-    cfg = classify.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        dropout_rate=args.dropout,
-        seed=args.seed,
-        **({} if lr is None else {"learning_rate": lr}),
-    )
-    splits = list(_train_splits(args, y, institutions))
-    for _, _, label, train, _ in splits:
-        with _naming(label):
-            classify._check_classes(y[train])
-
-    def run_split(split):
-        """The split's accuracy, metrics file text, curve file text and stdout line."""
-        _, _, label, train, test = split
-        scaler = classify.MinMaxScaler()
-        Xtr = scaler.fit_transform(X[train])
-        Xte = scaler.transform(X[test])
-        ytr = y[train]
-        if args.model == "mlp":
-            params, history = classify.mlp_train(Xtr, ytr, cfg)
-        else:
-            params, losses = classify.logistic_train(
-                Xtr, ytr, epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
-            )
-            history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
-        probs = classify.mlp_predict(params, Xte)
-        metrics = classify.evaluate(y[test], probs)
-        rows = zip(count(), history["loss"], history["accuracy"])
-        return (
-            metrics.accuracy,
-            _json_text(metrics.to_dict()),
-            _csv_text(("epoch", "loss", "accuracy"), rows),
-            f"{label}: accuracy {metrics.accuracy:.4f}",
-        )
-
-    accuracies, texts, lines = [], {}, []
-    outcomes = _fork_map(run_split, splits, name=lambda split: split[2])
-    for (metrics_name, curve_name, *_), (accuracy, metrics, curve, line) in zip(splits, outcomes):
-        accuracies.append(accuracy)
-        texts[metrics_name] = metrics
-        texts[curve_name] = curve
-        lines.append(line)
-    summary = {
-        "mode": args.mode,
-        "model": args.model,
-        "accuracy_mean": float(np.mean(accuracies)),
-        "accuracy_std": float(np.std(accuracies)),
-        "n_evaluations": len(accuracies),
-    }
-    texts["summary.json"] = _json_text(summary)
     with _outputs() as (_, folder):
-        for name, text in texts.items():
-            _write_text(folder(args.out_dir) / name, text)
-    print("\n".join(lines))
+        X, y, institutions = _load_features(args.features)
+        if args.mode == "holdout":
+            for name in institutions:
+                _check_file_part(name, "institution", args.features)
+        lr = args.learning_rate  # None keeps each model's own default step size
+        cfg = classify.TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            dropout_rate=args.dropout,
+            seed=args.seed,
+            **({} if lr is None else {"learning_rate": lr}),
+        )
+        splits = list(_train_splits(args, y, institutions))
+        for _, _, label, train, _ in splits:
+            with _naming(label):
+                classify._check_classes(y[train])
+        stage = folder(args.out_dir)
+
+        def run_split(split):
+            """Write the split's metrics and curve files into ``stage``; its accuracy."""
+            metrics_name, curve_name, label, train, test = split
+            with _naming(label):
+                scaler = classify.MinMaxScaler()
+                Xtr = scaler.fit_transform(X[train])
+                Xte = scaler.transform(X[test])
+                ytr = y[train]
+                if args.model == "mlp":
+                    params, history = classify.mlp_train(Xtr, ytr, cfg)
+                else:
+                    params, losses = classify.logistic_train(
+                        Xtr, ytr, epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
+                    )
+                    history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
+                metrics = classify.evaluate(y[test], classify.mlp_predict(params, Xte))
+            _write_json(stage / metrics_name, metrics.to_dict())
+            _write_csv(stage / curve_name, ("epoch", "loss", "accuracy"),
+                       zip(count(), history["loss"], history["accuracy"]))
+            return metrics.accuracy
+
+        accuracies = _fork_map(run_split, splits, name=lambda split: split[2])
+        summary = {
+            "mode": args.mode,
+            "model": args.model,
+            "accuracy_mean": float(np.mean(accuracies)),
+            "accuracy_std": float(np.std(accuracies)),
+            "n_evaluations": len(accuracies),
+        }
+        _write_json(stage / "summary.json", summary)
+    for (_, _, label, _, _), accuracy in zip(splits, accuracies):
+        print(f"{label}: accuracy {accuracy:.4f}")
     print(
         f"{args.mode} {args.model}: accuracy "
         f"{summary['accuracy_mean']:.4f} +/- {summary['accuracy_std']:.4f}"
@@ -559,31 +550,33 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    if not 0 < args.rate < np.inf:
-        raise ValueError(f"--rate must be positive and finite, got {args.rate:g}")
-    if not 0 <= args.threshold < np.inf:
-        raise ValueError(f"--threshold must be finite and nonnegative, got {args.threshold:g}")
-    fracdyn.check_fit_params(args.horizon, args.ridge)
-    samples = args.step_seconds * args.rate
-    if not (np.isfinite(samples) and round(samples) >= 1):
-        raise ValueError(
-            f"step of {args.step_seconds:g} s at {args.rate:g} Hz is {samples:g} samples; "
-            "need a finite step that rounds to at least 1 sample"
-        )
-    record = records.load_record(args.record)
-    alpha = args.alpha
-    with _naming(args.record, record.labels):
-        if alpha is None:
-            alpha = fracdyn.estimate_alphas(record.channels)
-        elif len(alpha) != record.n_channels:
-            raise ValueError(f"got {len(alpha)} alpha values for {record.n_channels} channels")
-        lengths, dists = fracdyn.coupling_convergence(
-            record.channels, np.asarray(alpha), int(round(samples)),
-            horizon=args.horizon, ridge=args.ridge,
-        )
-    times = lengths / args.rate
     with _outputs() as (file, _):
-        _write_text(file(args.out), _csv_text(("time_s", "wasserstein"), zip(times, dists)))
+        if not 0 < args.rate < np.inf:
+            raise ValueError(f"--rate must be positive and finite, got {args.rate:g}")
+        if not 0 <= args.threshold < np.inf:
+            raise ValueError(
+                f"--threshold must be finite and nonnegative, got {args.threshold:g}"
+            )
+        fracdyn.check_fit_params(args.horizon, args.ridge)
+        samples = args.step_seconds * args.rate
+        if not (np.isfinite(samples) and round(samples) >= 1):
+            raise ValueError(
+                f"step of {args.step_seconds:g} s at {args.rate:g} Hz is {samples:g} samples; "
+                "need a finite step that rounds to at least 1 sample"
+            )
+        record = records.load_record(args.record)
+        out, alpha = file(args.out), args.alpha
+        with _naming(args.record, record.labels):
+            if alpha is None:
+                alpha = fracdyn.estimate_alphas(record.channels)
+            elif len(alpha) != record.n_channels:
+                raise ValueError(f"got {len(alpha)} alpha values for {record.n_channels} channels")
+            lengths, dists = fracdyn.coupling_convergence(
+                record.channels, np.asarray(alpha), int(round(samples)),
+                horizon=args.horizon, ridge=args.ridge,
+            )
+        times = lengths / args.rate
+        _write_csv(out, ("time_s", "wasserstein"), zip(times, dists))
     below = bool(dists[-1] < args.threshold)
     print(
         f"final distance {dists[-1]:.6f} at {times[-1]:g} s; "
@@ -596,22 +589,22 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_viral(args) -> int:
-    entries = records.load_manifest(args.manifest)
-    cases = []
-    for entry in entries:
-        named = f"{args.manifest}: subject {entry.subject_id!r}"
-        index = records._json_value(entry.extra, "inoculation_index", int, named)
-        infected = records._json_value(entry.extra, "infected", bool, named)
-        record = records.load_record(entry.path)
-        with _naming(named):
-            cases.append(viral.SubjectCase(
-                record.channels, record.labels, entry.subject_id,
-                inoculation_index=index, infected=infected,
-            ))
-    spec = viral.WindowSpec(args.window, args.stride)
-    rows = viral.shift_sweep(cases, args.shifts, spec)
     with _outputs() as (file, _):
-        _write_text(file(args.out), _csv_text(("shift", "type_one", "type_two"), rows))
+        spec = viral.WindowSpec(args.window, args.stride)
+        entries = records.load_manifest(args.manifest)
+        out, cases = file(args.out), []
+        for entry in entries:
+            named = f"{args.manifest}: subject {entry.subject_id!r}"
+            index = records._json_value(entry.extra, "inoculation_index", int, named)
+            infected = records._json_value(entry.extra, "infected", bool, named)
+            record = records.load_record(entry.path)
+            with _naming(named):
+                cases.append(viral.SubjectCase(
+                    record.channels, record.labels, entry.subject_id,
+                    inoculation_index=index, infected=infected,
+                ))
+        rows = viral.shift_sweep(cases, args.shifts, spec)
+        _write_csv(out, ("shift", "type_one", "type_two"), rows)
     for s, t1, t2 in rows:
         print(f"shift {s}: type I {t1}, type II {t2}")
     return EXIT_OK

@@ -253,7 +253,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     with path.open(encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer over Python's digit limit
             raise RecordFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise RecordFormatError(f"{path}: manifest must be a JSON array")

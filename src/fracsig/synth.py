@@ -26,9 +26,8 @@ matrix.  :func:`companion_radius_at_least` counts, by the argument
 principle, the zeros of g(z) = det(diag_i(sum_j psi_ij z^j) - z A) inside
 |z| <= 1/limit, which are the reciprocals of the companion eigenvalues
 of modulus at least ``limit``: one FFT and batched n x n determinants on
-a contour grid, then a sum of phase steps.  A count that changes when
-every other grid point is dropped, or a phase step above pi/4 (a zero
-near the contour), is not trusted, and the dense
+a contour grid, then a sum of phase steps.  A count with a phase step
+above pi/4 (a zero near the contour) is not trusted, and the dense
 :func:`companion_spectral_radius`, kept as the oracle, decides instead.
 The loop also stops with a ``ValueError`` when -diag_shift * I alone is
 unstable at the limit, since no shrink could then end it.
@@ -185,9 +184,8 @@ def companion_radius_at_least(alpha, A, limit: float) -> bool:
     the power of two at or above 4 n J, by one FFT of the coefficients
     scaled by r^j; g comes from batched n x n determinants in chunks of
     512 points.  g has real coefficients, so the upper half circle carries
-    half the winding.  The count is trusted when every other point (M)
-    gives the same count and no phase step on the 2M grid exceeds pi/4;
-    otherwise the dense radius decides.
+    half the winding.  The count is trusted when no phase step on the 2M
+    grid exceeds pi/4; otherwise the dense radius decides.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     A = np.asarray(A, dtype=float)
@@ -206,11 +204,9 @@ def companion_radius_at_least(alpha, A, limit: float) -> bool:
         mats[:, idx, idx] += diag[lo:hi]
         g[lo:hi] = np.linalg.det(mats)
     if np.all(np.isfinite(g)) and np.all(g != 0):
-        fine = np.angle(g[1:] * np.conj(g[:-1]))
-        coarse = np.angle(g[2::2] * np.conj(g[:-2:2]))
-        count = round(fine.sum() / np.pi)
-        if count == round(coarse.sum() / np.pi) and np.max(np.abs(fine)) <= _WINDING_MAX_STEP:
-            return count > 0
+        steps = np.angle(g[1:] * np.conj(g[:-1]))
+        if np.max(np.abs(steps)) <= _WINDING_MAX_STEP:
+            return round(steps.sum() / np.pi) > 0
     return companion_spectral_radius(alpha, A) >= limit
 
 

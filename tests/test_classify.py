@@ -275,6 +275,21 @@ class TestTraining:
         with pytest.raises(fracdyn.NumericalError, match="lower lr"):
             classify.logistic_train(X * 100, y, lr=1e3, n_classes=3)
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("model", ["mlp", "logistic"])
+    def test_diverging_step_raises_without_warning(self, model, epochs):
+        # the first update overflows the next forward pass; with one epoch,
+        # only the check after that update can see it
+        X, y = self._blobs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fracdyn.NumericalError, match="diverged at epoch"):
+                if model == "mlp":
+                    cfg = classify.TrainConfig(epochs=epochs, learning_rate=1e300)
+                    classify.mlp_train(X, y, cfg, n_classes=3)
+                else:
+                    classify.logistic_train(X, y, epochs=epochs, lr=1e300, n_classes=3)
+
     def test_prediction_input_width_checked(self):
         params = classify.init_mlp(4, hidden=(5,), n_classes=3)
         with pytest.raises(ValueError, match="features"):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsig import classify, cli, fracdyn, mfdfa, records, synth
+from fracsig import classify, cli, fracdyn, mfdfa, records, synth, viral
 
 
 def run(*argv):
@@ -751,14 +751,21 @@ def command_inputs(tmp_path_factory):
 
 
 def _full_disk_write_text(monkeypatch):
-    """Make ``Path.write_text`` write half its text, then fail as on a full disk."""
-    write_text = Path.write_text
+    """Make ``Path.write_text`` and ``cli._write_csv`` write half a file, then
+    fail as on a full disk."""
+    write_text, write_csv = Path.write_text, cli._write_csv
 
     def half_then_full(self, data, *args, **kwargs):
         write_text(self, data[: len(data) // 2], *args, **kwargs)
         raise OSError(errno.ENOSPC, "No space left on device")
 
+    def csv_half_then_full(path, header, rows):
+        write_csv(path, header, rows)
+        os.truncate(path, os.path.getsize(path) // 2)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
     monkeypatch.setattr(Path, "write_text", half_then_full)
+    monkeypatch.setattr(cli, "_write_csv", csv_half_then_full)
 
 
 def _full_disk_write_record(monkeypatch):
@@ -932,6 +939,55 @@ class TestAtomicOutputs:
         assert run(*self._argv(template, command_inputs, out)) == cli.EXIT_OK
         assert out.read_bytes() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == ["expected", "out.txt"]
+
+
+def _no_call(name):
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return called
+
+
+class TestOutputPathFirst:
+    """An output path that cannot be staged fails before the command's work."""
+
+    @pytest.mark.parametrize("template, module, work", [
+        (TestAtomicOutputs.OUT[0][0], classify, "extract_features"),
+        (TestAtomicOutputs.OUT[2][0], fracdyn, "coupling_convergence"),
+        (TestAtomicOutputs.OUT[1][0], viral, "shift_sweep"),
+    ], ids=["extract", "convergence", "viral"])
+    def test_missing_directory_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command_inputs, template, module, work):
+        monkeypatch.setattr(module, work, _no_call(work))
+        out = tmp_path / "missing" / "x"
+        for cores in CORES:
+            code = run_on(cores, *TestAtomicOutputs._argv(template, command_inputs, out))
+            assert code == cli.EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"fracsig: error: [Errno 2] No such file or directory: '{out}'\n"
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("template, module, work", [
+        (["train", "{in}/features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "{out}"],
+         classify, "mlp_train"),
+        (["mfdfa", "{in}/system.csv", "--out-dir", "{out}"], mfdfa, "scaling_function"),
+    ], ids=["train", "mfdfa"])
+    def test_directory_that_cannot_be_staged_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command_inputs, template, module, work):
+        def no_permission(*args, dir=None, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(dir))
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_permission)
+        monkeypatch.setattr(module, work, _no_call(work))
+        for cores in CORES:
+            code = run_on(cores, *TestAtomicOutputs._argv(template, command_inputs,
+                                                          tmp_path / "out"))
+            assert code == cli.EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"fracsig: error: [Errno 13] Permission denied: '{tmp_path}'\n"
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 def _tree(root):
@@ -1441,11 +1497,16 @@ class TestTrainCommand:
              [], "features.jsonl: line 11: institution ['a'] is not a string"),
             (_feature_lines() + '{"features": [0.1, 0.2, 0.3], "stage": 1, "institution": null}\n',
              [], "features.jsonl: line 11: institution None is not a string"),
+            (_feature_lines() + '{"features": [1' + "0" * 400 + ', 0.2, 0.3], "stage": 1}\n',
+             [], "features.jsonl: line 11: features must be finite"),
+            (_feature_lines() + '{"features": [1' + "0" * 5000 + ', 0.2, 0.3], "stage": 1}\n',
+             [], "features.jsonl: line 11: invalid JSON: Exceeds the limit"),
         ],
         ids=["one-fold", "zero-folds", "one-institution", "ragged-features",
              "non-numeric-feature", "stage-out-of-range", "not-an-object", "nan-feature",
              "institution-with-slash", "stage-bool", "stage-float", "string-feature",
-             "bool-feature", "features-not-an-array", "institution-list", "institution-null"],
+             "bool-feature", "features-not-an-array", "institution-list", "institution-null",
+             "feature-beyond-float64", "integer-over-digit-limit"],
     )
     def test_bad_training_input_fails_fast(self, tmp_path, capsys, text, argv, named):
         feats = tmp_path / "features.jsonl"
@@ -1507,6 +1568,22 @@ class TestTrainCommand:
             assert code == cli.EXIT_DATA
             captured = capsys.readouterr()
             assert "feature column 0" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", ["1", "3"])
+    @pytest.mark.parametrize("model", ["mlp", "logistic"])
+    def test_diverging_split_names_its_fold(self, tmp_path, capsys, model, epochs):
+        feats = tmp_path / "features.jsonl"
+        feats.write_text(_feature_lines())
+        out = tmp_path / "run"
+        for cores in CORES:
+            code = run_on(cores, "train", str(feats), "--model", model, "--learning-rate",
+                          "1e300", "--epochs", epochs, "--out-dir", str(out))
+            assert code == cli.EXIT_NUMERICAL
+            captured = capsys.readouterr()
+            assert captured.err.startswith("fracsig: numerical failure: fold 0: ")
+            assert captured.err.count("\n") == 1
             assert captured.out == ""
             assert not out.exists()
 

@@ -361,6 +361,13 @@ class TestManifest:
             load_manifest(path)
         assert str(info.value) == f"{path}: {named}"
 
+    def test_integer_over_the_digit_limit_is_invalid_json(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"path": "a.csv", "subject_id": "a", "stage": 1' + "0" * 5000 + "}]")
+        with pytest.raises(RecordFormatError) as info:
+            load_manifest(path)
+        assert str(info.value).startswith(f"{path}: invalid JSON: Exceeds the limit")
+
     def test_null_stage_is_unlabeled(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('[{"path": "a.csv", "subject_id": "a", "stage": null}]')
