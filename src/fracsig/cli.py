@@ -18,8 +18,9 @@ swapped or whose owner cannot be kept, and a file in a directory where
 no staging directory can be made.  The commands that read input files
 (``mfdfa``, ``extract``, ``train``, ``convergence``, ``viral``) make
 their staging once their flags and input are read and before they
-compute, so an output path that cannot be staged fails before any work,
-and then write each output into staging as it is made.  Their staging
+compute, so an output path that cannot be staged, or a directory given
+as ``--out`` or a file as ``--out-dir``, fails before any work, and
+then write each output into staging as it is made.  Their staging
 directory thus exists while they compute: a run killed then leaves its
 ``.fracsig-stage.*`` directory, as one killed while ``synth cohort``
 writes does.  Such a directory is kept, and named by the next run
@@ -29,15 +30,18 @@ Workers.  ``synth cohort``, ``synth viral``, ``extract`` and ``train``
 run their independent items, the record writes, the records or the
 folds and held-out sites, in one forked worker process per core the
 process may use (``taskset -c 0`` gives one core: the serial path, all
-in this process).  Workers write into the command's one staging
-directory, each ``train`` worker its split's metrics and curve files,
-and the parent keeps every random draw and the order of every output,
-so the outputs are byte-identical at any core count.  An item that
-raises stops the command with the error of the lowest failing item, the
-one a serial run meets first, named by its record, fold or site, and
-every output is left as it was.  A worker reports each item as it
-ends, so an item that kills its worker, or whose result cannot be sent
-back, is named itself.
+in this process).  The workers are the parallelism: the command line
+runs one BLAS thread per process unless any of ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` is set.  Workers write
+into the command's one staging directory, each ``train`` worker its
+split's metrics and curve files, and the parent keeps every random draw
+and the order of every output, so under that one-thread default the
+outputs are byte-identical at any core count.  An item that raises
+stops the command with the error of the lowest failing item, the one a
+serial run meets first, named by its record, fold or site, and every
+output is left as it was.  A worker reports each item as it ends, so an
+item that kills its worker, or whose result cannot be sent back, is
+named itself.
 
 A config file passed with ``--config`` may set any flag default.  Its
 grammar is one ``key = value`` pair per line, ``#`` starts a comment,
@@ -60,6 +64,13 @@ import tempfile
 from contextlib import contextmanager
 from itertools import count
 from pathlib import Path
+
+# one BLAS thread per process, set before numpy loads its BLAS: each forked
+# worker would otherwise start a thread per core.  OpenBLAS falls back to
+# OMP_NUM_THREADS, so a user's value for any one of them leaves all three alone
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 import numpy as np
 
@@ -134,6 +145,8 @@ def _outputs():
 
     def folder(path):
         out_dir = Path(path)
+        if out_dir.exists() and not out_dir.is_dir():  # what the final mkdir would raise
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
         if out_dir not in stages:
             home = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
             stages[out_dir] = Path(tempfile.mkdtemp(prefix=".fracsig-stage.", dir=home))
@@ -144,6 +157,8 @@ def _outputs():
 
     def file(path):
         path = Path(path)
+        if path.is_dir():  # what the final open would raise
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if path.exists() and not path.is_file():
             return path  # a device or a pipe is written through
         target = path.resolve()  # stage the file at the end of a symlink

@@ -989,6 +989,32 @@ class TestOutputPathFirst:
             )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("template, module, work, make, message", [
+        (["train", "{in}/features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "{out}"],
+         classify, "mlp_train", Path.touch, "[Errno 17] File exists"),
+        (["mfdfa", "{in}/system.csv", "--out-dir", "{out}"], mfdfa, "scaling_function",
+         Path.touch, "[Errno 17] File exists"),
+        (TestAtomicOutputs.OUT[0][0], classify, "extract_features", Path.mkdir,
+         "[Errno 21] Is a directory"),
+        (TestAtomicOutputs.OUT[2][0], fracdyn, "coupling_convergence", Path.mkdir,
+         "[Errno 21] Is a directory"),
+        (TestAtomicOutputs.OUT[1][0], viral, "shift_sweep", Path.mkdir,
+         "[Errno 21] Is a directory"),
+    ], ids=["train", "mfdfa", "extract", "convergence", "viral"])
+    def test_wrong_kind_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command_inputs, template, module, work,
+                                                     make, message):
+        """A regular file as ``--out-dir``, or a directory as ``--out``."""
+        monkeypatch.setattr(module, work, _no_call(work))
+        out = tmp_path / "out"
+        make(out)
+        before = _tree(tmp_path)
+        for cores in CORES:
+            code = run_on(cores, *TestAtomicOutputs._argv(template, command_inputs, out))
+            assert code == cli.EXIT_DATA
+            assert capsys.readouterr().err == f"fracsig: error: {message}: '{out}'\n"
+        assert _tree(tmp_path) == before
+
 
 def _tree(root):
     """Each path under ``root`` with the bytes of a file, None for a directory."""

@@ -82,3 +82,33 @@ def test_extract_and_viral_leave_numpy_ma_out(chain_stdout):
 
 def test_train_leaves_numpy_ma_out(chain_stdout):
     assert [line for line in chain_stdout if line.startswith("train ")] == ["train False"]
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+PRINT_BLAS_THREADS = (
+    f"import os, fracsig.cli; print([os.environ.get(n) for n in {BLAS_THREADS}])"
+)
+
+
+def _fresh(code, **env):
+    """The stdout of ``code`` run in a fresh interpreter whose environment has
+    no BLAS thread variable but those in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**base, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout.strip()
+
+
+def test_package_import_leaves_numpy_out():
+    assert _fresh("import sys, fracsig; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_pins_one_blas_thread():
+    assert _fresh(PRINT_BLAS_THREADS) == "['1', '1', '1']"
+
+
+def test_cli_import_leaves_a_set_thread_variable_alone():
+    assert _fresh(PRINT_BLAS_THREADS, OMP_NUM_THREADS="3") == "['3', None, None]"
