@@ -19,29 +19,33 @@ no staging directory can be made.  The commands that read input files
 (``mfdfa``, ``extract``, ``train``, ``convergence``, ``viral``) make
 their staging once their flags and input are read and before they
 compute, so an output path that cannot be staged, or a directory given
-as ``--out`` or a file as ``--out-dir``, fails before any work, and
-then write each output into staging as it is made.  Their staging
-directory thus exists while they compute: a run killed then leaves its
-``.fracsig-stage.*`` directory, as one killed while ``synth cohort``
-writes does.  Such a directory is kept, and named by the next run
-staging there.
+as ``--out`` or a file as ``--out-dir`` or as one of its ancestors,
+fails before any work, and then write each output into staging as it
+is made.  Their staging directory thus exists while they compute: a run
+killed then leaves its ``.fracsig-stage.*`` directory, as one killed
+while ``synth cohort`` writes does.  Such a directory is kept, and
+named by the next run staging there.
 
-Workers.  ``synth cohort``, ``synth viral``, ``extract`` and ``train``
-run their independent items, the record writes, the records or the
-folds and held-out sites, in one forked worker process per core the
-process may use (``taskset -c 0`` gives one core: the serial path, all
-in this process).  The workers are the parallelism: the command line
-runs one BLAS thread per process unless any of ``OMP_NUM_THREADS``,
-``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` is set.  Workers write
-into the command's one staging directory, each ``train`` worker its
-split's metrics and curve files, and the parent keeps every random draw
-and the order of every output, so under that one-thread default the
-outputs are byte-identical at any core count.  An item that raises
-stops the command with the error of the lowest failing item, the one a
-serial run meets first, named by its record, fold or site, and every
-output is left as it was.  A worker reports each item as it ends, so an
-item that kills its worker, or whose result cannot be sent back, is
-named itself.
+Workers.  ``synth cohort``, ``synth viral``, ``extract``, ``train`` and
+``viral`` run their independent items, the record writes, the records,
+the folds and held-out sites or the subjects, in one forked worker
+process per core the process may use (``taskset -c 0`` gives one core:
+the serial path, all in this process).  ``synth viral`` simulates each
+subject in its worker, and ``viral`` loads and fits each subject in its
+worker; this process keeps the draws and the leave-one-out summary.  The
+workers are the parallelism: the command line runs one BLAS thread per
+process unless any of ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` is set.  Workers write into the command's one
+staging directory, each ``train`` worker its split's metrics and curve
+files, and the parent keeps every random draw and the order of every
+output, so under that one-thread default the outputs are byte-identical
+at any core count.  An item that raises stops the command with the error
+of the lowest failing item, the one a serial run meets first, named by
+its record, fold, site or subject, and every output is left as it was;
+``viral`` reports a subject's window-count or fit error only once every
+subject's manifest fields and record have been read.  A worker reports
+each item as it ends, so an item that kills its worker, or whose result
+cannot be sent back, is named itself.
 
 A config file passed with ``--config`` may set any flag default.  Its
 grammar is one ``key = value`` pair per line, ``#`` starts a comment,
@@ -148,7 +152,9 @@ def _outputs():
         if out_dir.exists() and not out_dir.is_dir():  # what the final mkdir would raise
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
         if out_dir not in stages:
-            home = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
+            home = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+            if not home.is_dir():  # an ancestor is a file: what the final mkdir would raise
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
             stages[out_dir] = Path(tempfile.mkdtemp(prefix=".fracsig-stage.", dir=home))
             for old in sorted(home.glob(".fracsig-stage.*")):
                 if old.name not in {stage.name for stage in stages.values()}:
@@ -332,27 +338,30 @@ def _cmd_synth_system(args) -> int:
     return EXIT_OK
 
 
-def _write_record_set(out_dir, batches, extra=lambda r: {}) -> int:
-    """Write ``<subject_id>.csv`` per record and a manifest with ``extra(record)`` added.
+def _write_record_set(out_dir, batches, record=lambda item: item, extra=lambda r: {}) -> int:
+    """Write ``<subject_id>.csv`` per ``record(item)`` and a manifest with ``extra(record)`` added.
 
-    ``batches`` is any iterable of lists of records.  Workers write each
-    list before the next is asked for.  Returns the number of records.
+    ``batches`` is any iterable of lists of items, each with the
+    ``subject_id`` of its record.  Workers make and write each list's
+    records, and return their manifest entries, before the next list is
+    asked for.  Returns the number of records.
     """
     entries = []
     with _outputs() as (_, folder):
         stage = folder(out_dir)
-        for batch in batches:
-            _fork_map(
-                lambda rec: records.write_record(rec, stage / f"{rec.subject_id}.csv"),
-                batch, name=lambda rec: Path(out_dir) / f"{rec.subject_id}.csv",
+
+        def write(item):
+            rec = record(item)
+            records.write_record(rec, stage / f"{rec.subject_id}.csv")
+            return records.ManifestEntry(
+                f"{rec.subject_id}.csv", rec.subject_id, rec.institution, rec.stage_label,
+                extra(rec),
             )
-            entries += [
-                records.ManifestEntry(
-                    f"{rec.subject_id}.csv", rec.subject_id, rec.institution,
-                    rec.stage_label, extra(rec),
-                )
-                for rec in batch
-            ]
+
+        for batch in batches:
+            entries += _fork_map(
+                write, batch, name=lambda item: Path(out_dir) / f"{item.subject_id}.csv"
+            )
             del batch  # let the next batch be simulated without this one
         records.write_manifest(entries, stage / "manifest.json")
     return len(entries)
@@ -370,19 +379,14 @@ def _cmd_synth_cohort(args) -> int:
 
 
 def _cmd_synth_viral(args) -> int:
-    cases = synth.synth_viral_cohort(
-        args.subjects,
-        args.infected,
-        args.seed,
-        side_samples=args.side_samples,
-        alpha_shift=args.alpha_shift,
-    )
+    draws = synth._viral_draws(args.subjects, args.infected, args.seed, args.alpha_shift)
     _write_record_set(
         args.out_dir,
-        [cases],
+        [draws],
+        lambda draw: synth._viral_case(draw, args.side_samples),
         lambda c: {"inoculation_index": c.inoculation_index, "infected": c.infected},
     )
-    print(f"wrote {len(cases)} subjects to {Path(args.out_dir)}")
+    print(f"wrote {len(draws)} subjects to {Path(args.out_dir)}")
     return EXIT_OK
 
 
@@ -604,21 +608,42 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_viral(args) -> int:
+    def named(entry):
+        return f"{args.manifest}: subject {entry.subject_id!r}"
+
+    def subject(entry):
+        """The subject's infection label and its (pre, post) orders at each
+        shift, or the error of its sweep, which is raised only once every
+        subject's fields and record have been read."""
+        index = records._json_value(entry.extra, "inoculation_index", int, named(entry))
+        infected = records._json_value(entry.extra, "infected", bool, named(entry))
+        record = records.load_record(entry.path)
+        with _naming(named(entry)):
+            case = viral.SubjectCase(
+                record.channels, record.labels, entry.subject_id,
+                inoculation_index=index, infected=infected,
+            )
+        try:
+            with _naming(args.manifest):  # the sweep's errors name the subject themselves
+                return infected, viral._subject_sides(case, args.shifts, spec)
+        except ValueError as exc:
+            return infected, exc
+
     with _outputs() as (file, _):
         spec = viral.WindowSpec(args.window, args.stride)
         entries = records.load_manifest(args.manifest)
-        out, cases = file(args.out), []
-        for entry in entries:
-            named = f"{args.manifest}: subject {entry.subject_id!r}"
-            index = records._json_value(entry.extra, "inoculation_index", int, named)
-            infected = records._json_value(entry.extra, "infected", bool, named)
-            record = records.load_record(entry.path)
-            with _naming(named):
-                cases.append(viral.SubjectCase(
-                    record.channels, record.labels, entry.subject_id,
-                    inoculation_index=index, infected=infected,
-                ))
-        rows = viral.shift_sweep(cases, args.shifts, spec)
+        viral._need_cases(len(entries))
+        out = file(args.out)
+        subjects = _fork_map(subject, entries, name=named)
+        for _, sides in subjects:
+            if isinstance(sides, ValueError):
+                raise sides
+        results = viral._loo_sweep(
+            [sides for _, sides in subjects],
+            [infected for infected, _ in subjects],
+            [entry.subject_id for entry in entries],
+        )
+        rows = [(shift, r.type_one, r.type_two) for shift, r in zip(args.shifts, results)]
         _write_csv(out, ("shift", "type_one", "type_two"), rows)
     for s, t1, t2 in rows:
         print(f"shift {s}: type I {t1}, type II {t2}")

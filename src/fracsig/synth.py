@@ -35,6 +35,8 @@ unstable at the limit, since no shrink could then end it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import fracdyn
@@ -376,32 +378,56 @@ def synth_viral_cohort(
     Each channel's order is 0.25 plus N(0, 0.05^2) jitter.  Healthy
     subjects keep it throughout; infected subjects add ``alpha_shift`` at
     the midpoint inoculation index.  Returns a list of
-    :class:`fracsig.viral.SubjectCase`.
+    :class:`fracsig.viral.SubjectCase`.  Every random draw is made first;
+    each subject is then simulated from its own draws alone, which is how
+    the command line simulates each subject in a worker.
     """
-    from .viral import SubjectCase
+    draws = _viral_draws(n_subjects, n_infected, seed, alpha_shift)
+    return [_viral_case(draw, side_samples) for draw in draws]
 
+
+class _ViralDraw(NamedTuple):
+    """One subject's draws: per channel (pre order, pre seed, post order, post seed)."""
+
+    subject_id: str
+    infected: bool
+    channels: tuple
+
+
+def _viral_draws(n_subjects, n_infected, seed, alpha_shift) -> list[_ViralDraw]:
+    """The draws of every subject of :func:`synth_viral_cohort`, in ``rng`` order."""
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got n_subjects={n_subjects}")
     if not 0 <= n_infected <= n_subjects:
         raise ValueError(f"n_infected={n_infected} must lie in 0..n_subjects={n_subjects}")
     rng = np.random.default_rng(seed)
-    cases = []
+    draws = []
     for s in range(n_subjects):
         infected = s < n_infected
-        chans = []
+        channels = []
         for c in range(3):
             a_pre = _VIRAL_ALPHA_HEALTHY + 0.05 * rng.standard_normal()
+            pre_seed = int(rng.integers(1 << 31))
             a_post = a_pre + (alpha_shift if infected else 0.0)
-            pre = synth_frac_noise(a_pre, side_samples, int(rng.integers(1 << 31)))
-            post = synth_frac_noise(a_post, side_samples, int(rng.integers(1 << 31)))
-            chans.append(np.concatenate([pre, post]))
-        cases.append(
-            SubjectCase(
-                np.stack(chans),
-                inoculation_index=side_samples,
-                infected=infected,
-                subject_id=f"subj{s:02d}",
-            )
-        )
-    return cases
+            channels.append((a_pre, pre_seed, a_post, int(rng.integers(1 << 31))))
+        draws.append(_ViralDraw(f"subj{s:02d}", infected, tuple(channels)))
+    return draws
 
+
+def _viral_case(draw: _ViralDraw, side_samples: int):
+    """Simulate one subject of :func:`synth_viral_cohort` from its draws."""
+    from .viral import SubjectCase
+
+    chans = [
+        np.concatenate([
+            synth_frac_noise(a_pre, side_samples, pre_seed),
+            synth_frac_noise(a_post, side_samples, post_seed),
+        ])
+        for a_pre, pre_seed, a_post, post_seed in draw.channels
+    ]
+    return SubjectCase(
+        np.stack(chans),
+        inoculation_index=side_samples,
+        infected=draw.infected,
+        subject_id=draw.subject_id,
+    )

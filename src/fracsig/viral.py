@@ -7,6 +7,12 @@ classified by leave-one-out thresholding of that single feature.  A
 shift sweep probes sensitivity to a misplaced inoculation point; each
 distinct window of a subject is fitted once, whatever the number of
 shifts that ask for it, and its orders are sliced out per shift and side.
+
+The sweep has a per-subject half, which checks one subject's window counts
+and fits its windows, and a leave-one-out summary over every subject.  The
+``viral`` command runs the per-subject half in its forked workers; library
+calls to :func:`shift_sweep` and :func:`classify_loo` stay serial and fork
+nothing.
 """
 
 from __future__ import annotations
@@ -203,6 +209,30 @@ def _loo_from_features(features: np.ndarray, labels: np.ndarray, subject_ids) ->
     return LooResult(tuple(subject_ids), features, preds, type_one, type_two)
 
 
+def _need_cases(n_cases: int) -> None:
+    if n_cases < 3:
+        raise ValueError("need at least 3 cases")
+
+
+def _subject_sides(case: SubjectCase, shifts, spec: WindowSpec) -> list:
+    """(pre, post) orders of one subject at each shift: the per-subject half
+    of the sweep.  The subject's window counts are checked at every shift
+    before any of its windows is fitted."""
+    return _split_alphas(case, spec, [_split_starts(case, spec, shift) for shift in shifts])
+
+
+def _loo_sweep(sides, labels, subject_ids) -> list[LooResult]:
+    """One leave-one-out result per shift from every subject's
+    :func:`_subject_sides`: the summary half of the sweep."""
+    labels = np.asarray(labels, dtype=bool)
+    return [
+        _loo_from_features(
+            np.asarray([kl_feature(pre, post) for pre, post in pairs]), labels, subject_ids
+        )
+        for pairs in zip(*sides)
+    ]
+
+
 def _sweep(cases, shifts, spec: WindowSpec | None) -> list[LooResult]:
     """One leave-one-out result per shift; each distinct window is fitted once.
 
@@ -210,22 +240,16 @@ def _sweep(cases, shifts, spec: WindowSpec | None) -> list[LooResult]:
     DFA runs.
     """
     cases = list(cases)
-    if len(cases) < 3:
-        raise ValueError("need at least 3 cases")
+    _need_cases(len(cases))
     spec = spec or WindowSpec()
-    starts = [
-        [_split_starts(case, spec, shift) for shift in shifts]
-        for case in cases
-    ]
-    sides = [_split_alphas(case, spec, pairs) for case, pairs in zip(cases, starts)]
-    labels = np.array([c.infected for c in cases], dtype=bool)
-    ids = [c.subject_id for c in cases]
-    return [
-        _loo_from_features(
-            np.asarray([kl_feature(*per_case[k]) for per_case in sides]), labels, ids
-        )
-        for k in range(len(shifts))
-    ]
+    for case in cases:
+        for shift in shifts:
+            _split_starts(case, spec, shift)
+    return _loo_sweep(
+        [_subject_sides(case, shifts, spec) for case in cases],
+        [c.infected for c in cases],
+        [c.subject_id for c in cases],
+    )
 
 
 def classify_loo(cases, spec: WindowSpec | None = None, *, shift: int = 0) -> LooResult:

@@ -639,6 +639,58 @@ class TestViralCommand:
         ) in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_any_core_count_gives_the_library_outputs(self, tmp_path, capsys, monkeypatch):
+        synth_argv = ["--subjects", "4", "--infected", "2", "--side-samples", "2400",
+                      "--seed", "6", "--out-dir", "viral"]
+        sweep_argv = ["viral/manifest.json", "--window", "1024", "--stride", "256",
+                      "--shifts=-300,0,300", "--out", "sweep.csv"]
+        trees, printed = [], []
+        for cores in CORES:
+            out = tmp_path / f"cores{cores}"
+            out.mkdir()
+            monkeypatch.chdir(out)  # relative paths, so that stdout can be compared
+            assert run_on(cores, "synth", "viral", *synth_argv) == cli.EXIT_OK
+            assert run_on(cores, "viral", *sweep_argv) == cli.EXIT_OK
+            trees.append(_tree(out))
+            printed.append(capsys.readouterr())
+        assert trees[0] == trees[1]
+        assert printed[0] == printed[1]
+        cases = synth.synth_viral_cohort(4, 2, 6, side_samples=2400)
+        for case in cases:
+            records.write_record(case, tmp_path / "expected.csv")
+            assert trees[0][f"viral/{case.subject_id}.csv"] == (
+                tmp_path / "expected.csv").read_bytes()
+        rows = viral.shift_sweep(cases, [-300, 0, 300], viral.WindowSpec(1024, 256))
+        written = trees[0]["sweep.csv"].decode().splitlines()[1:]
+        assert [tuple(map(int, line.split(","))) for line in written] == rows
+
+    @pytest.mark.parametrize("cores", CORES)
+    def test_lowest_failing_subject_is_named_once(self, tmp_path, capsys, cores):
+        # s1 has a constant pre window, s2 too few post windows; s1's fit fails first
+        rng = np.random.default_rng(5)
+        entries = []
+        for i in range(4):
+            X = rng.standard_normal((3, 4096))
+            if i == 1:
+                X[1, :2048] = 0.5
+            index = 3800 if i == 2 else 2048
+            records.write_record(records.MultichannelRecord(X), tmp_path / f"s{i}.csv")
+            entries.append(records.ManifestEntry(
+                f"s{i}.csv", f"s{i}", extra={"inoculation_index": index, "infected": i % 2 == 0},
+            ))
+        manifest = tmp_path / "manifest.json"
+        records.write_manifest(entries, manifest)
+        sweep = tmp_path / "sweep.csv"
+        code = run_on(cores, "viral", str(manifest), "--window", "1024", "--stride", "256",
+                      "--shifts", "0", "--out", str(sweep))
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr() == ("", (
+            f"fracsig: error: {manifest}: subject 's1': channel 'ch01': pre window starting "
+            "at sample 0 has zero fluctuation in every DFA window at scale 16\n"
+        ))
+        assert not sweep.exists()
+        _assert_no_child_left()
+
     def test_window_below_dfa_minimum_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "vir"
         assert run(
@@ -954,7 +1006,7 @@ class TestOutputPathFirst:
     @pytest.mark.parametrize("template, module, work", [
         (TestAtomicOutputs.OUT[0][0], classify, "extract_features"),
         (TestAtomicOutputs.OUT[2][0], fracdyn, "coupling_convergence"),
-        (TestAtomicOutputs.OUT[1][0], viral, "shift_sweep"),
+        (TestAtomicOutputs.OUT[1][0], viral, "_split_alphas"),
     ], ids=["extract", "convergence", "viral"])
     def test_missing_directory_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      command_inputs, template, module, work):
@@ -998,7 +1050,7 @@ class TestOutputPathFirst:
          "[Errno 21] Is a directory"),
         (TestAtomicOutputs.OUT[2][0], fracdyn, "coupling_convergence", Path.mkdir,
          "[Errno 21] Is a directory"),
-        (TestAtomicOutputs.OUT[1][0], viral, "shift_sweep", Path.mkdir,
+        (TestAtomicOutputs.OUT[1][0], viral, "_split_alphas", Path.mkdir,
          "[Errno 21] Is a directory"),
     ], ids=["train", "mfdfa", "extract", "convergence", "viral"])
     def test_wrong_kind_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
@@ -1013,6 +1065,28 @@ class TestOutputPathFirst:
             code = run_on(cores, *TestAtomicOutputs._argv(template, command_inputs, out))
             assert code == cli.EXIT_DATA
             assert capsys.readouterr().err == f"fracsig: error: {message}: '{out}'\n"
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("template, module, work", [
+        (["train", "{in}/features.jsonl", "--folds", "2", "--epochs", "2", "--out-dir", "{out}"],
+         classify, "mlp_train"),
+        (["mfdfa", "{in}/system.csv", "--out-dir", "{out}"], mfdfa, "scaling_function"),
+        (["synth", "viral", "--subjects", "4", "--infected", "2", "--side-samples", "1200",
+          "--out-dir", "{out}"], synth, "synth_frac_noise"),
+    ], ids=["train", "mfdfa", "synth-viral"])
+    def test_out_dir_below_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         command_inputs, template, module,
+                                                         work):
+        monkeypatch.setattr(module, work, _no_call(work))
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "sub"
+        before = _tree(tmp_path)
+        for cores in CORES:
+            code = run_on(cores, *TestAtomicOutputs._argv(template, command_inputs, out))
+            assert code == cli.EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"fracsig: error: [Errno 20] Not a directory: '{out}'\n"
+            )
         assert _tree(tmp_path) == before
 
 
@@ -1279,6 +1353,30 @@ class TestWorkers:
                                 "exited with status 9 before reporting it\n")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # no --out-dir and no staging directory
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_killed_viral_worker_names_the_subject_it_was_fitting(self, tmp_path, capsys,
+                                                                  monkeypatch, command_inputs,
+                                                                  cores):
+        split_alphas = viral._split_alphas
+
+        def killed_at_subj02(case, spec, split_starts):
+            if case.subject_id == "subj02":
+                os._exit(9)
+            return split_alphas(case, spec, split_starts)
+
+        monkeypatch.setattr(viral, "_split_alphas", killed_at_subj02)
+        manifest = command_inputs / "viral" / "manifest.json"
+        sweep = tmp_path / "sweep.csv"
+        code = run_on(cores, "viral", str(manifest), "--window", "1024", "--stride", "256",
+                      "--shifts", "0", "--out", str(sweep))
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr() == ("", (
+            f"fracsig: error: {manifest}: subject 'subj02': its worker process exited with "
+            "status 9 before reporting it\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
         _assert_no_child_left()
 
     def test_one_core_forks_nothing(self, tmp_path, capsys, monkeypatch, command_inputs):
