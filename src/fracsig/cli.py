@@ -47,10 +47,11 @@ subject's manifest fields and record have been read.  A worker reports
 each item as it ends, so an item that kills its worker, or whose result
 cannot be sent back, is named itself.
 
-A config file passed with ``--config`` may set any flag default.  Its
-grammar is one ``key = value`` pair per line, ``#`` starts a comment,
-keys are the long flag names without the leading dashes.  Explicit
-flags override config values.
+A config file passed before the command with ``--config FILE`` or
+``--config=FILE`` may set any flag default.  Its grammar is one
+``key = value`` pair per line, ``#`` starts a comment, keys are the long
+flag names without the leading dashes.  Explicit flags override config
+values.
 """
 
 from __future__ import annotations
@@ -168,8 +169,10 @@ def _outputs():
         if path.exists() and not path.is_file():
             return path  # a device or a pipe is written through
         target = path.resolve()  # stage the file at the end of a symlink
-        if not target.parent.is_dir():  # name the target, not the staged file
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        if not target.parent.is_dir():  # what the final open would raise, naming the target
+            home = next(p for p in target.parents if p.exists())
+            code = errno.ENOENT if home.is_dir() else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(path))
         try:
             return folder(target.parent) / target.name
         except PermissionError:  # no staging directory here: write in place
@@ -370,7 +373,7 @@ def _write_record_set(out_dir, batches, record=lambda item: item, extra=lambda r
 def _cmd_synth_cohort(args) -> int:
     if args.per_class < 1:
         raise ValueError(f"--per-class must be at least 1, got {args.per_class}")
-    cohort = synth._simulate_stage_cohort(  # streamed: one batch of records is held
+    cohort = synth._simulate_stage_cohort(  # streamed: one batch held at any --samples
         classify.N_STAGES * args.per_class, args.channels, args.seed, args.samples
     )
     written = _write_record_set(args.out_dir, cohort)
@@ -654,7 +657,8 @@ def _cmd_viral(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="fracsig", description=__doc__.split("\n\n")[0])
+    # _apply_config finds --config by its exact spelling, so no abbreviation may parse
+    parser = _Parser(prog="fracsig", description=__doc__.split("\n\n")[0], allow_abbrev=False)
     parser.add_argument("--config", help="key = value file setting flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -771,13 +775,29 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file pairs in as flags before the explicit ones."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv  # argparse reports the missing value
-    path = Path(argv[at + 1])
+    """Splice config-file pairs in as flags before the explicit ones.
+
+    The file is named before the command, by ``--config FILE`` or
+    ``--config=FILE``; the top-level parser takes no abbreviation of it.
+    """
+    path = cut = None
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--config" and i + 1 < len(argv):
+            path = Path(argv[i + 1])
+            i += 2
+            continue
+        if tok.startswith("--config="):
+            path = Path(tok.partition("=")[2])
+        elif not tok.startswith("-"):
+            cut = i + 1
+            if tok == "synth" and cut < len(argv):
+                cut += 1  # the generator kind follows
+            break
+        i += 1
+    if path is None or cut is None:
+        return argv  # argparse reports the missing value or command
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -801,21 +821,6 @@ def _apply_config(argv: list[str]) -> list[str]:
         else:
             extra.append(f"{flag}={value}")  # one token, so "-200,0" is not read as a flag
     # insert right after the subcommand tokens so explicit flags still win
-    cut = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            i += 2
-            continue
-        if not tok.startswith("-"):
-            cut = i + 1
-            if tok == "synth" and cut < len(argv):
-                cut += 1  # the generator kind follows
-            break
-        i += 1
-    if cut is None:
-        return argv
     return argv[:cut] + extra + argv[cut:]
 
 

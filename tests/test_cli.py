@@ -1089,6 +1089,21 @@ class TestOutputPathFirst:
             )
         assert _tree(tmp_path) == before
 
+    @pytest.mark.parametrize("template, module, work", [
+        (TestAtomicOutputs.OUT[4][0], records, "write_record"),
+        (TestAtomicOutputs.OUT[2][0], fracdyn, "coupling_convergence"),
+    ], ids=["synth-fgn", "convergence"])
+    def test_out_below_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command_inputs, template, module, work):
+        monkeypatch.setattr(module, work, _no_call(work))
+        (tmp_path / "afile").touch()
+        out = tmp_path / "afile" / "x.csv"
+        before = _tree(tmp_path)
+        code = run(*TestAtomicOutputs._argv(template, command_inputs, out))
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"fracsig: error: [Errno 20] Not a directory: '{out}'\n"
+        assert _tree(tmp_path) == before
+
 
 def _tree(root):
     """Each path under ``root`` with the bytes of a file, None for a directory."""
@@ -1747,6 +1762,20 @@ class TestConfigFile:
             "--config", str(cfg), "synth", "fgn", "--seed", "5", "--out", str(c)
         ) == 0
         assert c.read_bytes() != a.read_bytes()
+
+    def test_equals_spelling_applies_and_abbreviations_are_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed = 3\n")
+        argv = ["synth", "fgn", "--hurst", "0.7", "--n", "1024", "--out"]
+        assert run(*argv[:-1], "--seed", "3", "--out", str(tmp_path / "flag.csv")) == 0
+        for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+            out = tmp_path / "cfg.csv"
+            assert run(*spelling, *argv, str(out)) == 0
+            assert out.read_bytes() == (tmp_path / "flag.csv").read_bytes()
+        for spelling in (["--conf", str(cfg)], [f"--conf={cfg}"]):  # never read: usage error
+            out = tmp_path / "abbreviated.csv"
+            assert run(*spelling, *argv, str(out)) == cli.EXIT_USAGE
+            assert not out.exists()
 
     def test_negative_list_values(self, tmp_path, capsys):
         # each config value reaches argparse as one --flag=value token

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,23 @@ class TestStageCohort:
             next(batches)
         assert len(runs) == 2 + 20
         assert runs[1] == (2, None)  # the batch of records 0 and 1 did run
+
+    def test_stream_holds_one_batch_of_trajectories(self, monkeypatch):
+        # batches of 3 records of 8 x 500 samples; the first batch makes the
+        # stable draws and GL tables, then each next batch must be simulated
+        # with the last one gone, as the command line drops each batch
+        batch_bytes = 3 * 8 * 8 * 500
+        monkeypatch.setattr(synth, "_COHORT_BATCH_BYTES", batch_bytes)
+        batches = synth._simulate_stage_cohort(30, 8, 1, 500)
+        next(batches)
+        tracemalloc.start()
+        try:
+            for batch in batches:
+                del batch
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * batch_bytes, f"peak of {peak / batch_bytes:.2f} batches"
 
     @pytest.mark.parametrize("n_records", [0, -1])
     def test_no_records_is_rejected_before_any_is_asked_for(self, n_records):
