@@ -9,22 +9,21 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
 failure.  Bad input exits 2 naming the file, the entry or line, and the
 field.
 
-Outputs.  A command builds all of its files in staging and moves them
-into place only once every one is built, so a failed command leaves
-each output path as it was.  Each moved file is swapped whole and keeps
-the mode and owner of the file it replaces.  Written through in place
-are a device or a pipe (``--out /dev/null``), a file that cannot be
-swapped or whose owner cannot be kept, and a file in a directory where
-no staging directory can be made.  The commands that read input files
-(``mfdfa``, ``extract``, ``train``, ``convergence``, ``viral``) make
-their staging once their flags and input are read and before they
-compute, so an output path that cannot be staged, or a directory given
-as ``--out`` or a file as ``--out-dir`` or as one of its ancestors,
-fails before any work, and then write each output into staging as it
-is made.  Their staging directory thus exists while they compute: a run
-killed then leaves its ``.fracsig-stage.*`` directory, as one killed
-while ``synth cohort`` writes does.  Such a directory is kept, and
-named by the next run staging there.
+Outputs.  Every command stages every output, ``--out``, ``--model-out``
+and ``--out-dir``, right after its flags parse and before it reads any
+input or computes.  An output path that cannot be staged, a directory
+given as ``--out``, a file given as ``--out-dir`` or as an ancestor of
+either, or two outputs naming one file, thus fails before any work.
+The command writes each output into staging as it is made, and the
+files are moved into place only once every one is built, so a failed
+command leaves each output path as it was.  Each moved file is swapped
+whole and keeps the mode and owner of the file it replaces.  Written
+through in place are a device or a pipe (``--out /dev/null``), a file
+that cannot be swapped or whose owner cannot be kept, and a file in a
+directory where no staging directory can be made.  The staging
+directory exists while the command runs, so a killed run of any
+command leaves its ``.fracsig-stage.*`` directory.  Such a directory is
+kept, and named by the next run staging there.
 
 Workers.  ``synth cohort``, ``synth viral``, ``extract``, ``train`` and
 ``viral`` run their independent items, the record writes, the records,
@@ -139,14 +138,17 @@ def _place(staged, path) -> None:
 def _outputs():
     """Stage the outputs written in the block; ``_place`` them if it returns.
 
-    Yields ``(file, folder)``, which give the path to write for an output
-    file and the directory to write an output directory's files into.
-    Each output directory has one staging directory, in it or in its
-    nearest existing ancestor, so each staged file can be swapped in.
-    Other staging directories found there, which a killed run may have
-    left, are named on stderr and kept.
+    Yields ``(file, folder)``: ``file(path, flag)`` gives the path to write
+    for the output file ``path`` of ``flag``, and ``folder(path)`` the
+    directory to write an output directory's files into.  A file already
+    named by another flag, itself or through a symlink, is refused.  Each
+    output directory has one staging directory, in it or in its nearest
+    existing ancestor, so each staged file can be swapped in.  Other
+    staging directories found there, which a killed run may have left,
+    are named on stderr and kept.
     """
     stages = {}  # output directory -> its staging directory
+    claimed = {}  # output file -> the flag and path that name it
 
     def folder(path):
         out_dir = Path(path)
@@ -162,13 +164,16 @@ def _outputs():
                     print(f"fracsig: warning: {old}: another run's staging, kept", file=sys.stderr)
         return stages[out_dir]
 
-    def file(path):
+    def file(path, flag):
         path = Path(path)
         if path.is_dir():  # what the final open would raise
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if path.exists() and not path.is_file():
             return path  # a device or a pipe is written through
         target = path.resolve()  # stage the file at the end of a symlink
+        if target in claimed:  # the later output would replace the earlier one
+            raise ValueError(f"{flag} {path} names the same file as {claimed[target]}")
+        claimed[target] = f"{flag} {path}"
         if not target.parent.is_dir():  # what the final open would raise, naming the target
             home = next(p for p in target.parents if p.exists())
             code = errno.ENOENT if home.is_dir() else errno.ENOTDIR
@@ -310,39 +315,36 @@ def _list_of(cast):
 # ---------------------------------------------------------------- synth
 
 
-def _write_series(samples, label, out) -> int:
+def _write_series(samples, label, out) -> None:
     """Write one generated series as a one-channel record headed ``label``."""
-    record = records.MultichannelRecord(samples[None, :], (label,))
-    with _outputs() as (file, _):
-        records.write_record(record, file(out))
-    print(f"wrote {out}")
-    return EXIT_OK
+    records.write_record(records.MultichannelRecord(samples[None, :], (label,)), out)
 
 
-def _cmd_synth_fgn(args) -> int:
-    samples = synth.synth_fgn(args.hurst, args.n, args.seed)
-    return _write_series(samples, f"fgn-H{args.hurst:g}", args.out)
+def _cmd_synth_fgn(args, out) -> str:
+    _write_series(synth.synth_fgn(args.hurst, args.n, args.seed), f"fgn-H{args.hurst:g}", out)
+    return f"wrote {args.out}"
 
 
-def _cmd_synth_cascade(args) -> int:
+def _cmd_synth_cascade(args, out) -> str:
     samples = synth.synth_cascade(args.p, args.depth, args.seed, shuffle=args.shuffle)
-    return _write_series(samples, f"cascade-p{args.p:g}", args.out)
+    _write_series(samples, f"cascade-p{args.p:g}", out)
+    return f"wrote {args.out}"
 
 
-def _cmd_synth_system(args) -> int:
+def _cmd_synth_system(args, out, model_out=None) -> str:
     model = synth.random_stable_model(args.channels, args.seed, noise_scale=args.noise_scale)
     X = fracdyn.simulate(model, args.n, seed=args.seed)
-    with _outputs() as (file, _):  # both targets are checked before either is written
-        out, model_out = file(args.out), args.model_out and file(args.model_out)
-        records.write_record(records.MultichannelRecord(X), out)
-        if model_out:
-            _write_text(model_out, fracdyn.model_to_json(model.alpha, model.A))
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    records.write_record(records.MultichannelRecord(X), out)
+    if model_out:
+        _write_text(model_out, fracdyn.model_to_json(model.alpha, model.A))
+    return f"wrote {args.out}"
 
 
-def _write_record_set(out_dir, batches, record=lambda item: item, extra=lambda r: {}) -> int:
-    """Write ``<subject_id>.csv`` per ``record(item)`` and a manifest with ``extra(record)`` added.
+def _write_record_set(out_dir, stage, batches, record=lambda item: item,
+                      extra=lambda r: {}) -> int:
+    """Write ``<subject_id>.csv`` per ``record(item)`` and a manifest with
+    ``extra(record)`` added into ``stage``, the staging of ``out_dir``,
+    by which errors name a record.
 
     ``batches`` is any iterable of lists of items, each with the
     ``subject_id`` of its record.  Workers make and write each list's
@@ -350,90 +352,91 @@ def _write_record_set(out_dir, batches, record=lambda item: item, extra=lambda r
     asked for.  Returns the number of records.
     """
     entries = []
-    with _outputs() as (_, folder):
-        stage = folder(out_dir)
 
-        def write(item):
-            rec = record(item)
-            records.write_record(rec, stage / f"{rec.subject_id}.csv")
-            return records.ManifestEntry(
-                f"{rec.subject_id}.csv", rec.subject_id, rec.institution, rec.stage_label,
-                extra(rec),
-            )
+    def write(item):
+        rec = record(item)
+        records.write_record(rec, stage / f"{rec.subject_id}.csv")
+        return records.ManifestEntry(
+            f"{rec.subject_id}.csv", rec.subject_id, rec.institution, rec.stage_label,
+            extra(rec),
+        )
 
-        for batch in batches:
-            entries += _fork_map(
-                write, batch, name=lambda item: Path(out_dir) / f"{item.subject_id}.csv"
-            )
-            del batch  # let the next batch be simulated without this one
-        records.write_manifest(entries, stage / "manifest.json")
+    for batch in batches:
+        entries += _fork_map(
+            write, batch, name=lambda item: Path(out_dir) / f"{item.subject_id}.csv"
+        )
+        del batch  # let the next batch be simulated without this one
+    records.write_manifest(entries, stage / "manifest.json")
     return len(entries)
 
 
-def _cmd_synth_cohort(args) -> int:
+def _cmd_synth_cohort(args, out_dir) -> str:
     if args.per_class < 1:
         raise ValueError(f"--per-class must be at least 1, got {args.per_class}")
     cohort = synth._simulate_stage_cohort(  # streamed: one batch held at any --samples
         classify.N_STAGES * args.per_class, args.channels, args.seed, args.samples
     )
-    written = _write_record_set(args.out_dir, cohort)
-    print(f"wrote {written} records to {Path(args.out_dir)}")
-    return EXIT_OK
+    written = _write_record_set(args.out_dir, out_dir, cohort)
+    return f"wrote {written} records to {Path(args.out_dir)}"
 
 
-def _cmd_synth_viral(args) -> int:
+def _cmd_synth_viral(args, out_dir) -> str:
     draws = synth._viral_draws(args.subjects, args.infected, args.seed, args.alpha_shift)
     _write_record_set(
         args.out_dir,
+        out_dir,
         [draws],
         lambda draw: synth._viral_case(draw, args.side_samples),
         lambda c: {"inoculation_index": c.inoculation_index, "infected": c.infected},
     )
-    print(f"wrote {len(draws)} subjects to {Path(args.out_dir)}")
-    return EXIT_OK
+    return f"wrote {len(draws)} subjects to {Path(args.out_dir)}"
 
 
 # ---------------------------------------------------------------- mfdfa
 
 
-def _cmd_mfdfa(args) -> int:
-    with _outputs() as (_, folder):
-        record = records.load_record(args.record)
-        for label in record.labels:
-            _check_file_part(label, "channel label", args.record)
-        scale_grid = args.scales
-        if args.dyadic:
-            scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
-        cfg = mfdfa.MfdfaConfig(
-            q_grid=args.q,
-            scale_grid=scale_grid,
-            detrend_order=args.detrend_order,
-            q_zero_mode=args.q_zero_mode,
-            both_ends=args.both_ends,
-        )
-        stage, lines = folder(args.out_dir), []
-        for label, samples in zip(record.labels, record.channels):
-            with _naming(f"{args.record}: channel {label!r}"):
-                sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
-            spectrum = mfdfa.hurst_spectrum(sf)
-            diag = mfdfa.scaling_diagnostics(sf)
-            payload = mfdfa.spectrum_to_dict(sf, spectrum)
-            payload["std_across_q"] = [float(v) for v in diag.std_across_q]
-            payload["std_across_s"] = [float(v) for v in diag.std_across_s]
-            _write_json(stage / f"spectrum_{label}.json", payload)
-            logs = np.log2(sf.scale_grid.astype(float))
-            for q, values in zip(sf.q_grid, sf.values):
-                _write_csv(stage / f"sf_{label}_q{q:g}.csv", ("log2_s", "log2_sf"),
-                           zip(logs, np.log2(values)))
-            lines.append(f"{label}: focus spread {payload['focus_spread']:.4f}")
-    print("\n".join(lines))
-    return EXIT_OK
+def _cmd_mfdfa(args, out_dir) -> str:
+    first = {}  # the part of an sf_*.csv file name a --q value gives -> the first value giving it
+    for q in args.q:
+        name = f"{q:g}"
+        if name in first:
+            raise ValueError(f"--q values {first[name]!r} and {q!r} both name sf_*_q{name}.csv")
+        first[name] = q
+    record = records.load_record(args.record)
+    for label in record.labels:
+        _check_file_part(label, "channel label", args.record)
+    scale_grid = args.scales
+    if args.dyadic:
+        scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
+    cfg = mfdfa.MfdfaConfig(
+        q_grid=args.q,
+        scale_grid=scale_grid,
+        detrend_order=args.detrend_order,
+        q_zero_mode=args.q_zero_mode,
+        both_ends=args.both_ends,
+    )
+    lines = []
+    for label, samples in zip(record.labels, record.channels):
+        with _naming(f"{args.record}: channel {label!r}"):
+            sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
+        spectrum = mfdfa.hurst_spectrum(sf)
+        diag = mfdfa.scaling_diagnostics(sf)
+        payload = mfdfa.spectrum_to_dict(sf, spectrum)
+        payload["std_across_q"] = [float(v) for v in diag.std_across_q]
+        payload["std_across_s"] = [float(v) for v in diag.std_across_s]
+        _write_json(out_dir / f"spectrum_{label}.json", payload)
+        logs = np.log2(sf.scale_grid.astype(float))
+        for q, values in zip(sf.q_grid, sf.values):
+            _write_csv(out_dir / f"sf_{label}_q{q:g}.csv", ("log2_s", "log2_sf"),
+                       zip(logs, np.log2(values)))
+        lines.append(f"{label}: focus spread {payload['focus_spread']:.4f}")
+    return "\n".join(lines)
 
 
 # -------------------------------------------------------------- extract
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args, out) -> str:
     def named(entry):
         return f"{entry.path}: subject {entry.subject_id!r}"
 
@@ -451,13 +454,10 @@ def _cmd_extract(args) -> int:
         }
         return json.dumps(item, sort_keys=True) + "\n"
 
-    with _outputs() as (file, _):
-        fracdyn.check_fit_params(args.horizon, args.ridge)
-        entries = records.load_manifest(args.manifest)
-        out = file(args.out)
-        _write_text(out, "".join(_fork_map(feature_line, entries, name=named)))
-    print(f"wrote {len(entries)} feature lines to {args.out}")
-    return EXIT_OK
+    fracdyn.check_fit_params(args.horizon, args.ridge)
+    entries = records.load_manifest(args.manifest)
+    _write_text(out, "".join(_fork_map(feature_line, entries, name=named)))
+    return f"wrote {len(entries)} feature lines to {args.out}"
 
 
 def _load_features(path):
@@ -509,108 +509,96 @@ def _train_splits(args, stages, institutions):
             yield f"holdout_{name}.json", f"curve_{name}.csv", f"holdout {name}", train, test
 
 
-def _cmd_train(args) -> int:
-    with _outputs() as (_, folder):
-        X, y, institutions = _load_features(args.features)
-        if args.mode == "holdout":
-            for name in institutions:
-                _check_file_part(name, "institution", args.features)
-        lr = args.learning_rate  # None keeps each model's own default step size
-        cfg = classify.TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            dropout_rate=args.dropout,
-            seed=args.seed,
-            **({} if lr is None else {"learning_rate": lr}),
-        )
-        splits = list(_train_splits(args, y, institutions))
-        for _, _, label, train, _ in splits:
-            with _naming(label):
-                classify._check_classes(y[train])
-        stage = folder(args.out_dir)
-
-        def run_split(split):
-            """Write the split's metrics and curve files into ``stage``; its accuracy."""
-            metrics_name, curve_name, label, train, test = split
-            with _naming(label):
-                scaler = classify.MinMaxScaler()
-                Xtr = scaler.fit_transform(X[train])
-                Xte = scaler.transform(X[test])
-                ytr = y[train]
-                if args.model == "mlp":
-                    params, history = classify.mlp_train(Xtr, ytr, cfg)
-                else:
-                    params, losses = classify.logistic_train(
-                        Xtr, ytr, epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
-                    )
-                    history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
-                metrics = classify.evaluate(y[test], classify.mlp_predict(params, Xte))
-            _write_json(stage / metrics_name, metrics.to_dict())
-            _write_csv(stage / curve_name, ("epoch", "loss", "accuracy"),
-                       zip(count(), history["loss"], history["accuracy"]))
-            return metrics.accuracy
-
-        accuracies = _fork_map(run_split, splits, name=lambda split: split[2])
-        summary = {
-            "mode": args.mode,
-            "model": args.model,
-            "accuracy_mean": float(np.mean(accuracies)),
-            "accuracy_std": float(np.std(accuracies)),
-            "n_evaluations": len(accuracies),
-        }
-        _write_json(stage / "summary.json", summary)
-    for (_, _, label, _, _), accuracy in zip(splits, accuracies):
-        print(f"{label}: accuracy {accuracy:.4f}")
-    print(
-        f"{args.mode} {args.model}: accuracy "
-        f"{summary['accuracy_mean']:.4f} +/- {summary['accuracy_std']:.4f}"
+def _cmd_train(args, out_dir) -> str:
+    X, y, institutions = _load_features(args.features)
+    if args.mode == "holdout":
+        for name in institutions:
+            _check_file_part(name, "institution", args.features)
+    lr = args.learning_rate  # None keeps each model's own default step size
+    cfg = classify.TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        dropout_rate=args.dropout,
+        seed=args.seed,
+        **({} if lr is None else {"learning_rate": lr}),
     )
-    return EXIT_OK
+    splits = list(_train_splits(args, y, institutions))
+    for _, _, label, train, _ in splits:
+        with _naming(label):
+            classify._check_classes(y[train])
+
+    def run_split(split):
+        """Write the split's metrics and curve files into ``out_dir``; its accuracy."""
+        metrics_name, curve_name, label, train, test = split
+        with _naming(label):
+            scaler = classify.MinMaxScaler()
+            Xtr = scaler.fit_transform(X[train])
+            Xte = scaler.transform(X[test])
+            ytr = y[train]
+            if args.model == "mlp":
+                params, history = classify.mlp_train(Xtr, ytr, cfg)
+            else:
+                params, losses = classify.logistic_train(
+                    Xtr, ytr, epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
+                )
+                history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
+            metrics = classify.evaluate(y[test], classify.mlp_predict(params, Xte))
+        _write_json(out_dir / metrics_name, metrics.to_dict())
+        _write_csv(out_dir / curve_name, ("epoch", "loss", "accuracy"),
+                   zip(count(), history["loss"], history["accuracy"]))
+        return metrics.accuracy
+
+    accuracies = _fork_map(run_split, splits, name=lambda split: split[2])
+    summary = {
+        "mode": args.mode,
+        "model": args.model,
+        "accuracy_mean": float(np.mean(accuracies)),
+        "accuracy_std": float(np.std(accuracies)),
+        "n_evaluations": len(accuracies),
+    }
+    _write_json(out_dir / "summary.json", summary)
+    lines = [f"{label}: accuracy {accuracy:.4f}"
+             for (_, _, label, _, _), accuracy in zip(splits, accuracies)]
+    lines.append(f"{args.mode} {args.model}: accuracy "
+                 f"{summary['accuracy_mean']:.4f} +/- {summary['accuracy_std']:.4f}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------- convergence
 
 
-def _cmd_convergence(args) -> int:
-    with _outputs() as (file, _):
-        if not 0 < args.rate < np.inf:
-            raise ValueError(f"--rate must be positive and finite, got {args.rate:g}")
-        if not 0 <= args.threshold < np.inf:
-            raise ValueError(
-                f"--threshold must be finite and nonnegative, got {args.threshold:g}"
-            )
-        fracdyn.check_fit_params(args.horizon, args.ridge)
-        samples = args.step_seconds * args.rate
-        if not (np.isfinite(samples) and round(samples) >= 1):
-            raise ValueError(
-                f"step of {args.step_seconds:g} s at {args.rate:g} Hz is {samples:g} samples; "
-                "need a finite step that rounds to at least 1 sample"
-            )
-        record = records.load_record(args.record)
-        out, alpha = file(args.out), args.alpha
-        with _naming(args.record, record.labels):
-            if alpha is None:
-                alpha = fracdyn.estimate_alphas(record.channels)
-            elif len(alpha) != record.n_channels:
-                raise ValueError(f"got {len(alpha)} alpha values for {record.n_channels} channels")
-            lengths, dists = fracdyn.coupling_convergence(
-                record.channels, np.asarray(alpha), int(round(samples)),
-                horizon=args.horizon, ridge=args.ridge,
-            )
-        times = lengths / args.rate
-        _write_csv(out, ("time_s", "wasserstein"), zip(times, dists))
+def _cmd_convergence(args, out) -> str:
+    if not 0 < args.rate < np.inf:
+        raise ValueError(f"--rate must be positive and finite, got {args.rate:g}")
+    if not 0 <= args.threshold < np.inf:
+        raise ValueError(f"--threshold must be finite and nonnegative, got {args.threshold:g}")
+    fracdyn.check_fit_params(args.horizon, args.ridge)
+    samples = args.step_seconds * args.rate
+    if not (np.isfinite(samples) and round(samples) >= 1):
+        raise ValueError(
+            f"step of {args.step_seconds:g} s at {args.rate:g} Hz is {samples:g} samples; "
+            "need a finite step that rounds to at least 1 sample"
+        )
+    record, alpha = records.load_record(args.record), args.alpha
+    with _naming(args.record, record.labels):
+        if alpha is None:
+            alpha = fracdyn.estimate_alphas(record.channels)
+        elif len(alpha) != record.n_channels:
+            raise ValueError(f"got {len(alpha)} alpha values for {record.n_channels} channels")
+        lengths, dists = fracdyn.coupling_convergence(
+            record.channels, np.asarray(alpha), int(round(samples)),
+            horizon=args.horizon, ridge=args.ridge,
+        )
+    times = lengths / args.rate
+    _write_csv(out, ("time_s", "wasserstein"), zip(times, dists))
     below = bool(dists[-1] < args.threshold)
-    print(
-        f"final distance {dists[-1]:.6f} at {times[-1]:g} s; "
-        f"below {args.threshold:g}: {below}"
-    )
-    return EXIT_OK
+    return f"final distance {dists[-1]:.6f} at {times[-1]:g} s; below {args.threshold:g}: {below}"
 
 
 # ---------------------------------------------------------------- viral
 
 
-def _cmd_viral(args) -> int:
+def _cmd_viral(args, out) -> str:
     def named(entry):
         return f"{args.manifest}: subject {entry.subject_id!r}"
 
@@ -632,25 +620,21 @@ def _cmd_viral(args) -> int:
         except ValueError as exc:
             return infected, exc
 
-    with _outputs() as (file, _):
-        spec = viral.WindowSpec(args.window, args.stride)
-        entries = records.load_manifest(args.manifest)
-        viral._need_cases(len(entries))
-        out = file(args.out)
-        subjects = _fork_map(subject, entries, name=named)
-        for _, sides in subjects:
-            if isinstance(sides, ValueError):
-                raise sides
-        results = viral._loo_sweep(
-            [sides for _, sides in subjects],
-            [infected for infected, _ in subjects],
-            [entry.subject_id for entry in entries],
-        )
-        rows = [(shift, r.type_one, r.type_two) for shift, r in zip(args.shifts, results)]
-        _write_csv(out, ("shift", "type_one", "type_two"), rows)
-    for s, t1, t2 in rows:
-        print(f"shift {s}: type I {t1}, type II {t2}")
-    return EXIT_OK
+    spec = viral.WindowSpec(args.window, args.stride)
+    entries = records.load_manifest(args.manifest)
+    viral._need_cases(len(entries))
+    subjects = _fork_map(subject, entries, name=named)
+    for _, sides in subjects:
+        if isinstance(sides, ValueError):
+            raise sides
+    results = viral._loo_sweep(
+        [sides for _, sides in subjects],
+        [infected for infected, _ in subjects],
+        [entry.subject_id for entry in entries],
+    )
+    rows = [(shift, r.type_one, r.type_two) for shift, r in zip(args.shifts, results)]
+    _write_csv(out, ("shift", "type_one", "type_two"), rows)
+    return "\n".join(f"shift {s}: type I {t1}, type II {t2}" for s, t1, t2 in rows)
 
 
 # ----------------------------------------------------------- arg wiring
@@ -832,7 +816,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-        return args.func(args)
+        with _outputs() as (file, folder):
+            staged = {}
+            for dest in ("out", "model_out", "out_dir"):  # each, before any input is read
+                if (path := getattr(args, dest, None)) is not None:
+                    flag = "--" + dest.replace("_", "-")
+                    staged[dest] = folder(path) if dest == "out_dir" else file(path, flag)
+            report = args.func(args, **staged)
+        print(report)
+        return EXIT_OK
     except SystemExit as exc:  # argparse usage failures and --help
         return int(exc.code or 0)
     except fracdyn.NumericalError as exc:

@@ -201,6 +201,23 @@ class TestMfdfaCommand:
         assert "q_grid contains only 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("q, first, second", [
+        ("2.0000001,2.0000002,3", "2.0000001", "2.0000002"),
+        ("-1,2,2", "2.0", "2.0"),
+    ], ids=["formatting-alike", "repeated"])
+    def test_q_values_naming_one_file_fail_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                           q, first, second):
+        # both values would write sf_<label>_q2.csv, the second over the first
+        rec = tmp_path / "casc.csv"
+        run("synth", "cascade", "--p", "0.75", "--depth", "10", "--out", str(rec))
+        monkeypatch.setattr(mfdfa, "scaling_function", _no_call("scaling_function"))
+        out = tmp_path / "mf"
+        assert run("mfdfa", str(rec), f"--q={q}", "--out-dir", str(out)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"fracsig: error: --q values {first} and {second} both name sf_*_q2.csv\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["casc.csv"]
+
     @pytest.mark.parametrize(
         "labels, named",
         [(("ok", "a/b", "c"),
@@ -1003,11 +1020,22 @@ def _no_call(name):
 class TestOutputPathFirst:
     """An output path that cannot be staged fails before the command's work."""
 
+    FGN = TestAtomicOutputs.OUT[4][0]
+    CASCADE = ["synth", "cascade", "--p", "0.7", "--depth", "10", "--out", "{out}"]
+    SYSTEM = ["synth", "system", "--channels", "2", "--n", "600", "--out", "{out}"]
+    COHORT = ["synth", "cohort", "--per-class", "1", "--channels", "2", "--samples", "400",
+              "--out-dir", "{out}"]
+
     @pytest.mark.parametrize("template, module, work", [
         (TestAtomicOutputs.OUT[0][0], classify, "extract_features"),
         (TestAtomicOutputs.OUT[2][0], fracdyn, "coupling_convergence"),
         (TestAtomicOutputs.OUT[1][0], viral, "_split_alphas"),
-    ], ids=["extract", "convergence", "viral"])
+        (FGN, synth, "synth_fgn"),
+        (CASCADE, synth, "synth_cascade"),
+        # --out lands in tmp_path itself, beside the missing directory of --model-out
+        (["synth", "system", "--channels", "2", "--n", "600", "--out", "{out}/../../sys.csv",
+          "--model-out", "{out}"], fracdyn, "simulate"),
+    ], ids=["extract", "convergence", "viral", "synth-fgn", "synth-cascade", "synth-system"])
     def test_missing_directory_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      command_inputs, template, module, work):
         monkeypatch.setattr(module, work, _no_call(work))
@@ -1052,7 +1080,12 @@ class TestOutputPathFirst:
          "[Errno 21] Is a directory"),
         (TestAtomicOutputs.OUT[1][0], viral, "_split_alphas", Path.mkdir,
          "[Errno 21] Is a directory"),
-    ], ids=["train", "mfdfa", "extract", "convergence", "viral"])
+        (FGN, synth, "synth_fgn", Path.mkdir, "[Errno 21] Is a directory"),
+        (CASCADE, synth, "synth_cascade", Path.mkdir, "[Errno 21] Is a directory"),
+        (SYSTEM, fracdyn, "simulate", Path.mkdir, "[Errno 21] Is a directory"),
+        (COHORT, synth, "_simulate_stage_cohort", Path.touch, "[Errno 17] File exists"),
+    ], ids=["train", "mfdfa", "extract", "convergence", "viral", "synth-fgn", "synth-cascade",
+            "synth-system", "synth-cohort"])
     def test_wrong_kind_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      command_inputs, template, module, work,
                                                      make, message):
@@ -1073,7 +1106,8 @@ class TestOutputPathFirst:
         (["mfdfa", "{in}/system.csv", "--out-dir", "{out}"], mfdfa, "scaling_function"),
         (["synth", "viral", "--subjects", "4", "--infected", "2", "--side-samples", "1200",
           "--out-dir", "{out}"], synth, "synth_frac_noise"),
-    ], ids=["train", "mfdfa", "synth-viral"])
+        (COHORT, synth, "_simulate_stage_cohort"),
+    ], ids=["train", "mfdfa", "synth-viral", "synth-cohort"])
     def test_out_dir_below_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                          command_inputs, template, module,
                                                          work):
@@ -1092,7 +1126,10 @@ class TestOutputPathFirst:
     @pytest.mark.parametrize("template, module, work", [
         (TestAtomicOutputs.OUT[4][0], records, "write_record"),
         (TestAtomicOutputs.OUT[2][0], fracdyn, "coupling_convergence"),
-    ], ids=["synth-fgn", "convergence"])
+        (FGN, synth, "synth_fgn"),
+        (CASCADE, synth, "synth_cascade"),
+        (SYSTEM, fracdyn, "simulate"),
+    ], ids=["synth-fgn", "convergence", "synth-fgn-draw", "synth-cascade", "synth-system"])
     def test_out_below_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      command_inputs, template, module, work):
         monkeypatch.setattr(module, work, _no_call(work))
@@ -1102,6 +1139,22 @@ class TestOutputPathFirst:
         code = run(*TestAtomicOutputs._argv(template, command_inputs, out))
         assert code == cli.EXIT_DATA
         assert capsys.readouterr().err == f"fracsig: error: [Errno 20] Not a directory: '{out}'\n"
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("model_out", ["x.csv", "./x.csv", "link.csv"])
+    def test_two_outputs_naming_one_file_fail_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, model_out):
+        # the model would replace the record, itself or through the symlink
+        monkeypatch.setattr(fracdyn, "simulate", _no_call("simulate"))
+        monkeypatch.chdir(tmp_path)
+        Path("x.csv").write_bytes(b"old\n")
+        Path("link.csv").symlink_to("x.csv")
+        before = _tree(tmp_path)
+        code = run(*self.SYSTEM[:-1], "x.csv", "--model-out", model_out)
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"fracsig: error: --model-out {Path(model_out)} names the same file as --out x.csv\n"
+        )
         assert _tree(tmp_path) == before
 
 
