@@ -21,29 +21,19 @@ def main():
     print(f"cohort: {X.shape[0]} records, {X.shape[1]} features each")
 
     cfg = classify.TrainConfig(epochs=300, seed=0)
-    accs = []
-    for train, test in classify.kfold(len(y), k=5, seed=0):
-        scaler = classify.MinMaxScaler()
-        X_tr, X_te = scaler.fit_transform(X[train]), scaler.transform(X[test])
-        params, _ = classify.mlp_train(X_tr, y[train], cfg)
-        metrics = classify.evaluate(y[test], classify.mlp_predict(params, X_te))
-        accs.append(metrics.accuracy)
+    accs = [classify.fit_split(X, y, train, test, cfg)[0].accuracy
+            for train, test in classify.kfold(len(y), k=5, seed=0)]
     print(f"5-fold accuracy: {np.mean(accs):.3f} "
           f"(folds: {', '.join(f'{a:.2f}' for a in accs)})")
 
     train, test = classify.holdout(sites, y, "site-b", seed=0)
-    scaler = classify.MinMaxScaler()
-    X_tr, X_te = scaler.fit_transform(X[train]), scaler.transform(X[test])
-    y_tr, y_te = y[train], y[test]
-    params, _ = classify.mlp_train(X_tr, y_tr, cfg)
-    metrics = classify.evaluate(y_te, classify.mlp_predict(params, X_te))
+    metrics, _ = classify.fit_split(X, y, train, test, cfg)
     print(f"holdout on site-b: accuracy {metrics.accuracy:.3f}, "
           f"macro AUROC {metrics.macro_auroc:.3f}")
 
-    logit, _ = classify.logistic_train(X_tr, y_tr, lr=0.5)
-    base = classify.evaluate(y_te, classify.mlp_predict(logit, X_te))
+    base, _ = classify.fit_split(X, y, train, test, classify.TrainConfig(epochs=500),
+                                 model="logistic", lr=0.5)
     print(f"logistic baseline on the same split: {base.accuracy:.3f}")
-
 
 if __name__ == "__main__":
     main()

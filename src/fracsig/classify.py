@@ -12,7 +12,8 @@ code, so trained parameters do not depend on the buffering.
 A cohort is one (m, d) feature matrix, one stage vector and one list
 of institution names.  Both split builders return (train, test) index
 arrays, so a caller stacks the features once and takes ``X[train]``,
-``y[train]``, ``X[test]`` and ``y[test]`` for every split.
+``y[train]``, ``X[test]`` and ``y[test]`` for every split;
+:func:`fit_split` scales, trains and evaluates one such split.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "mlp_gradients",
     "numerical_gradients",
     "logistic_train",
+    "fit_split",
     "kfold",
     "holdout",
     "evaluate",
@@ -125,8 +127,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
 
@@ -341,8 +343,8 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
     loss that is not finite or grows tenfold, after any update the last
     included, raises with advice to lower the learning rate.
     """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
+    if not 0 < lr < np.inf:
+        raise ValueError("lr must be positive and finite")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     _check_classes(y)
@@ -361,6 +363,33 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
         history.append(float(loss))
         grad.weights[0][...] += l2 * W
         flat -= lr * grad.flat
+
+
+def fit_split(X, y, train, test, cfg: TrainConfig | None = None, *, model="mlp", lr=None):
+    """Scale, train and evaluate one split; returns (metrics, history).
+
+    ``train`` and ``test`` index the rows of ``X`` and ``y``, as
+    :func:`kfold` and :func:`holdout` give them.  A :class:`MinMaxScaler`
+    is fit on the training rows only.  ``model="mlp"`` trains by
+    :func:`mlp_train` under ``cfg``; ``model="logistic"`` trains by
+    :func:`logistic_train` for ``cfg.epochs`` epochs at step size ``lr``
+    (None keeps its default).  ``history`` holds per-epoch loss and
+    accuracy; the logistic trainer tracks no accuracy, so the logistic
+    history's accuracies are NaN.
+    """
+    cfg = cfg or TrainConfig()
+    scaler = MinMaxScaler()
+    X_train, X_test = scaler.fit_transform(X[train]), scaler.transform(X[test])
+    if model == "mlp":
+        params, history = mlp_train(X_train, y[train], cfg)
+    elif model == "logistic":
+        params, losses = logistic_train(
+            X_train, y[train], epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
+        )
+        history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
+    else:
+        raise ValueError(f"unknown model {model!r}; expected 'mlp' or 'logistic'")
+    return evaluate(y[test], mlp_predict(params, X_test)), history
 
 
 def kfold(n: int, k: int = 5, seed: int = 0):

@@ -381,12 +381,10 @@ def _cmd_synth_cohort(args, out_dir) -> str:
 
 
 def _cmd_synth_viral(args, out_dir) -> str:
-    draws = synth._viral_draws(args.subjects, args.infected, args.seed, args.alpha_shift)
+    draws = synth._viral_draws(args.subjects, args.infected, args.seed, args.alpha_shift,
+                               args.side_samples)
     _write_record_set(
-        args.out_dir,
-        out_dir,
-        [draws],
-        lambda draw: synth._viral_case(draw, args.side_samples),
+        args.out_dir, out_dir, [draws], lambda draw: synth._viral_case(draw, args.side_samples),
         lambda c: {"inoculation_index": c.inoculation_index, "infected": c.infected},
     )
     return f"wrote {len(draws)} subjects to {Path(args.out_dir)}"
@@ -419,7 +417,7 @@ def _cmd_mfdfa(args, out_dir) -> str:
     for label, samples in zip(record.labels, record.channels):
         with _naming(f"{args.record}: channel {label!r}"):
             sf = mfdfa.scaling_function(mfdfa.profile(samples), cfg)
-        spectrum = mfdfa.hurst_spectrum(sf)
+            spectrum = mfdfa.hurst_spectrum(sf)
         diag = mfdfa.scaling_diagnostics(sf)
         payload = mfdfa.spectrum_to_dict(sf, spectrum)
         payload["std_across_q"] = [float(v) for v in diag.std_across_q]
@@ -531,18 +529,7 @@ def _cmd_train(args, out_dir) -> str:
         """Write the split's metrics and curve files into ``out_dir``; its accuracy."""
         metrics_name, curve_name, label, train, test = split
         with _naming(label):
-            scaler = classify.MinMaxScaler()
-            Xtr = scaler.fit_transform(X[train])
-            Xte = scaler.transform(X[test])
-            ytr = y[train]
-            if args.model == "mlp":
-                params, history = classify.mlp_train(Xtr, ytr, cfg)
-            else:
-                params, losses = classify.logistic_train(
-                    Xtr, ytr, epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
-                )
-                history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
-            metrics = classify.evaluate(y[test], classify.mlp_predict(params, Xte))
+            metrics, history = classify.fit_split(X, y, train, test, cfg, model=args.model, lr=lr)
         _write_json(out_dir / metrics_name, metrics.to_dict())
         _write_csv(out_dir / curve_name, ("epoch", "loss", "accuracy"),
                    zip(count(), history["loss"], history["accuracy"]))

@@ -131,8 +131,8 @@ class FractionalModel:
             if B.shape[1] >= n:
                 raise ValueError("input count p must be strictly smaller than n")
             object.__setattr__(self, "B", B)
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
 
     @property
     def n(self) -> int:

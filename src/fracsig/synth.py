@@ -152,11 +152,16 @@ def synth_frac_noise(alpha: float, n: int, seed: int) -> np.ndarray:
 
     Built by exact fractional integration (full-memory GL convolution of
     order -alpha) of a seeded Gaussian sequence; the DFA exponent of the
-    result is alpha + 0.5.
+    result is alpha + 0.5.  An order whose integration overflows float64
+    raises ``ValueError``.
     """
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(n)
-    return fracdyn.frac_difference(w, -alpha, None)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, not a warning
+        x = fracdyn.frac_difference(w, -alpha, None)
+    if not np.isfinite(x).all():
+        raise ValueError(f"fractional integration of order {alpha:g} over {n} samples overflows")
+    return x
 
 
 def companion_spectral_radius(alpha, A) -> float:
@@ -386,9 +391,11 @@ def synth_viral_cohort(
     the midpoint inoculation index.  Returns a list of
     :class:`fracsig.viral.SubjectCase`.  Every random draw is made first;
     each subject is then simulated from its own draws alone, which is how
-    the command line simulates each subject in a worker.
+    the command line simulates each subject in a worker.  An order whose
+    fractional integration overflows float64 raises ``ValueError``
+    naming the subject.
     """
-    draws = _viral_draws(n_subjects, n_infected, seed, alpha_shift)
+    draws = _viral_draws(n_subjects, n_infected, seed, alpha_shift, side_samples)
     return [_viral_case(draw, side_samples) for draw in draws]
 
 
@@ -400,12 +407,17 @@ class _ViralDraw(NamedTuple):
     channels: tuple
 
 
-def _viral_draws(n_subjects, n_infected, seed, alpha_shift) -> list[_ViralDraw]:
-    """The draws of every subject of :func:`synth_viral_cohort`, in ``rng`` order."""
+def _viral_draws(n_subjects, n_infected, seed, alpha_shift, side_samples) -> list[_ViralDraw]:
+    """The draws of every subject of :func:`synth_viral_cohort`, in ``rng``
+    order, once every argument of it has been checked."""
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got n_subjects={n_subjects}")
     if not 0 <= n_infected <= n_subjects:
         raise ValueError(f"n_infected={n_infected} must lie in 0..n_subjects={n_subjects}")
+    if side_samples < 1:
+        raise ValueError(f"need at least one sample per side, got side_samples={side_samples}")
+    if not np.isfinite(alpha_shift):
+        raise ValueError(f"alpha_shift must be finite, got {alpha_shift}")
     rng = np.random.default_rng(seed)
     draws = []
     for s in range(n_subjects):
@@ -424,13 +436,16 @@ def _viral_case(draw: _ViralDraw, side_samples: int):
     """Simulate one subject of :func:`synth_viral_cohort` from its draws."""
     from .viral import SubjectCase
 
-    chans = [
-        np.concatenate([
-            synth_frac_noise(a_pre, side_samples, pre_seed),
-            synth_frac_noise(a_post, side_samples, post_seed),
-        ])
-        for a_pre, pre_seed, a_post, post_seed in draw.channels
-    ]
+    try:
+        chans = [
+            np.concatenate([
+                synth_frac_noise(a_pre, side_samples, pre_seed),
+                synth_frac_noise(a_post, side_samples, post_seed),
+            ])
+            for a_pre, pre_seed, a_post, post_seed in draw.channels
+        ]
+    except ValueError as exc:
+        raise ValueError(f"subject {draw.subject_id!r}: {exc}") from None
     return SubjectCase(
         np.stack(chans),
         inoculation_index=side_samples,

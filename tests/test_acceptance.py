@@ -256,28 +256,16 @@ class TestCriterion8Classifier:
         X, y, institutions = stage_cohort
         cfg = classify.TrainConfig(epochs=500, seed=0)
 
-        mlp_accs, logistic_accs = [], []
-        for train, test in classify.kfold(len(y), 5, seed=0):
-            scaler = classify.MinMaxScaler()
-            Xtr, Xte = scaler.fit_transform(X[train]), scaler.transform(X[test])
-            params, _ = classify.mlp_train(Xtr, y[train], cfg)
-            mlp_accs.append(
-                np.mean(classify.mlp_predict(params, Xte).argmax(1) == y[test])
-            )
-            lmodel, _ = classify.logistic_train(Xtr, y[train])
-            logistic_accs.append(
-                np.mean(classify.mlp_predict(lmodel, Xte).argmax(1) == y[test])
-            )
+        def accuracy(train, test, model="mlp"):
+            return classify.fit_split(X, y, train, test, cfg, model=model)[0].accuracy
 
-        holdout_accs = []
-        for institution in sorted(set(institutions)):
-            train, test = classify.holdout(institutions, y, institution, seed=0)
-            scaler = classify.MinMaxScaler()
-            Xtr, Xte = scaler.fit_transform(X[train]), scaler.transform(X[test])
-            params, _ = classify.mlp_train(Xtr, y[train], cfg)
-            holdout_accs.append(
-                np.mean(classify.mlp_predict(params, Xte).argmax(1) == y[test])
-            )
+        folds = classify.kfold(len(y), 5, seed=0)
+        mlp_accs = [accuracy(train, test) for train, test in folds]
+        logistic_accs = [accuracy(train, test, "logistic") for train, test in folds]
+        holdout_accs = [
+            accuracy(*classify.holdout(institutions, y, institution, seed=0))
+            for institution in sorted(set(institutions))
+        ]
 
         kfold_acc = float(np.mean(mlp_accs))
         logistic_acc = float(np.mean(logistic_accs))

@@ -82,9 +82,22 @@ class TestExitCodes:
             (["viral", "--subjects", "0", "--out-dir", "c"], "n_subjects=0"),
             (["viral", "--subjects", "4", "--infected", "9", "--out-dir", "c"],
              "n_infected=9"),
+            (["viral", "--side-samples", "0", "--out-dir", "c"], "side_samples=0"),
+            (["viral", "--side-samples", "-5", "--out-dir", "c"], "side_samples=-5"),
+            (["viral", "--subjects", "2", "--infected", "1", "--side-samples", "300",
+              "--alpha-shift", "1e300", "--out-dir", "c"],
+             "subject 'subj00': fractional integration of order 1e+300 over 300 samples"),
+            (["viral", "--subjects", "2", "--infected", "1", "--alpha-shift", "nan",
+              "--out-dir", "c"], "alpha_shift must be finite, got nan"),
+            (["system", "--channels", "2", "--n", "1100", "--noise-scale", "nan",
+              "--out", "x.csv"], "noise_scale must be finite and nonnegative, got nan"),
+            (["system", "--channels", "2", "--n", "1100", "--noise-scale", "inf",
+              "--out", "x.csv"], "noise_scale must be finite and nonnegative, got inf"),
         ],
         ids=["samples", "n", "channels", "per-class-zero", "per-class-negative",
-             "viral-subjects-zero", "viral-infected-above-subjects"],
+             "viral-subjects-zero", "viral-infected-above-subjects", "viral-side-samples-zero",
+             "viral-side-samples-negative", "viral-shift-overflows", "viral-nan-shift",
+             "system-nan-noise-scale", "system-infinite-noise-scale"],
     )
     def test_zero_size_is_data_error(self, tmp_path, capsys, argv, named):
         argv = [str(tmp_path / a) if a in ("c", "x.csv") else a for a in argv]
@@ -219,18 +232,20 @@ class TestMfdfaCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["casc.csv"]
 
     @pytest.mark.parametrize(
-        "labels, named",
-        [(("ok", "a/b", "c"),
+        "labels, samples, named",
+        [(("ok", "a/b", "c"), 1024,
           "channel label 'a/b' cannot be part of an output file name"),
-         (("flat", "ok", "c"),
+         (("flat", "ok", "c"), 1024,
           "channel 'flat': zero fluctuation in window 0 at scale 16"),
-         (("ok", "flat", "c"),
-          "channel 'flat': zero fluctuation in window 0 at scale 16")],
-        ids=["label-with-slash", "constant-channel", "later-constant-channel"],
+         (("ok", "flat", "c"), 1024,
+          "channel 'flat': zero fluctuation in window 0 at scale 16"),
+         (("ok", "b", "c"), 64, "channel 'ok': need at least 3 scales for a slope fit")],
+        ids=["label-with-slash", "constant-channel", "later-constant-channel", "too-short"],
     )
-    def test_bad_record_names_it_and_writes_nothing(self, tmp_path, capsys, labels, named):
+    def test_bad_record_names_it_and_writes_nothing(self, tmp_path, capsys, labels, samples,
+                                                    named):
         rec = tmp_path / "rec.csv"
-        X = np.random.default_rng(0).standard_normal((3, 1024))
+        X = np.random.default_rng(0).standard_normal((3, samples))
         if "flat" in labels:
             X[labels.index("flat")] = 2.0
         records.write_record(records.MultichannelRecord(X, labels), rec)
@@ -524,6 +539,39 @@ class TestTrainVariants:
         assert stdouts[0] == stdouts[1]
         assert len(stdouts[0].splitlines()) == len(names) + 1
 
+    @pytest.mark.parametrize("mode", ["kfold", "holdout"])
+    @pytest.mark.parametrize("model", ["mlp", "logistic"])
+    def test_files_match_the_library(self, cohort_features, tmp_path, capsys, mode, model):
+        out = tmp_path / "run"
+        assert run(
+            "train", str(cohort_features), "--mode", mode, "--model", model, "--folds", "3",
+            "--epochs", "5", "--seed", "2", "--out-dir", str(out),
+        ) == 0
+        lines = [json.loads(line) for line in cohort_features.read_text().splitlines()]
+        X = np.array([line["features"] for line in lines])
+        y = np.array([line["stage"] for line in lines])
+        institutions = [line["institution"] for line in lines]
+        if mode == "kfold":
+            splits = {(f"fold{i}.json", f"curve_fold{i}.csv"): split
+                      for i, split in enumerate(classify.kfold(len(y), 3, seed=2))}
+        else:
+            splits = {(f"holdout_{name}.json", f"curve_{name}.csv"):
+                      classify.holdout(institutions, y, name, seed=2)
+                      for name in sorted(set(institutions))}
+        cfg = classify.TrainConfig(epochs=5, seed=2)
+        accuracies = []
+        for (metrics_name, curve_name), (train, test) in splits.items():
+            metrics, history = classify.fit_split(X, y, train, test, cfg, model=model)
+            assert json.loads((out / metrics_name).read_text()) == metrics.to_dict()
+            curve = np.loadtxt(out / curve_name, delimiter=",", skiprows=1, ndmin=2)
+            epochs = np.arange(len(history["loss"]))
+            np.testing.assert_array_equal(
+                curve, np.column_stack([epochs, history["loss"], history["accuracy"]])
+            )
+            accuracies.append(metrics.accuracy)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["accuracy_mean"] == float(np.mean(accuracies))
+
     def test_logistic_learning_rate_reaches_the_trainer(self, cohort_features, tmp_path, capsys):
         outs = []
         for rate in ("0.001", "0.5"):
@@ -538,10 +586,11 @@ class TestTrainVariants:
     def test_non_positive_learning_rate_is_data_error(self, cohort_features, tmp_path, capsys):
         for cores in CORES:
             for model in ("mlp", "logistic"):
-                assert run_on(
-                    cores, "train", str(cohort_features), "--model", model, "--epochs", "2",
-                    "--learning-rate", "0", "--out-dir", str(tmp_path / model),
-                ) == cli.EXIT_DATA
+                for rate in ("0", "nan", "inf"):
+                    assert run_on(
+                        cores, "train", str(cohort_features), "--model", model, "--epochs", "2",
+                        "--learning-rate", rate, "--out-dir", str(tmp_path / model),
+                    ) == cli.EXIT_DATA
 
 
 class TestViralCommand:

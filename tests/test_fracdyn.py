@@ -165,6 +165,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match="B"):
             fracdyn.simulate(model, 100, u=np.ones((100, 1)), seed=0)
 
+    @pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
+    def test_bad_noise_scale_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
+            fracdyn.FractionalModel([0.5], [[-0.5]], noise_scale=noise)
+
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError, match="T=0"):
             fracdyn.simulate(self._model(), 0, seed=0)

@@ -346,6 +346,24 @@ class TestViralCohort:
         with pytest.raises(ValueError, match=named):
             synth.synth_viral_cohort(n_subjects, n_infected, seed=0, side_samples=300)
 
+    @pytest.mark.parametrize("side_samples", [0, -5])
+    def test_no_side_samples_rejected_before_any_draw(self, monkeypatch, side_samples):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking side_samples")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=f"side_samples={side_samples}"):
+            synth.synth_viral_cohort(4, 2, seed=0, side_samples=side_samples)
+
+    @pytest.mark.parametrize("alpha_shift", [1e300, -1e300])
+    def test_overflowing_order_names_the_subject(self, alpha_shift):
+        # the infected subj00 integrates its later half at the shifted order
+        with pytest.raises(ValueError, match=(
+            f"^subject 'subj00': fractional integration of order {alpha_shift:g} "
+            "over 300 samples overflows$"
+        ).replace("+", r"\+")):
+            synth.synth_viral_cohort(2, 1, seed=0, side_samples=300, alpha_shift=alpha_shift)
+
     def test_shift_moves_post_alpha(self):
         case = synth.synth_viral_cohort(1, 1, seed=2, side_samples=4096, alpha_shift=0.4)[0]
         pre = case.channels[0, :4096]
