@@ -31,8 +31,9 @@ def main():
     print(f"holdout on site-b: accuracy {metrics.accuracy:.3f}, "
           f"macro AUROC {metrics.macro_auroc:.3f}")
 
-    base, _ = classify.fit_split(X, y, train, test, classify.TrainConfig(epochs=500),
-                                 model="logistic", lr=0.5)
+    base, _ = classify.fit_split(X, y, train, test,
+                                 classify.TrainConfig(epochs=500, learning_rate=0.5),
+                                 model="logistic")
     print(f"logistic baseline on the same split: {base.accuracy:.3f}")
 
 if __name__ == "__main__":

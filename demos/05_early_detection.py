@@ -3,7 +3,7 @@
 Each synthetic subject has a pre/post pair of segments; infected
 subjects shift their fractional order after the split point. The
 pipeline estimates the order in sliding windows, summarizes the
-pre-vs-post distributions with a symmetrized KL divergence, and
+pre-vs-post distributions by the KL divergence KL(pre || post), and
 classifies each subject leave-one-out. Sweeping an artificial offset
 of the assumed split point shows errors are minimized at the true
 split, which is the sanity check that the feature sees the change

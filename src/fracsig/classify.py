@@ -120,14 +120,14 @@ class MinMaxScaler:
 class TrainConfig:
     epochs: int = 500
     batch_size: int = 64
-    learning_rate: float = 0.001
+    learning_rate: float | None = None  # None: each trainer's default, mlp 0.001, logistic 0.01
     dropout_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if not 0 < self.learning_rate < np.inf:
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
@@ -294,6 +294,7 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
     ``fracdyn.NumericalError`` with the epoch index.
     """
     cfg = cfg or TrainConfig()
+    lr = 1e-3 if cfg.learning_rate is None else cfg.learning_rate
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     _check_classes(y)
@@ -320,7 +321,7 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
             cache += work
             np.sqrt(cache, out=work)
             work += RMSPROP_EPSILON
-            g *= cfg.learning_rate
+            g *= lr
             g /= work
             flat -= g
         probs = mlp_predict(params, X)
@@ -334,15 +335,17 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below, not a warning
-def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
+def logistic_train(X, y, *, l2=0.0, epochs=500, lr=None, n_classes=N_STAGES):
     """Multinomial softmax regression by full-batch gradient descent.
 
     The model is a network with no hidden layer, started at zero, so
-    :func:`mlp_predict` applies it.  ``l2`` penalises the weights, not
-    the biases.  Returns (params, loss_history).  The loss is convex; a
-    loss that is not finite or grows tenfold, after any update the last
-    included, raises with advice to lower the learning rate.
+    :func:`mlp_predict` applies it.  ``lr`` is the step size, 0.01 if
+    None; ``l2`` penalises the weights, not the biases.  Returns
+    (params, loss_history).  The loss is convex; a loss that is not
+    finite or grows tenfold, after any update the last included, raises
+    with advice to lower the learning rate.
     """
+    lr = 1e-2 if lr is None else lr
     if not 0 < lr < np.inf:
         raise ValueError("lr must be positive and finite")
     X = np.asarray(X, dtype=float)
@@ -365,17 +368,16 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=1e-2, n_classes=N_STAGES):
         flat -= lr * grad.flat
 
 
-def fit_split(X, y, train, test, cfg: TrainConfig | None = None, *, model="mlp", lr=None):
+def fit_split(X, y, train, test, cfg: TrainConfig | None = None, *, model="mlp"):
     """Scale, train and evaluate one split; returns (metrics, history).
 
     ``train`` and ``test`` index the rows of ``X`` and ``y``, as
     :func:`kfold` and :func:`holdout` give them.  A :class:`MinMaxScaler`
     is fit on the training rows only.  ``model="mlp"`` trains by
     :func:`mlp_train` under ``cfg``; ``model="logistic"`` trains by
-    :func:`logistic_train` for ``cfg.epochs`` epochs at step size ``lr``
-    (None keeps its default).  ``history`` holds per-epoch loss and
-    accuracy; the logistic trainer tracks no accuracy, so the logistic
-    history's accuracies are NaN.
+    :func:`logistic_train` for ``cfg.epochs`` epochs at step size
+    ``cfg.learning_rate``.  ``history`` holds per-epoch loss and accuracy;
+    the logistic trainer tracks no accuracy, so its accuracies are NaN.
     """
     cfg = cfg or TrainConfig()
     scaler = MinMaxScaler()
@@ -383,9 +385,7 @@ def fit_split(X, y, train, test, cfg: TrainConfig | None = None, *, model="mlp",
     if model == "mlp":
         params, history = mlp_train(X_train, y[train], cfg)
     elif model == "logistic":
-        params, losses = logistic_train(
-            X_train, y[train], epochs=cfg.epochs, **({} if lr is None else {"lr": lr})
-        )
+        params, losses = logistic_train(X_train, y[train], epochs=cfg.epochs, lr=cfg.learning_rate)
         history = {"loss": losses, "accuracy": [float("nan")] * len(losses)}
     else:
         raise ValueError(f"unknown model {model!r}; expected 'mlp' or 'logistic'")
@@ -516,8 +516,6 @@ def evaluate(y_true, probs, n_classes: int = N_STAGES) -> Metrics:
         auc = _binary_auroc(probs[:, c], y_true == c)
         if np.isfinite(auc):
             aurocs.append(auc)
-    loss = -float(
-        np.mean(np.log(probs[np.arange(y_true.size), y_true] + 1e-30))
-    )
+    loss = float(_loss(probs, _one_hot(y_true, probs.shape[1])))
     macro = float(np.mean(aurocs)) if aurocs else float("nan")
     return Metrics(confusion, accuracy, sensitivity, specificity, precision, macro, loss)

@@ -61,6 +61,7 @@ import errno
 import json
 import os
 import pickle
+import re
 import shutil
 import stat
 import sys
@@ -89,7 +90,11 @@ EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse that exits 1 on a usage failure and reads ``-1e-3`` or ``-inf`` as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -483,6 +488,8 @@ def _load_features(path):
                 raise records.RecordFormatError(f"{where}: features must be finite")
             if len(rows) == 1:
                 first_line = lineno
+                if not rows[0]:  # every later line must match its width
+                    raise records.RecordFormatError(f"{where}: features is empty")
             elif len(rows[-1]) != len(rows[0]):
                 raise records.RecordFormatError(
                     f"{where}: {len(rows[-1])} features, but line {first_line} has {len(rows[0])}"
@@ -512,13 +519,12 @@ def _cmd_train(args, out_dir) -> str:
     if args.mode == "holdout":
         for name in institutions:
             _check_file_part(name, "institution", args.features)
-    lr = args.learning_rate  # None keeps each model's own default step size
     cfg = classify.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
+        learning_rate=args.learning_rate,
         dropout_rate=args.dropout,
         seed=args.seed,
-        **({} if lr is None else {"learning_rate": lr}),
     )
     splits = list(_train_splits(args, y, institutions))
     for _, _, label, train, _ in splits:
@@ -529,7 +535,7 @@ def _cmd_train(args, out_dir) -> str:
         """Write the split's metrics and curve files into ``out_dir``; its accuracy."""
         metrics_name, curve_name, label, train, test = split
         with _naming(label):
-            metrics, history = classify.fit_split(X, y, train, test, cfg, model=args.model, lr=lr)
+            metrics, history = classify.fit_split(X, y, train, test, cfg, model=args.model)
         _write_json(out_dir / metrics_name, metrics.to_dict())
         _write_csv(out_dir / curve_name, ("epoch", "loss", "accuracy"),
                    zip(count(), history["loss"], history["accuracy"]))
@@ -679,11 +685,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mfdfa", help="scaling function and Hurst spectrum")
     p.add_argument("record")
-    p.add_argument(
-        "--q", type=_list_of(float), default="-5,-3,-1,1,3,5",
-        help="comma-separated moment orders; a list starting with a negative "
-        "item is written --q=-5,-3,3",
-    )
+    p.add_argument("--q", type=_list_of(float), default="-5,-3,-1,1,3,5",
+                   help="comma-separated moment orders")
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--scales", type=_list_of(int), help="comma-separated window sizes")
     grid.add_argument("--dyadic", action="store_true", help="power-of-two scales")
@@ -734,11 +737,8 @@ def _build_parser() -> _Parser:
     p.add_argument("manifest")
     p.add_argument("--window", type=int, default=3000)
     p.add_argument("--stride", type=int, default=100)
-    p.add_argument(
-        "--shifts", type=_list_of(int), default="-200,-100,0,100,200",
-        help="comma-separated inoculation shifts in samples; a list starting "
-        "with a negative item is written --shifts=-200,0",
-    )
+    p.add_argument("--shifts", type=_list_of(int), default="-200,-100,0,100,200",
+                   help="comma-separated inoculation shifts in samples")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_viral)
 
@@ -790,7 +790,7 @@ def _apply_config(argv: list[str]) -> list[str]:
             if value.lower() == "true":
                 extra.append(flag)
         else:
-            extra.append(f"{flag}={value}")  # one token, so "-200,0" is not read as a flag
+            extra.append(f"{flag}={value}")  # one token, so no value is read as a flag
     # insert right after the subcommand tokens so explicit flags still win
     return argv[:cut] + extra + argv[cut:]
 

@@ -89,11 +89,11 @@ _READ_BLOCK = 1 << 16
 
 
 def _parse_block(lines: list[str], ncol: int) -> np.ndarray | None:
-    """Row-major finite values of a block of plain CSV lines, or None.
+    """Row-major values of a block of plain CSV lines, or None.
 
     A block is plain when every line ends in CRLF, holds no quote and has
-    exactly ``ncol - 1`` commas, and every cell converts with ``float()``
-    to a finite value; its cells are then the cells a CSV reader gives.
+    exactly ``ncol - 1`` commas, and every cell converts with ``float()``;
+    its cells are then the cells a CSV reader gives.
     """
     # a line's last cell keeps its line end, which float() strips as whitespace
     joined = ",".join(lines)
@@ -106,10 +106,9 @@ def _parse_block(lines: list[str], ncol: int) -> np.ndarray | None:
     if len(cells) != ncol * len(lines) or last.count("\r\n") != len(lines):
         return None
     try:
-        values = np.array(list(map(float, cells)))
+        return np.array(list(map(float, cells)))
     except ValueError:
         return None
-    return values if np.isfinite(values).all() else None
 
 
 def load_record(path) -> MultichannelRecord:
@@ -122,7 +121,7 @@ def load_record(path) -> MultichannelRecord:
     (1-based, header is row 1).
 
     The body is read in blocks of lines.  A block of plain lines (CRLF
-    endings, no quotes, one cell per channel, finite numbers: what
+    endings, no quotes, one cell per channel, numbers: what
     :func:`write_record` writes) converts in one pass; from the first
     other block on, a CSV reader walks the cells one by one, and that
     walk alone reports errors.  Both convert each cell with ``float()``.

@@ -223,7 +223,7 @@ class TestTraining:
                 g = grad.flat
                 cache *= classify.RMSPROP_DECAY
                 cache += (1 - classify.RMSPROP_DECAY) * g**2
-                flat -= cfg.learning_rate * g / (np.sqrt(cache) + classify.RMSPROP_EPSILON)
+                flat -= 0.001 * g / (np.sqrt(cache) + classify.RMSPROP_EPSILON)
             losses_by_epoch.append(float(np.mean(losses)))
             preds = classify.mlp_predict(ref, X).argmax(axis=1)
             accuracy.append(float(np.mean(preds == y)))
@@ -289,6 +289,33 @@ class TestTraining:
                     classify.mlp_train(X, y, cfg, n_classes=3)
                 else:
                     classify.logistic_train(X, y, epochs=epochs, lr=1e300, n_classes=3)
+
+    def test_fit_split_steps_by_the_config_learning_rate(self):
+        X, y = self._blobs()
+        train, test = np.arange(40), np.arange(40, 60)
+        scaler = classify.MinMaxScaler().fit(X[train])
+
+        def split(model, **kwargs):
+            """The split's metrics and per-epoch losses (logistic accuracies are NaN)."""
+            cfg = classify.TrainConfig(epochs=6, seed=3, **kwargs)
+            metrics, history = classify.fit_split(X, y, train, test, cfg, model=model)
+            return metrics.to_dict(), history["loss"]
+
+        fast, default = split("logistic", learning_rate=0.5), split("logistic")
+        assert fast != default
+        params, losses = classify.logistic_train(scaler.transform(X[train]), y[train],
+                                                 epochs=6, lr=0.5)
+        probs = classify.mlp_predict(params, scaler.transform(X[test]))
+        assert fast == (classify.evaluate(y[test], probs).to_dict(), losses)
+        # unset is each trainer's own default step size, bit for bit
+        assert split("mlp") == split("mlp", learning_rate=0.001)
+        assert default == split("logistic", learning_rate=0.01)
+        cfg = classify.TrainConfig(epochs=3, seed=3)
+        explicit = classify.TrainConfig(epochs=3, seed=3, learning_rate=0.001)
+        a, b = classify.mlp_train(X, y, cfg)[0], classify.mlp_train(X, y, explicit)[0]
+        assert np.array_equal(a.flat, b.flat)
+        a, b = classify.logistic_train(X, y)[0], classify.logistic_train(X, y, lr=0.01)[0]
+        assert np.array_equal(a.flat, b.flat)
 
     def test_prediction_input_width_checked(self):
         params = classify.init_mlp(4, hidden=(5,), n_classes=3)

@@ -1650,6 +1650,46 @@ class TestFlagUsageErrors:
         assert "unrecognized arguments: --rate 2" in capsys.readouterr().err
 
 
+class TestNegativeValues:
+    """A value starting with "-" reads the same after a space as after "="."""
+
+    def test_negative_values_after_a_space(self, tmp_path, capsys):
+        cohorts = []
+        for spelling in (["--alpha-shift", "-1e-3"], ["--alpha-shift=-1e-3"]):
+            cohorts.append(tmp_path / f"vir{len(cohorts)}")
+            assert run(
+                "synth", "viral", "--subjects", "4", "--infected", "2",
+                "--side-samples", "3000", "--seed", "6", *spelling, "--out-dir", str(cohorts[-1]),
+            ) == 0
+        names = sorted(p.name for p in cohorts[0].iterdir())
+        assert len(names) == 5  # four subjects and the manifest
+        for name in names:
+            assert (cohorts[0] / name).read_bytes() == (cohorts[1] / name).read_bytes(), name
+        sweeps = []
+        for spelling in (["--shifts", "-200,0"], ["--shifts=-200,0"]):
+            sweeps.append(tmp_path / f"sweep{len(sweeps)}.csv")
+            assert run(
+                "viral", str(cohorts[0] / "manifest.json"), "--window", "1024",
+                "--stride", "256", *spelling, "--out", str(sweeps[-1]),
+            ) == 0
+        assert sweeps[0].read_bytes() == sweeps[1].read_bytes()
+        assert [r.split(",")[0] for r in sweeps[0].read_text().splitlines()] == [
+            "shift", "-200", "0",
+        ]
+
+    @pytest.mark.parametrize("model", ["mlp", "logistic"])
+    def test_negative_infinite_learning_rate_is_data_error(self, tmp_path, capsys, model):
+        feats = tmp_path / "features.jsonl"
+        feats.write_text(_feature_lines())
+        out = tmp_path / "run"
+        assert run(
+            "train", str(feats), "--model", model, "--learning-rate", "-inf", "--epochs", "1",
+            "--out-dir", str(out),
+        ) == cli.EXIT_DATA
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _feature_lines(institutions=("site-a", "site-b"), widths=(3,) * 10):
     return "".join(
         json.dumps({
@@ -1742,12 +1782,14 @@ class TestTrainCommand:
              [], "features.jsonl: line 11: features must be finite"),
             (_feature_lines() + '{"features": [1' + "0" * 5000 + ', 0.2, 0.3], "stage": 1}\n',
              [], "features.jsonl: line 11: invalid JSON: Exceeds the limit"),
+            ("".join(f'{{"features": [], "stage": {i % 5}}}\n' for i in range(10)), [],
+             "features.jsonl: line 1: features is empty"),
         ],
         ids=["one-fold", "zero-folds", "one-institution", "ragged-features",
              "non-numeric-feature", "stage-out-of-range", "not-an-object", "nan-feature",
              "institution-with-slash", "stage-bool", "stage-float", "string-feature",
              "bool-feature", "features-not-an-array", "institution-list", "institution-null",
-             "feature-beyond-float64", "integer-over-digit-limit"],
+             "feature-beyond-float64", "integer-over-digit-limit", "empty-features"],
     )
     def test_bad_training_input_fails_fast(self, tmp_path, capsys, text, argv, named):
         feats = tmp_path / "features.jsonl"
