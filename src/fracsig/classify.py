@@ -70,7 +70,15 @@ def extract_features(
         raise ValueError(
             f"channel {record.labels[constant[0]]!r} is constant; cannot z-score it"
         )
-    X = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a variance past float64's range is refused below
+        std = X.std(axis=1, keepdims=True)
+    beyond = np.flatnonzero(~(np.isfinite(std) & (std > 0)))
+    if beyond.size:
+        raise ValueError(
+            f"channel {record.labels[beyond[0]]!r} has a variance outside the float64 range; "
+            "cannot z-score it"
+        )
+    X = (X - X.mean(axis=1, keepdims=True)) / std
     try:
         alpha = fracdyn.estimate_alphas(X)
     except mfdfa.ZeroFluctuationError as exc:

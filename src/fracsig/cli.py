@@ -40,11 +40,9 @@ files, and the parent keeps every random draw and the order of every
 output, so under that one-thread default the outputs are byte-identical
 at any core count.  An item that raises stops the command with the error
 of the lowest failing item, the one a serial run meets first, named by
-its record, fold, site or subject, and every output is left as it was;
-``viral`` reports a subject's window-count or fit error only once every
-subject's manifest fields and record have been read.  A worker reports
-each item as it ends, so an item that kills its worker, or whose result
-cannot be sent back, is named itself.
+its record, fold, site or subject, and every output is left as it was.
+A worker reports each item as it ends, so an item that kills its worker,
+or whose result cannot be sent back, is named itself.
 
 A config file passed before the command with ``--config FILE`` or
 ``--config=FILE`` may set any flag default.  Its grammar is one
@@ -408,16 +406,19 @@ def _cmd_mfdfa(args, out_dir) -> str:
     record = records.load_record(args.record)
     for label in record.labels:
         _check_file_part(label, "channel label", args.record)
-    scale_grid = args.scales
-    if args.dyadic:
-        scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
-    cfg = mfdfa.MfdfaConfig(
-        q_grid=args.q,
-        scale_grid=scale_grid,
-        detrend_order=args.detrend_order,
-        q_zero_mode=args.q_zero_mode,
-        both_ends=args.both_ends,
-    )
+    with _naming(args.record):  # a flag's error, raised before any channel is analysed
+        scale_grid = args.scales
+        if args.dyadic:
+            scale_grid = tuple(mfdfa.dyadic_scale_grid(record.n_samples))
+        cfg = mfdfa.MfdfaConfig(
+            q_grid=args.q,
+            scale_grid=scale_grid,
+            detrend_order=args.detrend_order,
+            q_zero_mode=args.q_zero_mode,
+            both_ends=args.both_ends,
+        )
+        cfg.resolve_q()
+        cfg.resolve_scales(record.n_samples)
     lines = []
     for label, samples in zip(record.labels, record.channels):
         with _naming(f"{args.record}: channel {label!r}"):
@@ -596,9 +597,7 @@ def _cmd_viral(args, out) -> str:
         return f"{args.manifest}: subject {entry.subject_id!r}"
 
     def subject(entry):
-        """The subject's infection label and its (pre, post) orders at each
-        shift, or the error of its sweep, which is raised only once every
-        subject's fields and record have been read."""
+        """The subject's infection label and its (pre, post) orders at each shift."""
         index = records._json_value(entry.extra, "inoculation_index", int, named(entry))
         infected = records._json_value(entry.extra, "infected", bool, named(entry))
         record = records.load_record(entry.path)
@@ -607,19 +606,13 @@ def _cmd_viral(args, out) -> str:
                 record.channels, record.labels, entry.subject_id,
                 inoculation_index=index, infected=infected,
             )
-        try:
-            with _naming(args.manifest):  # the sweep's errors name the subject themselves
-                return infected, viral._subject_sides(case, args.shifts, spec)
-        except ValueError as exc:
-            return infected, exc
+        with _naming(args.manifest):  # the sweep's errors name the subject themselves
+            return infected, viral._subject_sides(case, args.shifts, spec)
 
     spec = viral.WindowSpec(args.window, args.stride)
     entries = records.load_manifest(args.manifest)
     viral._need_cases(len(entries))
     subjects = _fork_map(subject, entries, name=named)
-    for _, sides in subjects:
-        if isinstance(sides, ValueError):
-            raise sides
     results = viral._loo_sweep(
         [sides for _, sides in subjects],
         [infected for infected, _ in subjects],

@@ -110,6 +110,9 @@ class MfdfaConfig:
     def __post_init__(self):
         if len(self.q_grid) == 0:
             raise ValueError("q_grid must be nonempty")
+        bad = [q for q in self.q_grid if not np.isfinite(q)]
+        if bad:
+            raise ValueError(f"q_grid values must be finite, got {bad[0]:g}")
         if self.q_zero_mode not in ("exclude", "log-average"):
             raise ValueError(f"unknown q_zero_mode: {self.q_zero_mode!r}")
         if self.detrend_order < 0:

@@ -10,9 +10,10 @@ shifts that ask for it, and its orders are sliced out per shift and side.
 
 The sweep has a per-subject half, which checks one subject's window counts
 and fits its windows, and a leave-one-out summary over every subject.  The
-``viral`` command runs the per-subject half in its forked workers; library
-calls to :func:`shift_sweep` and :func:`classify_loo` stay serial and fork
-nothing.
+subjects are swept in order and the first that fails stops the sweep with
+its error.  The ``viral`` command runs the per-subject half in its forked
+workers; library calls to :func:`shift_sweep` and :func:`classify_loo` stay
+serial and fork nothing.
 """
 
 from __future__ import annotations
@@ -216,8 +217,9 @@ def _need_cases(n_cases: int) -> None:
 
 def _subject_sides(case: SubjectCase, shifts, spec: WindowSpec) -> list:
     """(pre, post) orders of one subject at each shift: the per-subject half
-    of the sweep.  The subject's window counts are checked at every shift
-    before any of its windows is fitted."""
+    of the sweep, run subject by subject until one fails.  The subject's
+    window counts are checked at every shift before any of its windows is
+    fitted."""
     return _split_alphas(case, spec, [_split_starts(case, spec, shift) for shift in shifts])
 
 
@@ -236,15 +238,12 @@ def _loo_sweep(sides, labels, subject_ids) -> list[LooResult]:
 def _sweep(cases, shifts, spec: WindowSpec | None) -> list[LooResult]:
     """One leave-one-out result per shift; each distinct window is fitted once.
 
-    Every subject's window counts are checked at every shift before any
-    DFA runs.
+    Subjects are swept in order, and the first that fails raises its
+    error before any later subject is read.
     """
     cases = list(cases)
     _need_cases(len(cases))
     spec = spec or WindowSpec()
-    for case in cases:
-        for shift in shifts:
-            _split_starts(case, spec, shift)
     return _loo_sweep(
         [_subject_sides(case, shifts, spec) for case in cases],
         [c.infected for c in cases],

@@ -48,6 +48,19 @@ class TestExtractFeatures:
             ):
                 classify.extract_features(record)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e200], ids=["tiny", "huge"])
+    def test_channel_beyond_float64_variance_named_before_dividing(self, scale):
+        channels = np.random.default_rng(0).standard_normal((3, 1500))
+        channels[2] *= scale
+        record = records.MultichannelRecord(channels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                rf"^channel '{record.labels[2]}' has a variance outside the float64 range; "
+                "cannot z-score it$"
+            )):
+                classify.extract_features(record)
+
 
 class TestMinMaxScaler:
     def test_maps_to_unit_interval(self):

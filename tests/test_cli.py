@@ -206,13 +206,22 @@ class TestMfdfaCommand:
         header = next(iter(out.glob("sf_*_q*.csv"))).read_text().splitlines()[0]
         assert header == "log2_s,log2_sf"
 
-    def test_invalid_flag_makes_no_directory(self, tmp_path, capsys):
+    def test_invalid_flag_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        # a flag's error names the record, not a channel, and no channel is analysed
         rec = tmp_path / "casc.csv"
         run("synth", "cascade", "--p", "0.75", "--depth", "10", "--out", str(rec))
+        capsys.readouterr()
+        monkeypatch.setattr(mfdfa, "scaling_function", _no_call("scaling_function"))
         out = tmp_path / "mf"
-        assert run("mfdfa", str(rec), "--q=0", "--out-dir", str(out)) == cli.EXIT_DATA
-        assert "q_grid contains only 0" in capsys.readouterr().err
-        assert not out.exists()
+        for flag, named in [
+            ("--q=0", "q_grid contains only 0 with q_zero_mode='exclude'"),
+            ("--q=nan", "q_grid values must be finite, got nan"),
+            ("--q=1,-inf", "q_grid values must be finite, got -inf"),
+            ("--scales=64,32", "scale_grid must be strictly increasing"),
+        ]:
+            assert run("mfdfa", str(rec), flag, "--out-dir", str(out)) == cli.EXIT_DATA, flag
+            assert capsys.readouterr() == ("", f"fracsig: error: {rec}: {named}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("q, first, second", [
         ("2.0000001,2.0000002,3", "2.0000001", "2.0000002"),
@@ -661,7 +670,9 @@ class TestViralCommand:
         bad = out / "bad.json"
         bad.write_text(json.dumps(manifest))
         sweep = tmp_path / "sweep.csv"
-        assert run("viral", str(bad), "--out", str(sweep)) == cli.EXIT_DATA
+        # 6 windows a side, so the subjects before the bad one sweep cleanly
+        assert run("viral", str(bad), "--window", "1024", "--stride", "32", "--shifts", "0",
+                   "--out", str(sweep)) == cli.EXIT_DATA
         assert capsys.readouterr().err == (
             f"fracsig: error: {bad}: subject 'subj0{subject}': {named}\n"
         )
@@ -756,6 +767,52 @@ class TestViralCommand:
         ))
         assert not sweep.exists()
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", CORES)
+    def test_first_failing_subject_wins_over_a_later_bad_field(self, tmp_path, capsys, cores):
+        # subject 0 has too few pre windows, subject 2 a bad manifest field
+        out = tmp_path / "vir"
+        assert run(
+            "synth", "viral", "--subjects", "4", "--infected", "2",
+            "--side-samples", "1200", "--out-dir", str(out),
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[0]["inoculation_index"] = 1100
+        manifest[2]["infected"] = "false"
+        bad = out / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        sweep = tmp_path / "sweep.csv"
+        assert run_on(cores, "viral", str(bad), "--window", "1024", "--stride", "32",
+                      "--shifts", "0", "--out", str(sweep)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"fracsig: error: {bad}: subject 'subj00': shift 0: need >= 5 windows per side, "
+            "got 3 pre and 9 post at split 1100\n"
+        )
+        assert not sweep.exists()
+        _assert_no_child_left()
+
+    def test_no_subject_after_the_first_failing_one_is_fitted(self, tmp_path, capsys,
+                                                              monkeypatch):
+        out = tmp_path / "vir"
+        assert run(
+            "synth", "viral", "--subjects", "4", "--infected", "2",
+            "--side-samples", "1200", "--out-dir", str(out),
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[1]["inoculation_index"] = 1100  # too few pre windows
+        bad = out / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        split_alphas, fitted = viral._split_alphas, []
+
+        def counted(case, spec, split_starts):
+            fitted.append(case.subject_id)
+            return split_alphas(case, spec, split_starts)
+
+        monkeypatch.setattr(viral, "_split_alphas", counted)
+        assert run_on(1, "viral", str(bad), "--window", "1024", "--stride", "32",
+                      "--shifts", "0", "--out", str(tmp_path / "sweep.csv")) == cli.EXIT_DATA
+        assert "subject 'subj01': shift 0: need >= 5 windows" in capsys.readouterr().err
+        assert fitted == ["subj00"]
 
     def test_window_below_dfa_minimum_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "vir"

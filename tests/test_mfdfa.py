@@ -436,6 +436,11 @@ class TestScaleGrids:
         with pytest.raises(ValueError, match="smallest scale"):
             cfg.resolve_scales(512)
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_non_finite_q_rejected(self, q):
+        with pytest.raises(ValueError, match=f"^q_grid values must be finite, got {q:g}$"):
+            mfdfa.MfdfaConfig(q_grid=(1.0, q, 2.0))
+
 
 class TestHurstSpectrum:
     def test_fgn_exponents(self):
