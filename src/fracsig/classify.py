@@ -26,7 +26,6 @@ from . import fracdyn, mfdfa
 from .records import N_STAGES
 
 __all__ = [
-    "MinMaxScaler",
     "TrainConfig",
     "MLPParams",
     "Metrics",
@@ -36,7 +35,6 @@ __all__ = [
     "mlp_train",
     "mlp_predict",
     "mlp_gradients",
-    "numerical_gradients",
     "logistic_train",
     "fit_split",
     "kfold",
@@ -81,47 +79,9 @@ def extract_features(
     X = (X - X.mean(axis=1, keepdims=True)) / std
     try:
         alpha = fracdyn.estimate_alphas(X)
-    except mfdfa.ZeroFluctuationError as exc:
+    except mfdfa._RowError as exc:
         raise exc.naming(record.labels) from None
     return fracdyn.estimate_coupling(X, alpha, horizon=horizon, ridge=ridge).ravel()
-
-
-class MinMaxScaler:
-    """Per-feature affine map to [0, 1], fit on the training split only.
-
-    Constant features map to 0.5; transformed values are clamped, so
-    test data outside the training range stays inside [0, 1].
-    """
-
-    def __init__(self):
-        self.lo = None
-        self.hi = None
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=float)
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        with np.errstate(over="ignore"):
-            wide = np.flatnonzero(~np.isfinite(hi - lo))
-        if wide.size:
-            raise ValueError(f"feature column {wide[0]}: range is wider than float64 holds")
-        self.lo, self.hi = lo, hi
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.lo is None:
-            raise ValueError("scaler not fitted")
-        X = np.asarray(X, dtype=float)
-        span = self.hi - self.lo
-        out = np.empty_like(X, dtype=float)
-        flat = span == 0
-        out[:, flat] = 0.5
-        good = ~flat
-        with np.errstate(over="ignore"):  # far outside a tiny span: +-inf, clamped below
-            out[:, good] = (X[:, good] - self.lo[good]) / span[good]
-        return np.clip(out, 0.0, 1.0)
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
 
 
 @dataclass(frozen=True)
@@ -268,22 +228,6 @@ def mlp_gradients(params, X, y, dropout_rate=0.0, rng=None):
     return _loss(probs, onehot), grad
 
 
-def numerical_gradients(params, X, y, eps=1e-5):
-    """Central finite differences of the loss; gradient-check oracle."""
-    onehot = _one_hot(y, params.sizes[-1])
-
-    def loss_at(flat):
-        return _loss(mlp_predict(MLPParams(params.sizes, flat), X), onehot)
-
-    grad = MLPParams(params.sizes)
-    for i in range(params.flat.size):
-        plus, minus = params.flat.copy(), params.flat.copy()
-        plus[i] += eps
-        minus[i] -= eps
-        grad.flat[i] = (loss_at(plus) - loss_at(minus)) / (2 * eps)
-    return grad
-
-
 def _check_classes(y) -> None:
     """Reject training labels ``y`` that hold fewer than 2 distinct classes."""
     y = np.asarray(y)
@@ -343,15 +287,14 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up raises below, not a warning
-def logistic_train(X, y, *, l2=0.0, epochs=500, lr=None, n_classes=N_STAGES):
+def logistic_train(X, y, *, epochs=500, lr=None, n_classes=N_STAGES):
     """Multinomial softmax regression by full-batch gradient descent.
 
     The model is a network with no hidden layer, started at zero, so
     :func:`mlp_predict` applies it.  ``lr`` is the step size, 0.01 if
-    None; ``l2`` penalises the weights, not the biases.  Returns
-    (params, loss_history).  The loss is convex; a loss that is not
-    finite or grows tenfold, after any update the last included, raises
-    with advice to lower the learning rate.
+    None.  Returns (params, loss_history).  The loss is convex; a loss
+    that is not finite or grows tenfold, after any update the last
+    included, raises with advice to lower the learning rate.
     """
     lr = 1e-2 if lr is None else lr
     if not 0 < lr < np.inf:
@@ -360,11 +303,10 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=None, n_classes=N_STAGES):
     y = np.asarray(y, dtype=int)
     _check_classes(y)
     params = MLPParams((X.shape[1], n_classes))
-    flat, (W,) = params.flat, params.weights
+    flat = params.flat
     history = []
     for epoch in range(epochs + 1):  # the extra pass checks the last update
         loss, grad = mlp_gradients(params, X, y)
-        loss += 0.5 * l2 * np.sum(W**2)
         if not np.isfinite(loss) or (history and loss > history[0] * 10):
             raise fracdyn.NumericalError(
                 f"logistic training diverged at epoch {epoch}; lower lr"
@@ -372,24 +314,46 @@ def logistic_train(X, y, *, l2=0.0, epochs=500, lr=None, n_classes=N_STAGES):
         if epoch == epochs:
             return params, history
         history.append(float(loss))
-        grad.weights[0][...] += l2 * W
         flat -= lr * grad.flat
+
+
+def _minmax(X_train, X_test):
+    """Both row sets mapped to [0, 1] by the per-feature range of the training rows.
+
+    A constant feature maps to 0.5.  Values are clamped, so test rows
+    outside the training range stay inside [0, 1].
+    """
+    X_train, X_test = np.asarray(X_train, dtype=float), np.asarray(X_test, dtype=float)
+    lo = X_train.min(axis=0)
+    with np.errstate(over="ignore"):  # a range past float64's is refused below
+        span = X_train.max(axis=0) - lo
+    wide = np.flatnonzero(~np.isfinite(span))
+    if wide.size:
+        raise ValueError(f"feature column {wide[0]}: range is wider than float64 holds")
+    good = span != 0
+
+    def scale(X):
+        out = np.full_like(X, 0.5)
+        with np.errstate(over="ignore"):  # far outside a tiny span: +-inf, clamped below
+            out[:, good] = (X[:, good] - lo[good]) / span[good]
+        return np.clip(out, 0.0, 1.0)
+
+    return scale(X_train), scale(X_test)
 
 
 def fit_split(X, y, train, test, cfg: TrainConfig | None = None, *, model="mlp"):
     """Scale, train and evaluate one split; returns (metrics, history).
 
     ``train`` and ``test`` index the rows of ``X`` and ``y``, as
-    :func:`kfold` and :func:`holdout` give them.  A :class:`MinMaxScaler`
-    is fit on the training rows only.  ``model="mlp"`` trains by
+    :func:`kfold` and :func:`holdout` give them.  Features are min-max
+    scaled by the training rows only.  ``model="mlp"`` trains by
     :func:`mlp_train` under ``cfg``; ``model="logistic"`` trains by
     :func:`logistic_train` for ``cfg.epochs`` epochs at step size
     ``cfg.learning_rate``.  ``history`` holds per-epoch loss and accuracy;
     the logistic trainer tracks no accuracy, so its accuracies are NaN.
     """
     cfg = cfg or TrainConfig()
-    scaler = MinMaxScaler()
-    X_train, X_test = scaler.fit_transform(X[train]), scaler.transform(X[test])
+    X_train, X_test = _minmax(X[train], X[test])
     if model == "mlp":
         params, history = mlp_train(X_train, y[train], cfg)
     elif model == "logistic":
@@ -495,12 +459,19 @@ def _binary_auroc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def evaluate(y_true, probs, n_classes: int = N_STAGES) -> Metrics:
-    """Confusion matrix, per-class rates, macro AUROC, cross-entropy loss."""
+def evaluate(y_true, probs) -> Metrics:
+    """Confusion matrix, per-class rates, macro AUROC, cross-entropy loss.
+
+    The classes are the columns of ``probs``; a label outside them raises.
+    """
     y_true = np.asarray(y_true, dtype=int)
     probs = np.atleast_2d(np.asarray(probs, dtype=float))
     if y_true.size == 0:
         raise ValueError("empty test set")
+    n_classes = probs.shape[1]
+    outside = y_true[(y_true < 0) | (y_true >= n_classes)]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} is not one of the {n_classes} classes of probs")
     preds = probs.argmax(axis=1)
     confusion = np.zeros((n_classes, n_classes), dtype=int)
     np.add.at(confusion, (y_true, preds), 1)
@@ -524,6 +495,6 @@ def evaluate(y_true, probs, n_classes: int = N_STAGES) -> Metrics:
         auc = _binary_auroc(probs[:, c], y_true == c)
         if np.isfinite(auc):
             aurocs.append(auc)
-    loss = float(_loss(probs, _one_hot(y_true, probs.shape[1])))
+    loss = float(_loss(probs, _one_hot(y_true, n_classes)))
     macro = float(np.mean(aurocs)) if aurocs else float("nan")
     return Metrics(confusion, accuracy, sensitivity, specificity, precision, macro, loss)

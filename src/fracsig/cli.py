@@ -202,13 +202,14 @@ def _outputs():
 def _naming(where, labels=None):
     """Re-raise a ``ValueError`` or ``fracdyn.NumericalError`` of the block as
     the same kind with ``where: `` in front.  Given the row ``labels``, a
-    ``ZeroFluctuationError`` names its row by its label."""
+    DFA row's error (a ``ZeroFluctuationError``, or a profile out of
+    float64's range) names its row by its label."""
     try:
         yield
     except fracdyn.NumericalError as exc:
         raise fracdyn.NumericalError(f"{where}: {exc}") from None
     except ValueError as exc:
-        if labels is not None and isinstance(exc, mfdfa.ZeroFluctuationError):
+        if labels is not None and isinstance(exc, mfdfa._RowError):
             exc = exc.naming(labels)
         raise ValueError(f"{where}: {exc}") from None
 

@@ -256,9 +256,10 @@ def estimate_alphas(X) -> np.ndarray:
 
     Valid for alpha in (-0.5, 1.5) by construction of the DFA exponent.
     A row's order does not depend on the other rows of ``X``.  Rows
-    shorter than ``MIN_DFA_SAMPLES`` are rejected; a row with zero
-    fluctuation raises :class:`fracsig.mfdfa.ZeroFluctuationError`
-    naming the row.
+    shorter than ``MIN_DFA_SAMPLES`` are rejected.  A row with zero
+    fluctuation raises :class:`fracsig.mfdfa.ZeroFluctuationError`, and a
+    row outside the magnitudes :func:`fracsig.mfdfa.profile` accepts a
+    ``ValueError``; both name the row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] < MIN_DFA_SAMPLES:

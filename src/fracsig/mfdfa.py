@@ -45,26 +45,34 @@ __all__ = [
 ]
 
 DEFAULT_Q_GRID = (-5.0, -3.0, -1.0, 1.0, 3.0, 5.0)
-_EPS = np.finfo(float).eps
+_EPS, _TINY, _MAX = np.finfo(float).eps, np.finfo(float).tiny, np.finfo(float).max
 
 
-class ZeroFluctuationError(ValueError):
-    """A row of a DFA batch has zero fluctuation in every window at a scale."""
+class _RowError(ValueError):
+    """An error of one row of a DFA batch, which ``naming`` names by its label."""
 
-    def __init__(self, row: int, scale: int):
-        super().__init__(f"row {row}: zero fluctuation in every window at scale {scale}")
+    def __init__(self, row: int, what: str):
+        super().__init__(f"row {row}: {what}")
         self.row = row
-        self.scale = scale
+        self.what = what
 
     def __reduce__(self):  # rebuilt from its fields, as it travels from a worker process
-        return type(self), (self.row, self.scale)
+        return type(self), (self.row, self.what)
 
     def naming(self, labels) -> ValueError:
         """The same error with its row named by its label in ``labels``."""
-        return ValueError(
-            f"channel {labels[self.row]!r}: zero fluctuation in every window "
-            f"at scale {self.scale}"
-        )
+        return ValueError(f"channel {labels[self.row]!r}: {self.what}")
+
+
+class ZeroFluctuationError(_RowError):
+    """A row of a DFA batch has zero fluctuation in every window at a scale."""
+
+    def __init__(self, row: int, scale: int):
+        super().__init__(row, f"zero fluctuation in every window at scale {scale}")
+        self.scale = scale
+
+    def __reduce__(self):
+        return type(self), (self.row, self.scale)
 
 
 _MIN_SCALE = 16
@@ -184,7 +192,15 @@ class ScalingDiagnostics:
 
 
 def profile(x) -> np.ndarray:
-    """Cumulative sum of the mean-centered series; row by row for a matrix."""
+    """Cumulative sum of the mean-centered series; row by row for a matrix.
+
+    A profile is refused if its peak magnitude is nonzero and too small or
+    too large for the detrending to square it in float64: below
+    sqrt(tiny) / eps its windows' rounding-level test underflows, and
+    above sqrt(max / 8n) a window's sum of squares can overflow.  A
+    matrix's first such row raises an error that ``naming`` names by its
+    label.
+    """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
@@ -192,7 +208,19 @@ def profile(x) -> np.ndarray:
     if not finite.all():
         where = "series" if x.ndim == 1 else f"row {np.argmin(finite)}"
         raise ValueError(f"{where} contains non-finite values")
-    return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profile is refused below
+        y = np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
+        peak = np.maximum(y.max(axis=-1), -y.min(axis=-1))
+    lo, hi = np.sqrt(_TINY) / _EPS, np.sqrt(_MAX / (8 * x.shape[-1]))
+    outside = ~(peak <= hi) | ((0 < peak) & (peak < lo))
+    if outside.any():
+        row = np.argmax(outside)
+        what = (f"profile peak {peak.flat[row]:.3g} lies outside [{lo:.3g}, {hi:.3g}], "
+                "the magnitudes DFA can square in float64")
+        if x.ndim == 1:
+            raise ValueError(what)
+        raise _RowError(int(row), what)
+    return y
 
 
 @functools.lru_cache(maxsize=256)
@@ -347,7 +375,8 @@ def dfa_exponents(X, scales=None, order: int = 1):
     log2 scale.  Returns (slopes, fit_mse) arrays of length n_series.
     Matches the q=2 column of :func:`scaling_function` on the same grid.
     A row with zero fluctuation in every window at some scale raises
-    :class:`ZeroFluctuationError`, which names the row and the scale.
+    :class:`ZeroFluctuationError`, which names the row and the scale; a
+    row whose profile :func:`profile` refuses raises naming the row.
     Rows are batch-invariant: any subset of the rows, in any order, gets
     bit-identical results to the same rows of one call over all of them.
     """

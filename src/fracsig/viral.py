@@ -112,12 +112,15 @@ def _alpha_table(case: SubjectCase, spec: WindowSpec, starts, sides, batch: int)
         )
         try:
             table[lo : lo + len(chunk)] = fracdyn.estimate_alphas(windows).reshape(len(chunk), -1)
-        except mfdfa.ZeroFluctuationError as exc:
+        except mfdfa._RowError as exc:
             window, channel = divmod(exc.row, case.n_channels)
+            what = f"{sides[lo + window]} window starting at sample {chunk[window]}"
+            if isinstance(exc, mfdfa.ZeroFluctuationError):
+                what += f" has zero fluctuation in every DFA window at scale {exc.scale}"
+            else:
+                what += f": {exc.what}"
             raise ValueError(
-                f"subject {case.subject_id!r}: channel {case.labels[channel]!r}: "
-                f"{sides[lo + window]} window starting at sample {chunk[window]} has zero "
-                f"fluctuation in every DFA window at scale {exc.scale}"
+                f"subject {case.subject_id!r}: channel {case.labels[channel]!r}: {what}"
             ) from None
     return table
 

@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from fracsig import classify, fracdyn, records, synth
 
+from oracles import numerical_gradients
+
 
 def _toy_labels(n=40, n_institutions=4):
     """Institution names and stages of ``n`` cases, both cycling."""
@@ -63,19 +65,20 @@ class TestExtractFeatures:
 
 
 class TestMinMaxScaler:
+    """``classify._minmax``, the scaling ``fit_split`` applies to every split."""
+
     def test_maps_to_unit_interval(self):
         X = np.random.default_rng(0).standard_normal((20, 4)) * 5
-        out = classify.MinMaxScaler().fit_transform(X)
+        out, _ = classify._minmax(X, X[:0])
         assert out.min() == 0.0 and out.max() == 1.0
 
     def test_constant_feature_maps_to_half(self):
         X = np.ones((5, 1))
-        out = classify.MinMaxScaler().fit_transform(X)
+        out, _ = classify._minmax(X, X[:0])
         np.testing.assert_array_equal(out, 0.5)
 
     def test_test_data_clamped(self):
-        scaler = classify.MinMaxScaler().fit(np.array([[0.0], [1.0]]))
-        out = scaler.transform(np.array([[-3.0], [5.0]]))
+        _, out = classify._minmax(np.array([[0.0], [1.0]]), np.array([[-3.0], [5.0]]))
         np.testing.assert_array_equal(out.ravel(), [0.0, 1.0])
 
     @settings(max_examples=40, deadline=None)
@@ -88,25 +91,17 @@ class TestMinMaxScaler:
         test=np.full((5, 3), 1e12),
     )
     def test_output_in_unit_interval_outside_fit_range(self, fit, test):
-        scaler = classify.MinMaxScaler().fit(fit)
-        for X in (fit, test):
-            out = scaler.transform(X)
+        for X, out in zip((fit, test), classify._minmax(fit, test)):
             assert out.shape == X.shape
             assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_range_wider_than_float64_rejected_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scaler = classify.MinMaxScaler()
-            with pytest.raises(ValueError, match="feature column 1"):
-                scaler.fit([[0.0, -1e308], [1.0, 1e308]])
-            assert scaler.lo is None
-            out = scaler.fit([[-1e308], [0.0]]).transform([[0.0], [-1e308]])
+            with pytest.raises(ValueError, match="^feature column 1: range is wider than"):
+                classify._minmax([[0.0, -1e308], [1.0, 1e308]], np.zeros((1, 2)))
+            _, out = classify._minmax([[-1e308], [0.0]], [[0.0], [-1e308]])
             np.testing.assert_array_equal(out, [[1.0], [0.0]])
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(ValueError, match="not fitted"):
-            classify.MinMaxScaler().transform(np.zeros((1, 1)))
 
 
 class TestArchitecture:
@@ -185,7 +180,7 @@ class TestGradients:
         X = rng.standard_normal((6, 4))
         y = rng.integers(0, 3, size=6)
         _, grad = classify.mlp_gradients(params, X, y)
-        numerical = classify.numerical_gradients(params, X, y)
+        numerical = numerical_gradients(params, X, y)
         a, b = grad.flat, numerical.flat
         denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
         assert np.max(np.abs(a - b) / denom) < 1e-4
@@ -261,23 +256,20 @@ class TestTraining:
         assert np.mean(preds == y) > 0.95
         assert losses[-1] < losses[0]
 
-    def test_logistic_l2_matches_full_batch_reference(self):
+    def test_logistic_matches_full_batch_reference(self):
         X, y = self._blobs()
-        l2, lr, epochs = 0.1, 0.5, 50
-        params, losses = classify.logistic_train(
-            X, y, l2=l2, epochs=epochs, lr=lr, n_classes=3
-        )
-        # plain full-batch softmax gradient descent, L2 on the weights only
+        lr, epochs = 0.5, 50
+        params, losses = classify.logistic_train(X, y, epochs=epochs, lr=lr, n_classes=3)
+        # plain full-batch softmax gradient descent
         onehot = np.eye(3)[y]
         W, b, ref = np.zeros((4, 3)), np.zeros(3), []
         for _ in range(epochs):
             z = X @ W + b
             e = np.exp(z - z.max(axis=1, keepdims=True))
             probs = e / e.sum(axis=1, keepdims=True)
-            loss = -np.mean(np.sum(onehot * np.log(probs + 1e-30), axis=1))
-            ref.append(float(loss + 0.5 * l2 * np.sum(W**2)))
+            ref.append(float(-np.mean(np.sum(onehot * np.log(probs + 1e-30), axis=1))))
             delta = (probs - onehot) / len(y)
-            W -= lr * (X.T @ delta + l2 * W)
+            W -= lr * (X.T @ delta)
             b -= lr * delta.sum(axis=0)
         np.testing.assert_array_equal(losses, ref)
         np.testing.assert_array_equal(params.weights[0], W)
@@ -306,7 +298,7 @@ class TestTraining:
     def test_fit_split_steps_by_the_config_learning_rate(self):
         X, y = self._blobs()
         train, test = np.arange(40), np.arange(40, 60)
-        scaler = classify.MinMaxScaler().fit(X[train])
+        X_train, X_test = classify._minmax(X[train], X[test])
 
         def split(model, **kwargs):
             """The split's metrics and per-epoch losses (logistic accuracies are NaN)."""
@@ -316,9 +308,8 @@ class TestTraining:
 
         fast, default = split("logistic", learning_rate=0.5), split("logistic")
         assert fast != default
-        params, losses = classify.logistic_train(scaler.transform(X[train]), y[train],
-                                                 epochs=6, lr=0.5)
-        probs = classify.mlp_predict(params, scaler.transform(X[test]))
+        params, losses = classify.logistic_train(X_train, y[train], epochs=6, lr=0.5)
+        probs = classify.mlp_predict(params, X_test)
         assert fast == (classify.evaluate(y[test], probs).to_dict(), losses)
         # unset is each trainer's own default step size, bit for bit
         assert split("mlp") == split("mlp", learning_rate=0.001)
@@ -477,7 +468,7 @@ class TestMetrics:
         probs = np.zeros((10, 3))
         hits = [0, 0, 1, 1, 1, 2, 2, 2, 2, 0]  # predictions
         probs[np.arange(10), hits] = 1.0
-        m = classify.evaluate(y, probs, n_classes=3)
+        m = classify.evaluate(y, probs)
         assert m.accuracy == 0.7
         np.testing.assert_allclose(m.sensitivity, [2 / 3, 2 / 3, 3 / 4])
         np.testing.assert_allclose(m.specificity, [6 / 7, 6 / 7, 5 / 6])
@@ -486,7 +477,7 @@ class TestMetrics:
     def test_absent_class_rates_are_nan(self):
         y = np.array([0, 0, 1])
         probs = np.eye(3)[[0, 0, 1]]
-        m = classify.evaluate(y, probs, n_classes=3)
+        m = classify.evaluate(y, probs)
         assert np.isnan(m.sensitivity[2])
         assert m.to_dict()["sensitivity"][2] is None
 
@@ -513,3 +504,11 @@ class TestMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             classify.evaluate(np.array([]), np.zeros((0, 5)))
+
+    @pytest.mark.parametrize("label", [3, 7, -1])
+    def test_classes_are_the_columns_of_probs(self, label):
+        probs = np.eye(3)[[0, 1, 2, 0]]
+        m = classify.evaluate([0, 1, 2, 1], probs)
+        assert m.confusion.shape == (3, 3) and m.sensitivity.shape == (3,)
+        with pytest.raises(ValueError, match=rf"^label {label} is not one of the 3 classes"):
+            classify.evaluate([0, 1, label, 1], probs)

@@ -510,6 +510,72 @@ def cohort_features(cohort_dir, tmp_path_factory):
     return feats
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExtremeMagnitudeChannels:
+    """A channel whose DFA profile float64 cannot square exits 2 naming it, warning-free;
+    one at 1e+-100 runs."""
+
+    OUTSIDE = "lies outside [6.72e-139, "
+    SQUARE = "], the magnitudes DFA can square in float64\n"
+
+    @staticmethod
+    def _record(path, scale, n_samples=2048):
+        X = np.random.default_rng(0).standard_normal((3, n_samples))
+        X[1] *= scale
+        records.write_record(records.MultichannelRecord(X, ("a", "b", "c")), path)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    @pytest.mark.parametrize("command", ["mfdfa", "convergence"])
+    def test_record_command_names_record_and_channel(self, tmp_path, capsys, command, scale):
+        rec, out = tmp_path / "rec.csv", tmp_path / "out"
+        self._record(rec, scale)
+        flag = "--out-dir" if command == "mfdfa" else "--out"
+        assert run(command, str(rec), flag, str(out)) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fracsig: error: {rec}: channel 'b': profile peak ")
+        assert self.OUTSIDE in captured.err and captured.err.endswith(self.SQUARE)
+        assert not out.exists()
+
+    def _manifest(self, tmp_path, scales):
+        """A viral manifest of one subject per scale, its channel 'b' scaled by it."""
+        entries = []
+        for i, scale in enumerate(scales):
+            self._record(tmp_path / f"s{i}.csv", scale, n_samples=4096)
+            entries.append(records.ManifestEntry(
+                f"s{i}.csv", f"s{i}", extra={"inoculation_index": 2048, "infected": i % 2 == 1},
+            ))
+        records.write_manifest(entries, tmp_path / "manifest.json")
+        return tmp_path / "manifest.json"
+
+    @staticmethod
+    def _viral(manifest, sweep, cores=1):
+        return run_on(cores, "viral", str(manifest), "--window", "1024", "--stride", "256",
+                      "--shifts", "0", "--out", str(sweep))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    def test_viral_names_subject_and_channel(self, tmp_path, capsys, scale):
+        manifest, sweep = self._manifest(tmp_path, [1.0, scale, 1.0]), tmp_path / "sweep.csv"
+        for cores in CORES:
+            assert self._viral(manifest, sweep, cores) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"fracsig: error: {manifest}: subject 's1': channel 'b': "
+                "pre window starting at sample 0: profile peak "
+            )
+            assert self.OUTSIDE in err and err.endswith(self.SQUARE)
+            assert not sweep.exists()
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100], ids=["big", "small"])
+    def test_in_range_channels_run(self, tmp_path, capsys, scale):
+        rec = tmp_path / "rec.csv"
+        self._record(rec, scale)
+        assert run("mfdfa", str(rec), "--out-dir", str(tmp_path / "mf")) == 0
+        assert run("convergence", str(rec), "--out", str(tmp_path / "curve.csv")) == 0
+        manifest = self._manifest(tmp_path, [scale] * 4)
+        assert self._viral(manifest, tmp_path / "sweep.csv") == 0
+
+
 class TestTrainVariants:
     @pytest.mark.parametrize(
         "mode, model",

@@ -225,6 +225,30 @@ class TestDfaFailFast:
         assert str(error) == "row 3: zero fluctuation in every window at scale 16"
         assert (error.row, error.scale) == (3, 16)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    def test_row_float64_cannot_square_named(self, scale):
+        X = np.random.default_rng(0).standard_normal((3, 1024))
+        X[1] *= scale
+        what = r"profile peak \S+ lies outside \[6\.72e-139, 1\.48e\+152\], the magnitudes"
+        with pytest.raises(ValueError, match=rf"^row 1: {what}") as raised:
+            mfdfa.dfa_exponents(X)
+        assert raised.value.row == 1
+        assert str(raised.value.naming(["a", "b", "c"])).startswith("channel 'b': profile peak ")
+        with pytest.raises(ValueError, match=rf"^{what}") as raised:
+            mfdfa.profile(X[1])  # one series: the caller names it
+        assert not hasattr(raised.value, "row")
+        error = pickle.loads(pickle.dumps(mfdfa._RowError(3, "what")))
+        assert (type(error), str(error), error.row) == (mfdfa._RowError, "row 3: what", 3)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 0.0])
+    def test_in_range_profile_is_the_plain_cumulative_sum(self, scale):
+        X = np.random.default_rng(0).standard_normal((3, 1024))
+        X[1] *= scale
+        expected = np.cumsum(X - X.mean(axis=1, keepdims=True), axis=1)
+        assert np.array_equal(mfdfa.profile(X), expected)
+        if scale:
+            assert np.all(np.isfinite(mfdfa.dfa_exponents(X)[0]))
+
     def test_nan_cell_names_row(self):
         X = np.random.default_rng(0).standard_normal((3, 1024))
         X[2, 500] = np.nan
