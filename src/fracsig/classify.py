@@ -59,8 +59,8 @@ def extract_features(
     features.  Channels are z-scored before the coupling fit so feature
     magnitudes are comparable across subjects.  The per-channel orders
     come from one :func:`fracsig.fracdyn.estimate_alphas` call over every
-    channel.  A channel that cannot be z-scored or fitted is named by its
-    label.
+    channel.  A channel that is constant, that float64 cannot square (see
+    ``mfdfa._centred``) or that cannot be fitted is named by its label.
     """
     X = record.channels
     constant = np.flatnonzero(np.ptp(X, axis=1) == 0)
@@ -68,16 +68,8 @@ def extract_features(
         raise ValueError(
             f"channel {record.labels[constant[0]]!r} is constant; cannot z-score it"
         )
-    with np.errstate(over="ignore"):  # a variance past float64's range is refused below
-        std = X.std(axis=1, keepdims=True)
-    beyond = np.flatnonzero(~(np.isfinite(std) & (std > 0)))
-    if beyond.size:
-        raise ValueError(
-            f"channel {record.labels[beyond[0]]!r} has a variance outside the float64 range; "
-            "cannot z-score it"
-        )
-    X = (X - X.mean(axis=1, keepdims=True)) / std
     try:
+        X = mfdfa._centred(X) / X.std(axis=1, keepdims=True)
         alpha = fracdyn.estimate_alphas(X)
     except mfdfa._RowError as exc:
         raise exc.naming(record.labels) from None

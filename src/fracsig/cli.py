@@ -34,15 +34,17 @@ subject in its worker, and ``viral`` loads and fits each subject in its
 worker; this process keeps the draws and the leave-one-out summary.  The
 workers are the parallelism: the command line runs one BLAS thread per
 process unless any of ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
-``MKL_NUM_THREADS`` is set.  Workers write into the command's one
-staging directory, each ``train`` worker its split's metrics and curve
-files, and the parent keeps every random draw and the order of every
-output, so under that one-thread default the outputs are byte-identical
-at any core count.  An item that raises stops the command with the error
-of the lowest failing item, the one a serial run meets first, named by
-its record, fold, site or subject, and every output is left as it was.
-A worker reports each item as it ends, so an item that kills its worker,
-or whose result cannot be sent back, is named itself.
+``MKL_NUM_THREADS`` is set; a value above 1 multiplies with the workers,
+oversubscribing the cores, and outputs may change in the last digits.
+Workers write into the command's one staging directory, each ``train``
+worker its split's metrics and curve files, and the parent keeps every
+random draw and the order of every output, so under that one-thread
+default the outputs are byte-identical at any core count.  An item that
+raises stops the command with the error of the lowest failing item, the
+one a serial run meets first, named by its record, fold, site or
+subject, and every output is left as it was.  A worker reports each item
+as it ends, so an item that kills its worker, or whose result cannot be
+sent back, is named itself.
 
 A config file passed before the command with ``--config FILE`` or
 ``--config=FILE`` may set any flag default.  Its grammar is one

@@ -34,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .mfdfa import dfa_exponents, wasserstein_1d
+from .mfdfa import _centred, dfa_exponents, wasserstein_1d
 
 __all__ = [
     "FractionalModel",
@@ -298,13 +298,14 @@ def _regression_blocks(X: np.ndarray, alpha, horizon: int):
     Returns (design, targets, col_scale) where design rows are x[k] for
     k in [J, T-2] plus an intercept column, and targets rows are the
     fractional differences at k+1.  ``col_scale`` undoes the channel
-    normalization on the fitted coefficients.
+    normalization on the fitted coefficients.  A channel whose centred
+    samples float64 cannot square (``mfdfa._centred``) raises naming its row.
     """
     n, T = X.shape
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != n:
         raise ValueError("alpha length must match channel count")
-    Xw = X - X.mean(axis=1, keepdims=True)
+    Xw = _centred(X)
     sigma = Xw.std(axis=1)
     sigma[sigma == 0] = 1.0
     Xw = Xw / sigma[:, None]

@@ -191,16 +191,33 @@ class ScalingDiagnostics:
     std_across_s: np.ndarray  # per q
 
 
-def profile(x) -> np.ndarray:
-    """Cumulative sum of the mean-centered series; row by row for a matrix.
+def _centred(x: np.ndarray, cumulative: bool = False) -> np.ndarray:
+    """Rows of ``x`` minus their means, cumulated to the profile if ``cumulative``.
 
-    A profile is refused if its peak magnitude is nonzero and too small or
-    too large for the detrending to square it in float64: below
-    sqrt(tiny) / eps its windows' rounding-level test underflows, and
-    above sqrt(max / 8n) a window's sum of squares can overflow.  A
-    matrix's first such row raises an error that ``naming`` names by its
-    label.
+    The one magnitude rule of every kernel that squares a channel refuses the
+    first row whose nonzero peak lies outside [sqrt(tiny) / eps, sqrt(max / 8n)]
+    for n samples (below, DFA's rounding test underflows; above, n squares can
+    overflow), raising for a matrix an error that ``naming`` names by its label.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        y = x - x.mean(axis=-1, keepdims=True)
+        if cumulative:
+            y = np.cumsum(y, axis=-1)
+        peak = np.maximum(y.max(axis=-1), -y.min(axis=-1))
+    lo, hi = np.sqrt(_TINY) / _EPS, np.sqrt(_MAX / (8 * x.shape[-1]))
+    outside = ~(peak <= hi) | ((0 < peak) & (peak < lo))
+    if outside.any():
+        row = np.argmax(outside)
+        what = (f"{'profile' if cumulative else 'centred'} peak {peak.flat[row]:.3g} lies "
+                f"outside [{lo:.3g}, {hi:.3g}], the magnitudes float64 can square")
+        if x.ndim == 1:
+            raise ValueError(what)
+        raise _RowError(int(row), what)
+    return y
+
+
+def profile(x) -> np.ndarray:
+    """Cumulative sum of the mean-centred series, row by row, under ``_centred``'s rule."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
@@ -208,19 +225,7 @@ def profile(x) -> np.ndarray:
     if not finite.all():
         where = "series" if x.ndim == 1 else f"row {np.argmin(finite)}"
         raise ValueError(f"{where} contains non-finite values")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profile is refused below
-        y = np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
-        peak = np.maximum(y.max(axis=-1), -y.min(axis=-1))
-    lo, hi = np.sqrt(_TINY) / _EPS, np.sqrt(_MAX / (8 * x.shape[-1]))
-    outside = ~(peak <= hi) | ((0 < peak) & (peak < lo))
-    if outside.any():
-        row = np.argmax(outside)
-        what = (f"profile peak {peak.flat[row]:.3g} lies outside [{lo:.3g}, {hi:.3g}], "
-                "the magnitudes DFA can square in float64")
-        if x.ndim == 1:
-            raise ValueError(what)
-        raise _RowError(int(row), what)
-    return y
+    return _centred(x, cumulative=True)
 
 
 @functools.lru_cache(maxsize=256)

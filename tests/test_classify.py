@@ -58,8 +58,8 @@ class TestExtractFeatures:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=(
-                rf"^channel '{record.labels[2]}' has a variance outside the float64 range; "
-                "cannot z-score it$"
+                rf"^channel '{record.labels[2]}': centred peak \S+ lies outside "
+                r"\[6\.72e-139, 1\.22e\+152\], the magnitudes float64 can square$"
             )):
                 classify.extract_features(record)
 

@@ -516,7 +516,7 @@ class TestExtremeMagnitudeChannels:
     one at 1e+-100 runs."""
 
     OUTSIDE = "lies outside [6.72e-139, "
-    SQUARE = "], the magnitudes DFA can square in float64\n"
+    SQUARE = "], the magnitudes float64 can square\n"
 
     @staticmethod
     def _record(path, scale, n_samples=2048):
@@ -525,15 +525,23 @@ class TestExtremeMagnitudeChannels:
         records.write_record(records.MultichannelRecord(X, ("a", "b", "c")), path)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
-    @pytest.mark.parametrize("command", ["mfdfa", "convergence"])
-    def test_record_command_names_record_and_channel(self, tmp_path, capsys, command, scale):
+    @pytest.mark.parametrize("command, flags, noun", [
+        pytest.param("mfdfa", ["--out-dir"], "profile", id="mfdfa"),
+        pytest.param("convergence", ["--out"], "profile", id="convergence"),
+        # known orders skip the DFA, so the coupling fit meets the channel first
+        pytest.param("convergence", ["--alpha", "0.3,0.3,0.3", "--out"], "centred",
+                     id="convergence-alpha"),
+    ])
+    def test_record_command_names_record_and_channel(
+        self, tmp_path, capsys, command, flags, noun, scale
+    ):
         rec, out = tmp_path / "rec.csv", tmp_path / "out"
         self._record(rec, scale)
-        flag = "--out-dir" if command == "mfdfa" else "--out"
-        assert run(command, str(rec), flag, str(out)) == cli.EXIT_DATA
+        assert run(command, str(rec), *flags, str(out)) == cli.EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"fracsig: error: {rec}: channel 'b': profile peak ")
+        assert captured.err.startswith(f"fracsig: error: {rec}: channel 'b': {noun} peak ")
+        assert captured.err.count("\n") == 1
         assert self.OUTSIDE in captured.err and captured.err.endswith(self.SQUARE)
         assert not out.exists()
 

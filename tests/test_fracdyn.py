@@ -334,6 +334,39 @@ class TestEstimateCoupling:
             fracdyn.estimate_coupling(X, np.full(2, 0.3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCouplingMagnitudes:
+    """The coupling fit is scale equivariant inside the magnitudes float64 can
+    square, and every fit refuses a channel outside them, naming its row."""
+
+    @staticmethod
+    def _scaled(scale):
+        model = synth.random_stable_model(3, 0, noise_scale=1.0)
+        X = fracdyn.simulate(model, 2000, seed=0)
+        d = np.array([scale, 1.0, 1.0])
+        return model, X, d
+
+    @pytest.mark.parametrize("scale", [1e-130, 1e-100, 1.0, 1e100, 1e150])
+    def test_scaled_channel_gives_the_similar_matrix(self, scale):
+        model, X, d = self._scaled(scale)
+        expected = fracdyn.estimate_coupling(X, model.alpha) * d[:, None] / d[None, :]
+        A = fracdyn.estimate_coupling(X * d[:, None], model.alpha)
+        np.testing.assert_allclose(A, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-140, 1e200])
+    @pytest.mark.parametrize("fit", ["known", "unknown", "convergence"])
+    def test_channel_outside_refused_by_row(self, fit, scale):
+        model, X, d = self._scaled(scale)
+        X = X * d[:, None]
+        calls = {
+            "known": lambda: fracdyn.estimate_coupling(X, model.alpha),
+            "unknown": lambda: fracdyn.estimate_with_unknown_input(X, model.alpha, 1),
+            "convergence": lambda: fracdyn.coupling_convergence(X, model.alpha, 500),
+        }
+        with pytest.raises(ValueError, match=r"^row 0: centred peak \S+ lies outside \[6\.72e-139, "):
+            calls[fit]()
+
+
 class TestUnknownInput:
     def test_report_fields_and_improvement(self):
         model = synth.random_stable_model(
