@@ -9,42 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
 failure.  Bad input exits 2 naming the file, the entry or line, and the
 field.
 
-Outputs.  Every command stages every output, ``--out``, ``--model-out``
-and ``--out-dir``, right after its flags parse and before it reads any
-input or computes.  An output path that cannot be staged, a directory
-given as ``--out``, a file given as ``--out-dir`` or as an ancestor of
-either, or two outputs naming one file, thus fails before any work.
-The command writes each output into staging as it is made, and the
-files are moved into place only once every one is built, so a failed
-command leaves each output path as it was.  Each moved file is swapped
-whole and keeps the mode and owner of the file it replaces.  Written
-through in place are a device or a pipe (``--out /dev/null``), a file
-that cannot be swapped or whose owner cannot be kept, and a file in a
-directory where no staging directory can be made.  The staging
-directory exists while the command runs, so a killed run of any
-command leaves its ``.fracsig-stage.*`` directory.  Such a directory is
-kept, and named by the next run staging there.
-
-Workers.  ``synth cohort``, ``synth viral``, ``extract``, ``train`` and
-``viral`` run their independent items, the record writes, the records,
-the folds and held-out sites or the subjects, in one forked worker
-process per core the process may use (``taskset -c 0`` gives one core:
-the serial path, all in this process).  ``synth viral`` simulates each
-subject in its worker, and ``viral`` loads and fits each subject in its
-worker; this process keeps the draws and the leave-one-out summary.  The
-workers are the parallelism: the command line runs one BLAS thread per
-process unless any of ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
-``MKL_NUM_THREADS`` is set; a value above 1 multiplies with the workers,
-oversubscribing the cores, and outputs may change in the last digits.
-Workers write into the command's one staging directory, each ``train``
-worker its split's metrics and curve files, and the parent keeps every
-random draw and the order of every output, so under that one-thread
-default the outputs are byte-identical at any core count.  An item that
-raises stops the command with the error of the lowest failing item, the
-one a serial run meets first, named by its record, fold, site or
-subject, and every output is left as it was.  A worker reports each item
-as it ends, so an item that kills its worker, or whose result cannot be
-sent back, is named itself.
+Outputs and workers follow the run rules of :mod:`fracsig._run`.
 
 A config file passed before the command with ``--config FILE`` or
 ``--config=FILE`` may set any flag default.  Its grammar is one
@@ -56,16 +21,10 @@ values.
 from __future__ import annotations
 
 import argparse
-import csv
-import errno
 import json
 import os
-import pickle
 import re
-import shutil
-import stat
 import sys
-import tempfile
 from contextlib import contextmanager
 from itertools import count
 from pathlib import Path
@@ -79,7 +38,7 @@ if not any(name in os.environ for name in _BLAS_THREADS):
 
 import numpy as np
 
-from . import classify, fracdyn, mfdfa, records, synth, viral
+from . import _run, classify, fracdyn, mfdfa, records, synth, viral
 
 __all__ = ["main"]
 
@@ -101,105 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(path, text) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
-
-
-def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
-
-
-def _place(staged, path) -> None:
-    """Move the finished file ``staged`` onto ``path``.
-
-    A regular file at ``path``, or at the end of a symlink ``path``, is
-    swapped whole by ``os.replace`` and keeps its mode and owner.  What
-    cannot be swapped so is written through in place, as ``open`` would:
-    a device or a pipe such as ``/dev/null``, a file on another file
-    system than ``staged``, or one whose owner could not be kept.
-    """
-    path = Path(path)
-    if not path.exists() or path.is_file():
-        target = path.resolve()
-        try:
-            if target.exists():
-                st = target.stat()
-                os.chown(staged, st.st_uid, st.st_gid)
-                os.chmod(staged, stat.S_IMODE(st.st_mode))
-            os.replace(staged, target)
-            return
-        except OSError:
-            pass  # written through below
-    with open(staged, "rb") as src, open(path, "wb") as dst:
-        shutil.copyfileobj(src, dst)
-
-
-@contextmanager
-def _outputs():
-    """Stage the outputs written in the block; ``_place`` them if it returns.
-
-    Yields ``(file, folder)``: ``file(path, flag)`` gives the path to write
-    for the output file ``path`` of ``flag``, and ``folder(path)`` the
-    directory to write an output directory's files into.  A file already
-    named by another flag, itself or through a symlink, is refused.  Each
-    output directory has one staging directory, in it or in its nearest
-    existing ancestor, so each staged file can be swapped in.  Other
-    staging directories found there, which a killed run may have left,
-    are named on stderr and kept.
-    """
-    stages = {}  # output directory -> its staging directory
-    claimed = {}  # output file -> the flag and path that name it
-
-    def folder(path):
-        out_dir = Path(path)
-        if out_dir.exists() and not out_dir.is_dir():  # what the final mkdir would raise
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
-        if out_dir not in stages:
-            home = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-            if not home.is_dir():  # an ancestor is a file: what the final mkdir would raise
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
-            stages[out_dir] = Path(tempfile.mkdtemp(prefix=".fracsig-stage.", dir=home))
-            for old in sorted(home.glob(".fracsig-stage.*")):
-                if old.name not in {stage.name for stage in stages.values()}:
-                    print(f"fracsig: warning: {old}: another run's staging, kept", file=sys.stderr)
-        return stages[out_dir]
-
-    def file(path, flag):
-        path = Path(path)
-        if path.is_dir():  # what the final open would raise
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if path.exists() and not path.is_file():
-            return path  # a device or a pipe is written through
-        target = path.resolve()  # stage the file at the end of a symlink
-        if target in claimed:  # the later output would replace the earlier one
-            raise ValueError(f"{flag} {path} names the same file as {claimed[target]}")
-        claimed[target] = f"{flag} {path}"
-        if not target.parent.is_dir():  # what the final open would raise, naming the target
-            home = next(p for p in target.parents if p.exists())
-            code = errno.ENOENT if home.is_dir() else errno.ENOTDIR
-            raise OSError(code, os.strerror(code), str(path))
-        try:
-            return folder(target.parent) / target.name
-        except PermissionError:  # no staging directory here: write in place
-            return path
-
-    try:
-        yield file, folder
-        for out_dir in stages:  # every directory first, so a failure here moves no file
-            out_dir.mkdir(parents=True, exist_ok=True)
-        for out_dir, stage in stages.items():
-            for staged in sorted(stage.iterdir()):
-                _place(staged, out_dir / staged.name)
-    finally:
-        for stage in stages.values():
-            shutil.rmtree(stage, ignore_errors=True)
-
-
 @contextmanager
 def _naming(where, labels=None):
     """Re-raise a ``ValueError`` or ``fracdyn.NumericalError`` of the block as
@@ -216,91 +76,10 @@ def _naming(where, labels=None):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _fork_map(fn, items, name):
-    """``[fn(item) for item in items]``, run in one forked worker per usable core.
-
-    Worker ``w`` of ``k`` runs items ``w, w + k, ...`` in order and, as each
-    ends, appends its pickled ``(ok, value or exception)`` to its own
-    unnamed temporary file; it stops at its first failure.  ``fn`` and the
-    data it reads reach it through the fork, not through pickling.  Results
-    come in item order.  When items fail, the exception of the lowest
-    failing index is raised, the one the serial loop would raise.  An item
-    whose outcome cannot be loaded, the one its worker was running when it
-    was killed or whose outcome does not pickle or unpickle, raises
-    ``ChildProcessError`` naming ``name(item)``.  On one core or for one
-    item, nothing is forked.
-    """
-    items = list(items)
-    jobs = min(_usable_cores(), len(items))
-    if jobs <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    sys.stdout.flush()  # so that no worker inherits, and repeats, buffered output
-    sys.stderr.flush()
-    files, pids = [], []  # each worker's outcome file and process id
-    try:
-        for first in range(jobs):
-            files.append(tempfile.TemporaryFile())
-            pid = os.fork()
-            if pid == 0:
-                _work(fn, items, first, jobs, files[-1])  # never returns
-            pids.append(pid)
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    results, failures = [None] * len(items), {}
-    for first, (outcomes, status) in enumerate(zip(files, statuses)):
-        code = os.waitstatus_to_exitcode(status)
-        if code < 0:
-            how = f"its worker process was killed by signal {-code} before reporting it"
-        elif code:
-            how = f"its worker process exited with status {code} before reporting it"
-        else:  # an outcome that did not pickle, or does not load
-            how = "its result could not be sent back from its worker process"
-        with outcomes:
-            outcomes.seek(0)
-            for i in range(first, len(items), jobs):
-                try:
-                    ok, value = pickle.load(outcomes)
-                except Exception:  # not written, written in part, or does not load
-                    failures[i] = ChildProcessError(f"{name(items[i])}: {how}")
-                    break
-                if not ok:
-                    failures[i] = value
-                    break
-                results[i] = value
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
-def _work(fn, items, first, step, outcomes) -> None:
-    """Run ``items[first::step]`` in a forked worker of :func:`_fork_map`,
-    append each outcome to the file ``outcomes`` as it ends, and exit."""
-    try:
-        for i in range(first, len(items), step):
-            try:
-                ok, value = True, fn(items[i])
-            except BaseException as exc:
-                ok, value = False, exc
-            outcomes.write(pickle.dumps((ok, value)))  # an outcome that does not pickle ends it
-            outcomes.flush()
-            if not ok:
-                break
-    finally:
-        os._exit(0)  # never the parent's exit handlers or staging cleanup
-
-
 def _check_file_part(name, what, where) -> None:
     """Reject ``name``, read from ``where``, if it cannot be part of a file name."""
     if any(c in name for c in {"/", os.sep, "\0"}):
         raise ValueError(f"{where}: {what} {name!r} cannot be part of an output file name")
-
-
-def _usable_cores() -> int:
-    """The worker count of :func:`_fork_map`: the cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _list_of(cast):
@@ -342,7 +121,7 @@ def _cmd_synth_system(args, out, model_out=None) -> str:
     X = fracdyn.simulate(model, args.n, seed=args.seed)
     records.write_record(records.MultichannelRecord(X), out)
     if model_out:
-        _write_text(model_out, fracdyn.model_to_json(model.alpha, model.A))
+        _run._write_text(model_out, fracdyn.model_to_json(model.alpha, model.A))
     return f"wrote {args.out}"
 
 
@@ -368,7 +147,7 @@ def _write_record_set(out_dir, stage, batches, record=lambda item: item,
         )
 
     for batch in batches:
-        entries += _fork_map(
+        entries += _run._fork_map(
             write, batch, name=lambda item: Path(out_dir) / f"{item.subject_id}.csv"
         )
         del batch  # let the next batch be simulated without this one
@@ -431,11 +210,11 @@ def _cmd_mfdfa(args, out_dir) -> str:
         payload = mfdfa.spectrum_to_dict(sf, spectrum)
         payload["std_across_q"] = [float(v) for v in diag.std_across_q]
         payload["std_across_s"] = [float(v) for v in diag.std_across_s]
-        _write_json(out_dir / f"spectrum_{label}.json", payload)
+        _run._write_json(out_dir / f"spectrum_{label}.json", payload)
         logs = np.log2(sf.scale_grid.astype(float))
         for q, values in zip(sf.q_grid, sf.values):
-            _write_csv(out_dir / f"sf_{label}_q{q:g}.csv", ("log2_s", "log2_sf"),
-                       zip(logs, np.log2(values)))
+            _run._write_csv(out_dir / f"sf_{label}_q{q:g}.csv", ("log2_s", "log2_sf"),
+                            zip(logs, np.log2(values)))
         lines.append(f"{label}: focus spread {payload['focus_spread']:.4f}")
     return "\n".join(lines)
 
@@ -463,7 +242,7 @@ def _cmd_extract(args, out) -> str:
 
     fracdyn.check_fit_params(args.horizon, args.ridge)
     entries = records.load_manifest(args.manifest)
-    _write_text(out, "".join(_fork_map(feature_line, entries, name=named)))
+    _run._write_text(out, "".join(_run._fork_map(feature_line, entries, name=named)))
     return f"wrote {len(entries)} feature lines to {args.out}"
 
 
@@ -540,12 +319,12 @@ def _cmd_train(args, out_dir) -> str:
         metrics_name, curve_name, label, train, test = split
         with _naming(label):
             metrics, history = classify.fit_split(X, y, train, test, cfg, model=args.model)
-        _write_json(out_dir / metrics_name, metrics.to_dict())
-        _write_csv(out_dir / curve_name, ("epoch", "loss", "accuracy"),
-                   zip(count(), history["loss"], history["accuracy"]))
+        _run._write_json(out_dir / metrics_name, metrics.to_dict())
+        _run._write_csv(out_dir / curve_name, ("epoch", "loss", "accuracy"),
+                        zip(count(), history["loss"], history["accuracy"]))
         return metrics.accuracy
 
-    accuracies = _fork_map(run_split, splits, name=lambda split: split[2])
+    accuracies = _run._fork_map(run_split, splits, name=lambda split: split[2])
     summary = {
         "mode": args.mode,
         "model": args.model,
@@ -553,7 +332,7 @@ def _cmd_train(args, out_dir) -> str:
         "accuracy_std": float(np.std(accuracies)),
         "n_evaluations": len(accuracies),
     }
-    _write_json(out_dir / "summary.json", summary)
+    _run._write_json(out_dir / "summary.json", summary)
     lines = [f"{label}: accuracy {accuracy:.4f}"
              for (_, _, label, _, _), accuracy in zip(splits, accuracies)]
     lines.append(f"{args.mode} {args.model}: accuracy "
@@ -587,7 +366,7 @@ def _cmd_convergence(args, out) -> str:
             horizon=args.horizon, ridge=args.ridge,
         )
     times = lengths / args.rate
-    _write_csv(out, ("time_s", "wasserstein"), zip(times, dists))
+    _run._write_csv(out, ("time_s", "wasserstein"), zip(times, dists))
     below = bool(dists[-1] < args.threshold)
     return f"final distance {dists[-1]:.6f} at {times[-1]:g} s; below {args.threshold:g}: {below}"
 
@@ -615,14 +394,14 @@ def _cmd_viral(args, out) -> str:
     spec = viral.WindowSpec(args.window, args.stride)
     entries = records.load_manifest(args.manifest)
     viral._need_cases(len(entries))
-    subjects = _fork_map(subject, entries, name=named)
+    subjects = _run._fork_map(subject, entries, name=named)
     results = viral._loo_sweep(
         [sides for _, sides in subjects],
         [infected for infected, _ in subjects],
         [entry.subject_id for entry in entries],
     )
     rows = [(shift, r.type_one, r.type_two) for shift, r in zip(args.shifts, results)]
-    _write_csv(out, ("shift", "type_one", "type_two"), rows)
+    _run._write_csv(out, ("shift", "type_one", "type_two"), rows)
     return "\n".join(f"shift {s}: type I {t1}, type II {t2}" for s, t1, t2 in rows)
 
 
@@ -799,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-        with _outputs() as (file, folder):
+        with _run._outputs() as (file, folder):
             staged = {}
             for dest in ("out", "model_out", "out_dir"):  # each, before any input is read
                 if (path := getattr(args, dest, None)) is not None:

@@ -147,10 +147,28 @@ def _split_alphas(case: SubjectCase, spec: WindowSpec, split_starts) -> list:
     ]
 
 
+# Values in the one work block of _kde: 64 KiB, half glibc's 128 KiB mmap
+# threshold.  Whole (grid x samples) temporaries, about 160 KiB on the viral
+# sweep, sit just above it, and whether each call then maps fresh pages
+# depends on the process's allocation history: 0.5k to 16k page faults per
+# sweep, a third of the command's own CPU time, from one run to the next.
+_KDE_BLOCK = 8192
+
+
 def _kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    z = (grid[:, None] - samples[None, :]) / bandwidth
-    dens = np.exp(-0.5 * z**2).sum(axis=1) / (samples.size * bandwidth * np.sqrt(2 * np.pi))
-    return dens
+    # rows of grid points at a time; each row's sum is that of the whole matrix
+    rows = max(1, _KDE_BLOCK // samples.size)
+    work = np.empty((min(rows, grid.size), samples.size))
+    dens = np.empty(grid.size)
+    for start in range(0, grid.size, rows):
+        z = work[: min(rows, grid.size - start)]
+        np.subtract.outer(grid[start : start + rows], samples, out=z)
+        z /= bandwidth
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        z.sum(axis=1, out=dens[start : start + len(z)])
+    return dens / (samples.size * bandwidth * np.sqrt(2 * np.pi))
 
 
 _DENSITY_FLOOR = 1e-12

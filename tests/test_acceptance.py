@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from fracsig import classify, cli, fracdyn, mfdfa, synth, viral
+from fracsig import _run, classify, cli, fracdyn, mfdfa, synth, viral
 
 from oracles import numerical_gradients
 from test_mfdfa import plain_dfa
@@ -256,17 +256,19 @@ class TestCriterion8Classifier:
     def test_cohort_accuracies(self, stage_cohort):
         X, y, institutions = stage_cohort
         cfg = classify.TrainConfig(epochs=500, seed=0)
+        folds = classify.kfold(len(y), 5, seed=0)
+        # the 14 fits as one item list of the command line's fork-join map
+        splits = [(f"fold {i} {model}", train, test, model)
+                  for model in ("mlp", "logistic") for i, (train, test) in enumerate(folds)]
+        splits += [(f"holdout {name}", *classify.holdout(institutions, y, name, seed=0), "mlp")
+                   for name in sorted(set(institutions))]
 
-        def accuracy(train, test, model="mlp"):
+        def accuracy(split):
+            _, train, test, model = split
             return classify.fit_split(X, y, train, test, cfg, model=model)[0].accuracy
 
-        folds = classify.kfold(len(y), 5, seed=0)
-        mlp_accs = [accuracy(train, test) for train, test in folds]
-        logistic_accs = [accuracy(train, test, "logistic") for train, test in folds]
-        holdout_accs = [
-            accuracy(*classify.holdout(institutions, y, institution, seed=0))
-            for institution in sorted(set(institutions))
-        ]
+        accs = _run._fork_map(accuracy, splits, name=lambda split: split[0])
+        mlp_accs, logistic_accs, holdout_accs = accs[:5], accs[5:10], accs[10:]
 
         kfold_acc = float(np.mean(mlp_accs))
         logistic_acc = float(np.mean(logistic_accs))

@@ -6,14 +6,16 @@ import stat
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracsig import classify, cli, fracdyn, mfdfa, records, synth, viral
+from fracsig import _run, classify, cli, fracdyn, mfdfa, records, synth, viral
+
+# TestForkMap is collected here too, under the test IDs it had before it moved
+from test_run import TestForkMap, _assert_no_child_left  # noqa: F401
 
 
 def run(*argv):
@@ -24,7 +26,7 @@ def run_on(cores, *argv):
     """``run(*argv)`` where the process may use ``cores`` cores: 1 is the
     serial path, more forks that many workers."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "_usable_cores", lambda: cores)
+        m.setattr(_run, "_usable_cores", lambda: cores)
         return run(*argv)
 
 
@@ -1000,9 +1002,9 @@ def command_inputs(tmp_path_factory):
 
 
 def _full_disk_write_text(monkeypatch):
-    """Make ``Path.write_text`` and ``cli._write_csv`` write half a file, then
+    """Make ``Path.write_text`` and ``_run._write_csv`` write half a file, then
     fail as on a full disk."""
-    write_text, write_csv = Path.write_text, cli._write_csv
+    write_text, write_csv = Path.write_text, _run._write_csv
 
     def half_then_full(self, data, *args, **kwargs):
         write_text(self, data[: len(data) // 2], *args, **kwargs)
@@ -1014,7 +1016,7 @@ def _full_disk_write_text(monkeypatch):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(Path, "write_text", half_then_full)
-    monkeypatch.setattr(cli, "_write_csv", csv_half_then_full)
+    monkeypatch.setattr(_run, "_write_csv", csv_half_then_full)
 
 
 def _full_disk_write_record(monkeypatch):
@@ -1376,12 +1378,6 @@ def _enospc_at_write_of(monkeypatch, name):
     monkeypatch.setattr(Path, "open", open_)
 
 
-def _assert_no_child_left():
-    """No worker process of a command outlives it, not even as a zombie."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _exdev_at_replace(monkeypatch, k):
     """Make the k-th ``os.replace`` fail as across file systems; return the targets."""
     moved, replace = [], os.replace
@@ -1509,8 +1505,8 @@ class TestFaultInjection:
         out.mkdir()  # so that the killed run stages inside it
         script = (
             "import os, signal, sys\n"
-            "from fracsig import cli\n"
-            "cli._place = lambda staged, path: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "from fracsig import _run, cli\n"
+            "_run._place = lambda staged, path: os.kill(os.getpid(), signal.SIGKILL)\n"
             f"sys.exit(cli.main({argv + ['--out-dir', str(out)]!r}))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -1637,105 +1633,6 @@ class TestWorkers:
         assert run_on(1, *argv) == cli.EXIT_OK
         assert (tmp_path / "features.jsonl").read_bytes() == (
             command_inputs / "features.jsonl").read_bytes()
-
-
-def _square(x):
-    return x * x
-
-
-def _not_loadable():
-    raise RuntimeError("cannot be rebuilt")
-
-
-class _PicklesButDoesNotLoad:
-    def __reduce__(self):
-        return _not_loadable, ()
-
-
-class TestForkMap:
-    """``cli._fork_map`` is ``[fn(item) for item in items]`` on any number of cores."""
-
-    @staticmethod
-    def _on(monkeypatch, cores):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_results_come_in_item_order(self, monkeypatch, jobs):
-        self._on(monkeypatch, jobs)
-        assert cli._fork_map(_square, range(7), name=str) == [i * i for i in range(7)]
-        assert cli._fork_map(_square, [], name=str) == []
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_results_larger_than_a_pipe_buffer_come_back(self, monkeypatch, jobs):
-        # each worker sends several results of 1.5 MiB while the parent waits
-        self._on(monkeypatch, jobs)
-        results = cli._fork_map(lambda i: bytes([i]) * (3 << 19), range(7), name=str)
-        assert results == [bytes([i]) * (3 << 19) for i in range(7)]
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_lowest_failing_item_wins(self, monkeypatch, jobs):
-        # item 1 fails late, items 2 and 4 at once; the serial loop meets 1 first
-        def fn(i):
-            if i == 1:
-                time.sleep(0.2)
-            if i in (1, 2, 4):
-                raise ValueError(f"item {i}")
-            return i
-
-        self._on(monkeypatch, jobs)
-        with pytest.raises(ValueError, match="^item 1$"):
-            cli._fork_map(fn, range(6), name=str)
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_zero_fluctuation_error_comes_back_whole(self, monkeypatch, jobs):
-        # worker 0 runs items 0 and 2; item 2's error is the serial loop's
-        def fn(i):
-            if i == 2:
-                raise mfdfa.ZeroFluctuationError(3, 16)
-            return i
-
-        self._on(monkeypatch, jobs)
-        with pytest.raises(mfdfa.ZeroFluctuationError,
-                           match="^row 3: zero fluctuation in every window at scale 16$"):
-            cli._fork_map(fn, range(4), name=lambda i: f"item {i}")
-        _assert_no_child_left()
-
-    def test_value_that_cannot_be_sent_names_its_item(self, monkeypatch):
-        # worker 0 runs items 0 and 2 and can send the result of 0 only
-        def fn(i):
-            return (lambda: i) if i == 2 else i
-
-        self._on(monkeypatch, 2)
-        with pytest.raises(ChildProcessError,
-                           match="^item 2: its result could not be sent back from its worker"):
-            cli._fork_map(fn, range(4), name=lambda i: f"item {i}")
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_value_that_does_not_load_names_its_item(self, monkeypatch, jobs):
-        # item 2 pickles but cannot be rebuilt; the results before it load,
-        # so neither item 0 nor its worker's other items are named
-        def fn(i):
-            return _PicklesButDoesNotLoad() if i == 2 else i
-
-        self._on(monkeypatch, jobs)
-        with pytest.raises(ChildProcessError,
-                           match="^item 2: its result could not be sent back from its worker"):
-            cli._fork_map(fn, range(6), name=lambda i: f"item {i}")
-        _assert_no_child_left()
-
-    def test_fork_is_not_called_for_one_job_or_one_item(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        self._on(monkeypatch, 1)
-        assert cli._fork_map(_square, range(3), name=str) == [0, 1, 4]
-        self._on(monkeypatch, 2)
-        assert cli._fork_map(_square, [3], name=str) == [9]
 
 
 class TestFlagUsageErrors:

@@ -112,3 +112,14 @@ def test_cli_import_pins_one_blas_thread():
 
 def test_cli_import_leaves_a_set_thread_variable_alone():
     assert _fresh(PRINT_BLAS_THREADS, OMP_NUM_THREADS="3") == "['3', None, None]"
+
+
+def test_run_import_leaves_numpy_out():
+    assert _fresh("import sys, fracsig._run; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_every_layer():
+    # a span tracer finds the six layers in sys.modules right after `import fracsig.cli`
+    code = ("import sys, fracsig.cli; print([m for m in ('classify', 'fracdyn', 'mfdfa', "
+            "'records', 'synth', 'viral') if f'fracsig.{m}' not in sys.modules])")
+    assert _fresh(code) == "[]"

@@ -136,6 +136,18 @@ class TestKlFeature:
         kl_ba = viral.kl_feature(b, a, bandwidth=0.3)
         assert abs(kl_ab - kl_ba) > 0.1
 
+    @pytest.mark.parametrize("n", [5, 40, 129, viral._KDE_BLOCK - 1, viral._KDE_BLOCK + 1])
+    @pytest.mark.parametrize("points", [1, 37, 512, 513])
+    def test_kde_blocks_match_whole_matrix(self, n, points):
+        # blocks of grid rows, whole blocks and a ragged last one, give the
+        # densities of the one (grid x samples) matrix bit for bit
+        rng = np.random.default_rng(n * 1000 + points)
+        samples = rng.standard_normal(n) * 1e3 + 5e3
+        grid = np.linspace(samples.min() - 400, samples.max() + 400, points)
+        z = (grid[:, None] - samples[None, :]) / 60.0
+        whole = np.exp(-0.5 * z**2).sum(axis=1) / (n * 60.0 * np.sqrt(2 * np.pi))
+        assert viral._kde(samples, grid, 60.0).tobytes() == whole.tobytes()
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="5 samples"):
             viral.kl_feature([1.0] * 3, [2.0] * 8)
