@@ -152,25 +152,30 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(params, X, dropout_rate=0.0, rng=None):
-    """Forward pass; returns (activations per layer, dropout masks)."""
+def _forward(params, X, dropout_rate=0.0, rng=None, first=None):
+    """Forward pass; returns (activations per layer, dropout masks).
+
+    ``first``, if given, is layer 1's ReLU output on these rows and stands
+    in for that layer's product; the dropout mask is multiplied into it.
+    """
     acts = [X]
     masks = []
     h = X
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w
-        z += b
+        if i == 0 and first is not None:
+            h = first
+        else:
+            z = h @ w
+            z += b
+            h = np.maximum(z, 0.0, out=z) if i < n_layers - 1 else _softmax(z)
         if i < n_layers - 1:
-            h = np.maximum(z, 0.0, out=z)
             if dropout_rate > 0.0 and rng is not None:
                 mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
                 h *= mask
                 masks.append(mask)
             else:
                 masks.append(None)
-        else:
-            h = _softmax(z)
         acts.append(h)
     return acts, masks
 
@@ -203,9 +208,14 @@ def mlp_gradients(params, X, y, dropout_rate=0.0, rng=None):
     Returns ``(loss, grad)``; ``grad`` is an :class:`MLPParams` of the
     same sizes holding d(loss)/d(parameter).
     """
+    return _gradients(params, X, y, dropout_rate, rng)
+
+
+def _gradients(params, X, y, dropout_rate=0.0, rng=None, first=None):
+    """:func:`mlp_gradients`, with ``first`` handed to :func:`_forward`."""
     n = X.shape[0]
     onehot = _one_hot(y, params.sizes[-1])
-    acts, masks = _forward(params, X, dropout_rate, rng)
+    acts, masks = _forward(params, X, dropout_rate, rng, first)
     probs = acts[-1]
     grad = MLPParams(params.sizes, np.empty(params.flat.size))  # every entry written below
     delta = (probs - onehot) / n  # softmax + cross-entropy shortcut
@@ -249,12 +259,12 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
     work = np.empty_like(flat)  # the update's only temporary, reused every step
     history = {"loss": [], "accuracy": []}
     n = X.shape[0]
+    order, first = rng.permutation(n), None
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grad = mlp_gradients(params, X[idx], y[idx], cfg.dropout_rate, rng)
+            loss, grad = _gradients(params, X[idx], y[idx], cfg.dropout_rate, rng, first)
             if not np.isfinite(loss):
                 raise fracdyn.NumericalError(f"NaN loss at epoch {epoch}")
             losses.append(loss)
@@ -268,13 +278,20 @@ def mlp_train(X, y, cfg: TrainConfig | None = None, *, hidden=(300, 100), n_clas
             g *= lr
             g /= work
             flat -= g
-        probs = mlp_predict(params, X)
+        # the next epoch's order, drawn after this epoch's dropout as ever, so
+        # the curve pass below runs the next epoch's first product
+        order = rng.permutation(n)
+        acts, _ = _forward(params, X[order])
+        probs = acts[-1]
         if not (np.isfinite(flat).all() and np.isfinite(probs).all()):
             raise fracdyn.NumericalError(
                 f"training diverged at epoch {epoch}; lower the learning rate"
             )
         history["loss"].append(float(np.mean(losses)))
-        history["accuracy"].append(float(np.mean(probs.argmax(axis=1) == y)))
+        history["accuracy"].append(float(np.mean(probs.argmax(axis=1) == y[order])))
+        # one batch per epoch: that product is the next step's, bit for bit; a
+        # row of a larger product need not equal the same row of a smaller one
+        first = acts[1] if n <= cfg.batch_size else None
     return params, history
 
 

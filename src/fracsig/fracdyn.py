@@ -165,10 +165,12 @@ def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> tuple[i
 
     The loop works in one (R, n, J + 1 + block) state holding the last J
     steps and the current block, and copies each finished block into the
-    trajectories, which stay separate arrays.  A row that leaves the
-    overflow guard is dropped with every row above it, and the rows below
-    it run on.  Returns None when every row ran every step, else the
-    ``(row, step)`` of the lowest dropped row.
+    trajectories, which stay separate arrays.  After each block one test
+    finds the lowest row that left the overflow guard; it is dropped with
+    every row above it, and the rows below it run on.  A dropped row runs
+    on to its block's end, so the steps ignore overflow and invalid
+    warnings; the test does not.  Returns None when every row ran every
+    step, else the lowest dropped row and its first step out of the guard.
     """
     R = len(xs)
     n, T = xs[0].shape
@@ -182,28 +184,26 @@ def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> tuple[i
     rows, diverged = R, None  # rows 0..rows-1 are still running
     for k0 in range(0, T - 1, _STEP_BLOCK):
         m = min(_STEP_BLOCK, T - 1 - k0)
+        s, a, psi_r, w = state[:rows], A[:rows], memory_psi[:rows], noise[:rows]
         if k0:
-            state[:rows, :, : J + 1] = state[:rows, :, _STEP_BLOCK:]
+            s[:, :, : J + 1] = s[:, :, _STEP_BLOCK:]
         for r in range(rows):
             gens[r].standard_normal(out=noise[r, :m])
-        noise[:rows, :m] *= scale[:rows, None, None]
-        for i in range(m):
-            k, c = k0 + i, J + i
-            s = state[:rows]
-            depth = min(k + 1, J)
-            # memory terms x[k+1-j] for j = 1..depth, newest first
-            window = s[:, :, c + 1 - depth : c + 1][..., ::-1]
-            memory = np.einsum("rnj,rnj->rn", memory_psi[:rows, :, :depth], window)
-            nxt = (A[:rows] @ s[:, :, c, None])[..., 0] + noise[:rows, i] - memory
-            if u is not None:
-                nxt = nxt + (B[:rows] @ u[:rows, k, :, None])[..., 0]
-            bounded = (np.abs(nxt) < _OVERFLOW_GUARD).all(axis=1)
-            if not bounded.all():
-                rows = int(np.argmin(bounded))
-                diverged = (rows, k + 1)
-                if rows == 0:
-                    break
-            s[:rows, :, c + 1] = nxt[:rows]
+        w[:, :m] *= scale[:rows, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(m):
+                k, c = k0 + i, J + i
+                depth = min(k + 1, J)
+                # memory terms x[k+1-j] for j = 1..depth, newest first
+                window = s[:, :, c + 1 - depth : c + 1][..., ::-1]
+                memory = np.einsum("rnj,rnj->rn", psi_r[:, :, :depth], window)
+                np.subtract((a @ s[:, :, c, None])[..., 0] + w[:, i], memory, out=s[:, :, c + 1])
+                if u is not None:
+                    s[:, :, c + 1] += (B[:rows] @ u[:rows, k, :, None])[..., 0]
+        outside = ~(np.abs(s[:, :, J + 1 : J + 1 + m]) < _OVERFLOW_GUARD).all(axis=1)  # (rows, m)
+        if outside.any():
+            rows = int(np.argmax(outside.any(axis=1)))
+            diverged = (rows, k0 + 1 + int(np.argmax(outside[rows])))
         for r in range(rows):
             xs[r][:, k0 + 1 : k0 + 1 + m] = state[r, :, J + 1 : J + 1 + m]
         if rows == 0:

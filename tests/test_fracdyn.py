@@ -216,25 +216,42 @@ class TestSimulate:
             assert X[r].flags.c_contiguous
 
     def test_lowest_diverging_row_is_named_and_rows_below_run_on(self):
-        # row 2 diverges first; row 1 later, so the loop names row 1
+        # row 2 diverges first; row 1 later, so the loop names row 1.  Then row 1
+        # runs noise-free from a start that first leaves the guard at ``step``:
+        # the last step of the first block, or the next block's first
         stable = synth.random_stable_model(2, 0)
         couplings = [stable.A, 1.3 * np.eye(2), 3.0 * np.eye(2), stable.A]
-        models = [fracdyn.FractionalModel(stable.alpha, A, noise_scale=1.0) for A in couplings]
-        steps = []
-        for model in models[1:3]:
-            with pytest.raises(fracdyn.NumericalError) as alone:
-                fracdyn.simulate(model, 500, x0=np.ones(2), seed=0)
-            steps.append(int(str(alone.value).rsplit(" ", 1)[1]))
-        assert steps[1] < steps[0]
-        X = fracdyn._trajectories(4, 2, 500)
-        for x in X:
-            x[:, 0] = 1.0
         psi = np.stack([fracdyn.gl_coefficients(stable.alpha, fracdyn.DEFAULT_HORIZON)] * 4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            diverged = fracdyn._simulate_rows(psi, np.stack(couplings), [1.0] * 4, [0] * 4, X)
-        assert diverged == (1, steps[0])
-        np.testing.assert_array_equal(X[0], fracdyn.simulate(models[0], 500, x0=np.ones(2)))
+        for step in (None, 32, 33):
+            models = [fracdyn.FractionalModel(stable.alpha, A, noise_scale=1.0) for A in couplings]
+            starts = [np.ones(2)] * 4
+            if step is not None:
+                models[1] = fracdyn.FractionalModel(stable.alpha, couplings[1])
+                starts[1] = _start_leaving_guard_at(models[1], step)
+            steps = []
+            for model, start in zip(models[1:3], starts[1:3]):
+                with pytest.raises(fracdyn.NumericalError) as alone:
+                    fracdyn.simulate(model, 500, x0=start, seed=0)
+                steps.append(int(str(alone.value).rsplit(" ", 1)[1]))
+            assert steps[1] < steps[0] and step in (None, steps[0])
+            X = fracdyn._trajectories(4, 2, 500)
+            for x, start in zip(X, starts):
+                x[:, 0] = start
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                diverged = fracdyn._simulate_rows(
+                    psi, np.stack(couplings), [m.noise_scale for m in models], [0] * 4, X
+                )
+            assert diverged == (1, steps[0])
+            np.testing.assert_array_equal(X[0], fracdyn.simulate(models[0], 500, x0=np.ones(2)))
+
+
+def _start_leaving_guard_at(model, step):
+    """A start state from which the noise-free ``model``, whose trajectory is
+    linear in its start and grows, first leaves the overflow guard at ``step``."""
+    tiny = 1e-30
+    peak = np.abs(fracdyn.simulate(model, step + 1, x0=np.full(model.n, tiny))).max(axis=0)
+    return np.full(model.n, tiny * fracdyn._OVERFLOW_GUARD / np.sqrt(peak[step - 1] * peak[step]))
 
 
 def _reference_simulate(model, T, *, u=None, x0=None, seed=0):
