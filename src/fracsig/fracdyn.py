@@ -140,74 +140,67 @@ class FractionalModel:
 
 
 _OVERFLOW_GUARD = 1e12
-# steps per block: noise is drawn and finished steps are copied out once a block
+# steps per block: noise is drawn and the overflow guard is tested once a block
 _STEP_BLOCK = 32
 
 
-def _trajectories(R: int, n: int, T: int) -> list[np.ndarray]:
-    """R zero (n, T) trajectories for :func:`_simulate_rows`; T below 1 is rejected."""
+def _trajectories(R: int, n: int, T: int) -> np.ndarray:
+    """R zero trajectories as one C-contiguous (R, n, T) array for
+    :func:`_simulate_rows`; T below 1 is rejected."""
     if T < 1:
         raise ValueError(f"need at least one step, got T={T}")
-    return [np.zeros((n, T)) for _ in range(R)]
+    return np.zeros((R, n, T))
 
 
-def _simulate_rows(psi, A, noise_scale, seeds, xs, *, B=None, u=None) -> tuple[int, int] | None:
+def _simulate_rows(psi, A, noise_scale, seeds, x, *, B=None, u=None) -> tuple[int, int] | None:
     """Forward-simulate R models in one loop over the steps.
 
-    ``xs`` holds each model's (n, T) trajectory, start state in column 0;
-    columns 1..T-1 are written.  ``psi`` is the (R, n, J+1) GL weight
-    table, ``A`` the (R, n, n) couplings, ``noise_scale`` and ``seeds``
-    one value per model; ``B`` (R, n, p) with ``u`` (R, >= T-1, p) is
-    optional.  Row r is bit-identical to the same model simulated alone:
-    every row runs the operations of :func:`simulate` in the same order,
-    and its noise comes from its own seeded generator, drawn in blocks of
-    steps (a generator's draws do not depend on how they are split).
+    ``x`` is the C-contiguous (R, n, T) array of :func:`_trajectories`
+    with each model's start state in column 0; step k writes column k+1
+    of every running row in place, from the memory window of the columns
+    before it.  ``psi`` is the (R, n, J+1) GL weight table, ``A`` the
+    (R, n, n) couplings, ``noise_scale`` and ``seeds`` one value per
+    model; ``B`` (R, n, p) with ``u`` (R, >= T-1, p) is optional.  Row r
+    is bit-identical to the same model simulated alone: every row runs
+    the operations of :func:`simulate` in the same order, and its noise
+    comes from its own seeded generator, drawn in blocks of steps (a
+    generator's draws do not depend on how they are split).
 
-    The loop works in one (R, n, J + 1 + block) state holding the last J
-    steps and the current block, and copies each finished block into the
-    trajectories, which stay separate arrays.  After each block one test
-    finds the lowest row that left the overflow guard; it is dropped with
-    every row above it, and the rows below it run on.  A dropped row runs
-    on to its block's end, so the steps ignore overflow and invalid
-    warnings; the test does not.  Returns None when every row ran every
+    After each block one test finds the lowest row that left the overflow
+    guard; it is dropped with every row above it, and the rows below it
+    run on.  A dropped row runs on to its block's end, so the steps ignore
+    overflow and invalid warnings; the test does not.  The columns after
+    that block keep their zeros.  Returns None when every row ran every
     step, else the lowest dropped row and its first step out of the guard.
     """
-    R = len(xs)
-    n, T = xs[0].shape
+    R, n, T = x.shape
     J = psi.shape[2] - 1
     memory_psi = psi[:, :, 1:]  # weight of x[k+1-j] at j = 1..J
     gens = [np.random.default_rng(seed) for seed in seeds]
     scale = np.asarray(noise_scale, dtype=float).reshape(R)
     noise = np.empty((R, _STEP_BLOCK, n))
-    state = np.empty((R, n, J + 1 + _STEP_BLOCK))  # column J + c holds step k0 + c
-    state[:, :, J] = [x[:, 0] for x in xs]
     rows, diverged = R, None  # rows 0..rows-1 are still running
     for k0 in range(0, T - 1, _STEP_BLOCK):
         m = min(_STEP_BLOCK, T - 1 - k0)
-        s, a, psi_r, w = state[:rows], A[:rows], memory_psi[:rows], noise[:rows]
-        if k0:
-            s[:, :, : J + 1] = s[:, :, _STEP_BLOCK:]
+        s, a, psi_r, w = x[:rows], A[:rows], memory_psi[:rows], noise[:rows]
         for r in range(rows):
             gens[r].standard_normal(out=noise[r, :m])
         w[:, :m] *= scale[:rows, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(m):
-                k, c = k0 + i, J + i
+            for i, k in enumerate(range(k0, k0 + m)):
                 depth = min(k + 1, J)
                 # memory terms x[k+1-j] for j = 1..depth, newest first
-                window = s[:, :, c + 1 - depth : c + 1][..., ::-1]
+                window = s[:, :, k + 1 - depth : k + 1][..., ::-1]
                 memory = np.einsum("rnj,rnj->rn", psi_r[:, :, :depth], window)
-                np.subtract((a @ s[:, :, c, None])[..., 0] + w[:, i], memory, out=s[:, :, c + 1])
+                np.subtract((a @ s[:, :, k, None])[..., 0] + w[:, i], memory, out=s[:, :, k + 1])
                 if u is not None:
-                    s[:, :, c + 1] += (B[:rows] @ u[:rows, k, :, None])[..., 0]
-        outside = ~(np.abs(s[:, :, J + 1 : J + 1 + m]) < _OVERFLOW_GUARD).all(axis=1)  # (rows, m)
+                    s[:, :, k + 1] += (B[:rows] @ u[:rows, k, :, None])[..., 0]
+        outside = ~(np.abs(s[:, :, k0 + 1 : k0 + 1 + m]) < _OVERFLOW_GUARD).all(axis=1)  # (rows, m)
         if outside.any():
             rows = int(np.argmax(outside.any(axis=1)))
             diverged = (rows, k0 + 1 + int(np.argmax(outside[rows])))
-        for r in range(rows):
-            xs[r][:, k0 + 1 : k0 + 1 + m] = state[r, :, J + 1 : J + 1 + m]
-        if rows == 0:
-            break
+            if rows == 0:
+                break
     return diverged
 
 
@@ -233,9 +226,9 @@ def simulate(
     a seeded generator.  This is the one-model case of the batched loop
     :mod:`fracsig.synth` runs over a cohort.
     """
-    (x,) = _trajectories(1, model.n, T)
+    x = _trajectories(1, model.n, T)
     if x0 is not None:
-        x[:, 0] = np.asarray(x0, dtype=float)
+        x[0, :, 0] = np.asarray(x0, dtype=float)
     if u is not None:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[0] < T - 1:
@@ -244,11 +237,11 @@ def simulate(
             raise ValueError("model has no input matrix B")
         u = u[None]
     psi = gl_coefficients(model.alpha, DEFAULT_HORIZON)
-    diverged = _simulate_rows(psi[None], model.A[None], model.noise_scale, [seed], [x],
+    diverged = _simulate_rows(psi[None], model.A[None], model.noise_scale, [seed], x,
                               B=None if u is None else model.B[None], u=u)
     if diverged is not None:
         raise NumericalError(f"trajectory diverged at step {diverged[1]}")
-    return x
+    return x[0]
 
 
 def estimate_alphas(X) -> np.ndarray:

@@ -130,8 +130,8 @@ class MfdfaConfig:
         if self.scale_grid is None:
             grid = default_scale_grid(n)
         else:
-            grid = np.asarray(self.scale_grid, dtype=int)
-            if not np.all(np.diff(grid) > 0):
+            grid = [int(s) for s in self.scale_grid]  # checked as Python ints: no C long overflow
+            if not all(a < b for a, b in zip(grid, grid[1:])):
                 raise ValueError("scale_grid must be strictly increasing")
         if grid[0] < self.detrend_order + 2:
             raise ValueError(
@@ -140,7 +140,7 @@ class MfdfaConfig:
             )
         if grid[-1] > n:
             raise ValueError(f"largest scale {grid[-1]} exceeds series length {n}")
-        return grid
+        return np.asarray(grid, dtype=int)
 
     def resolve_q(self) -> np.ndarray:
         q = np.asarray(self.q_grid, dtype=float)

@@ -13,13 +13,15 @@ signed coupling s * R - diag_shift * I has companion spectral radius
 below a limit.  :func:`random_stable_model` returns one such model;
 :func:`synth_stage_cohort` simulates jittered records of one per stage
 in batches of at most about 4 MB of trajectories, each batch one loop of
-the steps; a record that diverges redraws its jitter and seed as the
-first row of the next batch.  The batches come from a generator that
-yields each batch's final records as one list and lets go of their
-trajectories before it simulates the next batch, so the command line,
-which drops each list once it is written, writes a cohort of any size
-holding one batch: about 4 MB, or one record where a record alone is
-larger, at any number of samples.
+the steps over one (records, channels, samples) array; a record that
+diverges redraws its jitter and seed as the first row of the next batch.
+The batches come from a generator that yields each batch's final records
+as one list of read-only views of that array and drops its own reference
+before it simulates the next batch, so the command line, which drops
+each list once it is written, writes a cohort of any size holding one
+batch: about 4 MB, or one record where a record alone is larger, at any
+number of samples.  A batch's array, with any diverged rows in it, lives
+as long as any of its records.
 Every stability check truncates the recursion at
 ``fracdyn.DEFAULT_HORIZON``, the one memory horizon
 :func:`fracsig.fracdyn.simulate` runs.
@@ -312,10 +314,10 @@ def synth_stage_cohort(
 
 def _simulate_stage_cohort(n_records, n, seed, n_samples):
     """Yield the records of :func:`synth_stage_cohort` in order, as one list
-    per batch once its simulation is final.  One batch of trajectories is
-    held: a batch's are let go before the next batch is simulated, so a
-    caller that drops each list holds one batch at a time.  The command
-    line streams it, having checked ``n_records`` itself."""
+    per batch once its simulation is final.  A batch's records view its one
+    trajectory array, which the generator lets go of before the next batch
+    is simulated, so a caller that drops each list holds one batch at a
+    time.  The command line streams it, having checked ``n_records`` itself."""
     rng = np.random.default_rng(seed)
     draws = [
         _draw_stable(
@@ -356,7 +358,7 @@ def _simulate_stage_cohort(n_records, n, seed, n_samples):
                 )
                 for r in range(done, done + final)
             ]
-        del X, psi  # the yielded records own their rows; hold no batch while the next runs
+        del X, psi  # the yielded records view X; hold no batch while the next runs
         done += final
         if diverged is None:
             tries = 0

@@ -220,6 +220,8 @@ class TestMfdfaCommand:
             ("--q=nan", "q_grid values must be finite, got nan"),
             ("--q=1,-inf", "q_grid values must be finite, got -inf"),
             ("--scales=64,32", "scale_grid must be strictly increasing"),
+            ("--scales=16,32,100000000000000000000",
+             "largest scale 100000000000000000000 exceeds series length 1024"),
         ]:
             assert run("mfdfa", str(rec), flag, "--out-dir", str(out)) == cli.EXIT_DATA, flag
             assert capsys.readouterr() == ("", f"fracsig: error: {rec}: {named}\n")

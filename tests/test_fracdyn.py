@@ -193,27 +193,30 @@ class TestSimulate:
         )
 
     def test_batch_rows_equal_rows_simulated_alone(self):
-        n, p, T = 5, 2, 700  # T spans several step blocks, not a multiple of one
+        n, p = 5, 2
         models = [
             synth.random_stable_model(n, seed, noise_scale=scale, n_inputs=p)
             for seed, scale in enumerate((1.0, 0.0, 0.3, 2.5))
         ]
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal((len(models), T, p))
-        x0 = rng.standard_normal((len(models), n))
+        psi = np.stack([fracdyn.gl_coefficients(m.alpha, fracdyn.DEFAULT_HORIZON) for m in models])
         seeds = [11, 12, 13, 11]
-        X = fracdyn._trajectories(len(models), n, T)
-        for x, start in zip(X, x0):
-            x[:, 0] = start
-        fracdyn._simulate_rows(
-            np.stack([fracdyn.gl_coefficients(m.alpha, fracdyn.DEFAULT_HORIZON) for m in models]),
-            np.stack([m.A for m in models]), [m.noise_scale for m in models], seeds, X,
-            B=np.stack([m.B for m in models]), u=u,
-        )
-        for r, model in enumerate(models):
-            alone = fracdyn.simulate(model, T, u=u[r], x0=x0[r], seed=seeds[r])
-            np.testing.assert_array_equal(X[r], alone)
-            assert X[r].flags.c_contiguous
+        # up to T = J + 1 = 51 every memory window reaches back to the start
+        # state; 700 spans several step blocks and is not a multiple of one
+        for T in (1, 2, 50, 51, 700):
+            rng = np.random.default_rng(2)
+            u = rng.standard_normal((len(models), T, p))
+            x0 = rng.standard_normal((len(models), n))
+            X = fracdyn._trajectories(len(models), n, T)
+            for x, start in zip(X, x0):
+                x[:, 0] = start
+            fracdyn._simulate_rows(
+                psi, np.stack([m.A for m in models]), [m.noise_scale for m in models], seeds, X,
+                B=np.stack([m.B for m in models]), u=u,
+            )
+            for r, model in enumerate(models):
+                alone = fracdyn.simulate(model, T, u=u[r], x0=x0[r], seed=seeds[r])
+                np.testing.assert_array_equal(X[r], alone, err_msg=f"T={T}")
+                assert X[r].flags.c_contiguous
 
     def test_lowest_diverging_row_is_named_and_rows_below_run_on(self):
         # row 2 diverges first; row 1 later, so the loop names row 1.  Then row 1
